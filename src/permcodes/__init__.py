@@ -9,6 +9,7 @@ three non-Lehmer families are equidistributed over inverse descent classes.
 from .codes import (
     FAMILIES,
     INVCODE,
+    LEHMER,
     MAJCODE,
     SCODE,
     AcceptabilityResult,
@@ -102,12 +103,7 @@ from .verify import (
     CheckItem,
     ClassDistribution,
     VerificationReport,
-    check_coarse_class_product,
     check_euler_mahonian,
-    check_fs_refinement,
-    check_noncommutative_invcode,
-    check_scode_step_alphabet,
-    check_theorem_equidistribution,
     class_distribution,
     q_factorial,
     q_statistic,

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 from . import codes, lequiv, ribbons, trees, verify
 from .permutations import (
@@ -25,59 +24,41 @@ from .permutations import (
     parse_permutation,
 )
 
-__all__ = ['RunConfig', 'main', 'build_parser', 'code_table_lines']
+__all__ = ['main', 'build_parser', 'code_table_lines']
 
 HARD_CAP = 9
 WORKERS_ENV = 'PERMCODES_WORKERS'
+VERIFY_FAMILIES = 'ic,sc,mc'
 
+#: Each family answers to its name, its short label (``ic``) and its name
+#: without the ``code`` suffix (``inv``).
 FAMILY_ALIASES = {
-    'lc': 'lehmer', 'lehmer': 'lehmer',
-    'ic': 'invcode', 'inv': 'invcode', 'invcode': 'invcode',
-    'mc': 'majcode', 'maj': 'majcode', 'majcode': 'majcode',
-    'sc': 'scode', 's': 'scode', 'scode': 'scode',
+    alias: family
+    for family in (codes.LEHMER, *codes.FAMILIES.values())
+    for alias in (family.name, family.name[0] + 'c', family.name.removesuffix('code'))
 }
-CODE_LABELS = {'lehmer': 'Lc', 'invcode': 'Ic', 'majcode': 'Mc', 'scode': 'Sc'}
-ENCODERS = {
-    'lehmer': codes.lehmer_code,
-    'invcode': codes.inv_code,
-    'majcode': codes.maj_code,
-    'scode': codes.s_code,
+RIBBON_MODES = {
+    'ie': ribbons.ribbon_flagged,
+    'det': ribbons.ribbon_determinant,
+    'product': ribbons.h_product,
 }
-DECODERS = {
-    'lehmer': codes.lehmer_decode,
-    'invcode': codes.inv_decode,
-    'majcode': codes.maj_decode,
-    'scode': codes.s_decode,
-}
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for one CLI invocation."""
-
-    subcommand: str
-    n: int | None = None
-    families: tuple[str, ...] = ()
-    output: str = 'text'
-    workers: int = 1
-    seed: int | None = None
 
 
 class UsageError(Exception):
     pass
 
 
-def _resolve_families(text: str, allow_lehmer: bool) -> tuple[str, ...]:
+def _resolve_families(text: str) -> tuple[codes.CodeFamily, ...]:
     out = []
     for token in text.split(','):
         token = token.strip().lower()
         if not token:
             continue
-        name = FAMILY_ALIASES.get(token)
-        if name is None or (name == 'lehmer' and not allow_lehmer):
+        family = FAMILY_ALIASES.get(token)
+        if family is None:
             raise UsageError(f'unknown code family {token!r}')
-        if name not in out:
-            out.append(name)
+        if family not in out:
+            out.append(family)
     if not out:
         raise UsageError('no code families selected')
     return tuple(out)
@@ -140,7 +121,7 @@ def code_table_lines(n: int) -> list[str]:
 
 
 def cmd_code(args) -> int:
-    families = _resolve_families(args.families, allow_lehmer=True)
+    families = _resolve_families(args.families)
     if args.table is not None:
         _check_cap(args.table, args.allow_large)
         lines = code_table_lines(args.table)
@@ -148,8 +129,8 @@ def cmd_code(args) -> int:
             payload = []
             for p in sorted(iter_permutations(args.table)):
                 entry = {'perm': format_permutation(p)}
-                for name in families:
-                    entry[name] = codes.format_code(ENCODERS[name](p))
+                for family in families:
+                    entry[family.name] = codes.format_code(family.encode(p))
                 payload.append(entry)
             print(json.dumps(payload, indent=2))
         else:
@@ -160,36 +141,36 @@ def cmd_code(args) -> int:
     p = parse_permutation(args.perm)
     if args.json:
         payload = {'perm': format_permutation(p), 'codes': {}}
-        for name in families:
-            c = ENCODERS[name](p)
-            payload['codes'][name] = {
+        for family in families:
+            c = family.encode(p)
+            payload['codes'][family.name] = {
                 'code': codes.format_code(c),
                 'sorted': codes.format_code(codes.sorted_code(c)),
             }
         print(json.dumps(payload, indent=2))
         return 0
     print(f'sigma: {format_permutation(p)}')
-    for name in families:
-        c = ENCODERS[name](p)
-        label = CODE_LABELS[name]
+    for family in families:
+        c = family.encode(p)
+        label = family.name[0].upper() + 'c'
         print(f'{label} {codes.format_code(c)}  '
               f'sorted {codes.format_code(codes.sorted_code(c))}')
     return 0
 
 
 def cmd_decode(args) -> int:
-    families = _resolve_families(args.family, allow_lehmer=True)
+    families = _resolve_families(args.family)
     if len(families) != 1:
         raise UsageError('--family takes exactly one family')
     try:
         c = codes.parse_code(args.code)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    p = DECODERS[families[0]](c)
+    p = families[0].decode(c)
     if args.json:
         print(json.dumps({
             'code': codes.format_code(c),
-            'family': families[0],
+            'family': families[0].name,
             'perm': format_permutation(p),
         }, indent=2))
     else:
@@ -223,12 +204,7 @@ def cmd_ribbon(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _check_cap(sum(comp), args.allow_large)
-    if args.mode == 'product':
-        poly = ribbons.h_product(comp)
-    elif args.mode == 'det':
-        poly = ribbons.ribbon_determinant(comp)
-    else:
-        poly = ribbons.ribbon_flagged(comp)
+    poly = RIBBON_MODES[args.mode](comp)
     if args.json:
         print(json.dumps({
             'composition': format_composition(comp),
@@ -257,23 +233,21 @@ def cmd_verify(args) -> int:
             raise UsageError(
                 f'unknown checks {unknown}; choose from {",".join(verify.CHECK_NAMES)}'
             )
-    families = _resolve_families(args.families, allow_lehmer=False)
+    families = _resolve_families(args.families)
+    for family in families:
+        if family.tau is None:
+            raise UsageError(f'code family {family.name!r} has no tau map; '
+                             f'verify takes {VERIFY_FAMILIES}')
     if args.workers < 1:
         raise UsageError('--workers must be at least 1')
-    config = RunConfig(
-        subcommand='verify',
-        n=args.n,
-        families=families,
-        output='json' if args.json else 'text',
-        workers=args.workers,
-        seed=args.seed,
-    )
+    names = tuple(family.name for family in families)
     report = verify.run_checks(
-        args.n, checks=selected, family_names=families, workers=args.workers
+        args.n, checks=selected, family_names=names, workers=args.workers
     )
     if args.json:
-        payload = {'config': asdict(config), 'report': report.to_json()}
-        print(json.dumps(payload, indent=2))
+        config = {'subcommand': 'verify', 'n': args.n, 'families': names,
+                  'output': 'json', 'workers': args.workers}
+        print(json.dumps({'config': config, 'report': report.to_json()}, indent=2))
     else:
         print(report.render_text())
     return 0 if report.passed else 1
@@ -406,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rib = sub.add_parser('ribbon', help='flagged ribbon of a composition')
     p_rib.add_argument('composition', nargs='?',
                        help='composition, e.g. "(2,1,1,2)" or "2112"')
-    p_rib.add_argument('--mode', choices=('ie', 'det', 'product'), default='ie')
+    p_rib.add_argument('--mode', choices=tuple(RIBBON_MODES), default='ie')
     p_rib.add_argument('--all', type=int, metavar='N',
                        help='print the full table for compositions of N')
     p_rib.add_argument('--json', action='store_true')
@@ -417,14 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument('--n', type=int, default=7, help='verify sizes 1..N (default 7)')
     p_ver.add_argument('--checks', default='all',
                        help=f'comma list among {",".join(verify.CHECK_NAMES)} or "all"')
-    p_ver.add_argument('--families', default='ic,sc,mc',
-                       help='comma list among ic,sc,mc')
+    p_ver.add_argument('--families', default=VERIFY_FAMILIES,
+                       help=f'comma list among {VERIFY_FAMILIES}')
     p_ver.add_argument('--workers', type=int, default=_default_workers(),
                        help=f'parallel workers (default ${WORKERS_ENV} or 1)')
     p_ver.add_argument('--json', action='store_true')
     p_ver.add_argument('--allow-large', action='store_true')
-    p_ver.add_argument('--seed', type=int, default=None,
-                       help='reserved for sampled modes; recorded, not used')
     p_ver.set_defaults(handler=cmd_verify)
 
     p_tree = sub.add_parser('trees', help='tree series, x_n, C_{n-1}, Eulerian')

@@ -46,6 +46,7 @@ __all__ = [
     'SCODE',
     'INVCODE',
     'MAJCODE',
+    'LEHMER',
     'FAMILIES',
     'generic_encode',
     'generic_decode',
@@ -236,21 +237,25 @@ def tau_m(b: Perm) -> TauPerm:
 
 @dataclass(frozen=True)
 class CodeFamily:
-    """A code compatible with the shuffle, bundled with its τ map and decoder.
+    """A code bundled with its τ map and decoder.
 
-    Compatibility means code(insert_one_at(β, i)) = (τ(β)(i),) + code(β).
+    The τ map says how the code is compatible with the shuffle:
+    code(insert_one_at(β, i)) = (τ(β)(i),) + code(β).  It is ``None`` for a
+    code without that property.
     """
 
     name: str
     encode: Callable[[Perm], Code]
-    tau: Callable[[Perm], TauPerm]
+    tau: Callable[[Perm], TauPerm] | None
     decode: Callable[[Code], Perm]
 
 
 SCODE = CodeFamily('scode', s_code, tau_s, s_decode)
 INVCODE = CodeFamily('invcode', inv_code, tau_i, inv_decode)
 MAJCODE = CodeFamily('majcode', maj_code, tau_m, maj_decode)
+LEHMER = CodeFamily('lehmer', lehmer_code, None, lehmer_decode)
 
+#: The τ-compatible families, by name.
 FAMILIES: dict[str, CodeFamily] = {f.name: f for f in (SCODE, INVCODE, MAJCODE)}
 
 

@@ -15,6 +15,7 @@ output is byte-identical for any worker count.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -42,19 +43,14 @@ __all__ = [
     'VerificationReport',
     'ClassDistribution',
     'class_distribution',
-    'check_theorem_equidistribution',
-    'check_coarse_class_product',
-    'check_noncommutative_invcode',
-    'check_scode_step_alphabet',
     'check_euler_mahonian',
-    'check_fs_refinement',
     'run_checks',
+    'CHECKS',
     'CHECK_NAMES',
     'q_factorial',
     'q_statistic',
 ]
 
-CHECK_NAMES = ('theorem', 'coarse', 'ncinv', 'scstep', 'em', 'fs')
 DEFAULT_FAMILY_NAMES = ('invcode', 'scode', 'majcode')
 
 
@@ -243,7 +239,7 @@ def _coarse_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
     return [CheckItem('coarse', n, subject, True)]
 
 
-def _ncinv_items(n: int, comp: Composition) -> list[CheckItem]:
+def _ncinv_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
     subject = f'I={format_composition(comp)}'
     got: dict[tuple, int] = {}
     for p in identity_block_shuffle(comp, limit=n):
@@ -270,7 +266,7 @@ def _ncinv_items(n: int, comp: Composition) -> list[CheckItem]:
     return [CheckItem('ncinv', n, subject, True)]
 
 
-def _scstep_items(n: int, m: int) -> list[CheckItem]:
+def _scstep_items(n: int, m: int, family_names) -> list[CheckItem]:
     items = []
     for k in range(1, n - m + 1):
         subject = f'm={m} k={k}'
@@ -302,9 +298,8 @@ def _scstep_items(n: int, m: int) -> list[CheckItem]:
     return items
 
 
-def _em_items(n: int, family_name: str) -> list[CheckItem]:
-    subject = f'family={family_name}'
-    family = FAMILIES[family_name]
+def _em_items(n: int, family: CodeFamily) -> list[CheckItem]:
+    subject = f'family={family.name}'
     joint_code: dict[tuple[int, int], int] = {}
     joint_maj: dict[tuple[int, int], int] = {}
     joint_inv: dict[tuple[int, int], int] = {}
@@ -352,44 +347,6 @@ def _fs_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
     return [CheckItem('fs', n, subject, True)]
 
 
-# ---------------------------------------------------------------------------
-# public per-check entry points
-
-
-def check_theorem_equidistribution(
-    n: int, family_names=DEFAULT_FAMILY_NAMES
-) -> VerificationReport:
-    """Class distributions of all selected families, pairwise and against both
-    ribbon routes, for every composition of n."""
-    items = []
-    for comp in compositions_of(n):
-        items.extend(_theorem_items(n, comp, tuple(family_names)))
-    return VerificationReport.from_items(items)
-
-
-def check_coarse_class_product(
-    n: int, family_names=DEFAULT_FAMILY_NAMES
-) -> VerificationReport:
-    items = []
-    for comp in compositions_of(n):
-        items.extend(_coarse_items(n, comp, tuple(family_names)))
-    return VerificationReport.from_items(items)
-
-
-def check_noncommutative_invcode(n: int) -> VerificationReport:
-    items = []
-    for comp in compositions_of(n):
-        items.extend(_ncinv_items(n, comp))
-    return VerificationReport.from_items(items)
-
-
-def check_scode_step_alphabet(n: int) -> VerificationReport:
-    items = []
-    for m in range(n):
-        items.extend(_scstep_items(n, m))
-    return VerificationReport.from_items(items)
-
-
 def check_euler_mahonian(n: int, family: CodeFamily) -> VerificationReport:
     """Joint multiset equality of (Σ code(σ^{-1}), des σ) with both
     (maj(σ^{-1}), des σ) and (inv σ, des σ).  Requires an acceptable family."""
@@ -398,58 +355,51 @@ def check_euler_mahonian(n: int, family: CodeFamily) -> VerificationReport:
     result = is_acceptable(family, n)
     if not result.ok:
         raise ValueError(f'family {family.name} is not acceptable: {result.witness}')
-    return VerificationReport.from_items(_em_items(n, family.name))
-
-
-def check_fs_refinement(
-    n: int, family_names=DEFAULT_FAMILY_NAMES
-) -> VerificationReport:
-    items = []
-    for comp in compositions_of(n):
-        items.extend(_fs_items(n, comp, tuple(family_names)))
-    return VerificationReport.from_items(items)
+    return VerificationReport.from_items(_em_items(n, family))
 
 
 # ---------------------------------------------------------------------------
 # sweep driver
 
 
+def _compositions(n: int, family_names) -> list[Composition]:
+    return compositions_of(n)
+
+
+#: Check name -> (units function (n, family names) -> units,
+#: item function (n, unit, family names) -> [CheckItem]).  A check whose
+#: units come out empty is skipped: ncinv needs invcode, scstep needs scode.
+#: The em unit is a family name, looked up in FAMILIES when the task runs.
+CHECKS = {
+    'theorem': (_compositions, _theorem_items),
+    'coarse': (_compositions, _coarse_items),
+    'ncinv': (lambda n, names: compositions_of(n) if 'invcode' in names else (),
+              _ncinv_items),
+    'scstep': (lambda n, names: range(n) if 'scode' in names else (),
+               _scstep_items),
+    'em': (lambda n, names: names,
+           lambda n, name, names: _em_items(n, FAMILIES[name])),
+    'fs': (_compositions, _fs_items),
+}
+CHECK_NAMES = tuple(CHECKS)
+
+
 def _run_task(task) -> list[CheckItem]:
-    check, n, extra, families = task
-    if check == 'theorem':
-        return _theorem_items(n, extra, families)
-    if check == 'coarse':
-        return _coarse_items(n, extra, families)
-    if check == 'ncinv':
-        return _ncinv_items(n, extra)
-    if check == 'scstep':
-        return _scstep_items(n, extra)
-    if check == 'em':
-        return _em_items(n, extra)
-    if check == 'fs':
-        return _fs_items(n, extra, families)
-    raise ValueError(f'unknown check {check!r}')
+    check, n, unit, families = task
+    return CHECKS[check][1](n, unit, families)
 
 
 def _build_tasks(n_max: int, checks, family_names) -> list[tuple]:
+    unknown = [check for check in checks if check not in CHECKS]
+    if unknown:
+        raise ValueError(f'unknown check {unknown[0]!r}')
     families = tuple(family_names)
-    tasks: list[tuple] = []
-    for n in range(1, n_max + 1):
-        comps = compositions_of(n)
-        for check in checks:
-            if check == 'theorem' or check == 'coarse' or check == 'fs':
-                tasks.extend((check, n, comp, families) for comp in comps)
-            elif check == 'ncinv':
-                if 'invcode' in families:
-                    tasks.extend((check, n, comp, families) for comp in comps)
-            elif check == 'scstep':
-                if 'scode' in families:
-                    tasks.extend((check, n, m, families) for m in range(n))
-            elif check == 'em':
-                tasks.extend((check, n, name, families) for name in families)
-            else:
-                raise ValueError(f'unknown check {check!r}')
-    return tasks
+    return [
+        (check, n, unit, families)
+        for n in range(1, n_max + 1)
+        for check in checks
+        for unit in CHECKS[check][0](n, families)
+    ]
 
 
 def run_checks(
@@ -461,9 +411,11 @@ def run_checks(
     """Run the selected check suites for every size 1..n_max.
 
     The report is independent of ``workers``: tasks are pure and items are
-    sorted before rendering.
+    sorted before rendering.  ``workers`` is clamped to the CPU count and the
+    number of tasks; at one worker the tasks run in this process.
     """
     tasks = _build_tasks(n_max, checks, family_names)
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
     items: list[CheckItem] = []
     if workers <= 1:
         for task in tasks:

@@ -5,6 +5,8 @@ stdout (capture temporarily disabled) so a plain ``pytest -v`` run shows the
 scoreboard.
 """
 
+import hashlib
+import json
 import time
 from math import factorial
 
@@ -54,6 +56,16 @@ from test_verify import (
     SORTED_2112,
     to_tuple,
 )
+
+# sha256 of run_checks(6).render_text() and of its JSON at indent 2: the
+# report bytes must not change while the checks are reorganized or sped up
+N6_TEXT_SHA256 = 'b315ec2c5db5fd30e954a3634cb9aa1143602951271dc00159092672f891d1b7'
+N6_JSON_SHA256 = '85c0e142728cf32fbc7caed14f299c0ef0033c9ed246ded5eb3368c178243a04'
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 # the printed S_4 reference exactly as typeset (separators are whitespace)
 PAPER_S4 = r"""
@@ -295,7 +307,10 @@ def test_criterion_10_deterministic_reports(report):
         assert one.render_text() == eight.render_text()
         assert one.to_json() == eight.to_json()
         assert one.passed
+        assert len(one.items) == 326
+        assert _sha256(one.render_text()) == N6_TEXT_SHA256
+        assert _sha256(json.dumps(one.to_json(), indent=2)) == N6_JSON_SHA256
         ok = True
     finally:
         report(10, ok, 'n=6 verification report byte-identical across '
-                       '1-worker and 8-worker runs')
+                       '1-worker and 8-worker runs, and to its pinned digests')

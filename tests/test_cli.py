@@ -1,4 +1,6 @@
+import importlib.metadata
 import json
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +63,13 @@ def test_unknown_family_is_a_usage_error(capsys):
     assert 'unknown code family' in err
 
 
+def test_verify_rejects_a_family_without_tau(capsys):
+    code, out, err = run(capsys, 'verify', '--n', '3', '--families', 'ic,lc')
+    assert code == 2
+    assert out == ''
+    assert "code family 'lehmer' has no tau map; verify takes ic,sc,mc" in err
+
+
 def test_ribbon_single_and_modes(capsys):
     for mode in ('ie', 'det'):
         code, out, _ = run(capsys, 'ribbon', '(2,1)', '--mode', mode)
@@ -101,6 +110,7 @@ def test_verify_json_records_config(capsys):
     payload = json.loads(out)
     assert payload['config']['families'] == ['scode']
     assert payload['config']['n'] == 3
+    assert set(payload['config']) == {'subcommand', 'n', 'families', 'output', 'workers'}
     assert payload['report']['passed'] is True
     checks = {item['check'] for item in payload['report']['items']}
     assert checks == {'theorem', 'em'}
@@ -178,9 +188,28 @@ def test_lclass_requires_exactly_one_mode(capsys):
     assert run(capsys, 'lclass', '--perm', '21', '--n', '3')[0] == 2
 
 
-def test_console_entry_point_is_wired():
-    import importlib.metadata as md
+def _declared_scripts(pyproject: Path) -> dict[str, str]:
+    """The ``[project.scripts]`` table of ``pyproject``, read line by line
+    (Python 3.10 has no ``tomllib``)."""
+    scripts, section = {}, None
+    for line in pyproject.read_text().splitlines():
+        line = line.strip()
+        if line.startswith('['):
+            section = line
+        elif section == '[project.scripts]' and '=' in line:
+            name, _, target = line.partition('=')
+            scripts[name.strip()] = target.strip().strip('"')
+    return scripts
 
-    eps = md.entry_points()
-    scripts = eps.select(group='console_scripts', name='permcodes')
+
+def test_console_entry_point_is_wired():
+    try:
+        importlib.metadata.distribution('permcodes')
+    except importlib.metadata.PackageNotFoundError:
+        # not installed: check the declaration the installer would read
+        pyproject = Path(__file__).resolve().parents[1] / 'pyproject.toml'
+        assert _declared_scripts(pyproject)['permcodes'] == 'permcodes.cli:main'
+        return
+    scripts = importlib.metadata.entry_points().select(
+        group='console_scripts', name='permcodes')
     assert [ep.value for ep in scripts] == ['permcodes.cli:main']

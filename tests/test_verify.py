@@ -1,9 +1,12 @@
+import dataclasses
 from collections import Counter
 
 import pytest
 
+from permcodes import verify
 from permcodes.codes import (
     FAMILIES,
+    SCODE,
     CodeFamily,
     inv_code,
     lehmer_code,
@@ -13,6 +16,7 @@ from permcodes.codes import (
     s_decode,
     sorted_code,
     tau_i,
+    tau_s,
 )
 from permcodes.permutations import descent_class, inverse, parse_permutation
 from permcodes.polynomials import IndexPolynomial
@@ -20,12 +24,7 @@ from permcodes.ribbons import ribbon_flagged
 from permcodes.verify import (
     CHECK_NAMES,
     VerificationReport,
-    check_coarse_class_product,
     check_euler_mahonian,
-    check_fs_refinement,
-    check_noncommutative_invcode,
-    check_scode_step_alphabet,
-    check_theorem_equidistribution,
     class_distribution,
     q_factorial,
     q_statistic,
@@ -91,18 +90,18 @@ def test_class_distribution_matches_2112(name):
     assert dist.poly == ribbon_flagged((2, 1, 1, 2))
 
 
-@pytest.mark.parametrize('checker', (
-    check_theorem_equidistribution,
-    check_coarse_class_product,
-    check_noncommutative_invcode,
-    check_scode_step_alphabet,
-    check_fs_refinement,
-))
-def test_individual_checks_pass_small_sizes(checker):
-    for n in range(1, 6):
-        report = checker(n)
-        assert report.passed
-        assert all(item.passed for item in report.items)
+@pytest.mark.parametrize('check', [
+    pytest.param('theorem', id='check_theorem_equidistribution'),
+    pytest.param('coarse', id='check_coarse_class_product'),
+    pytest.param('ncinv', id='check_noncommutative_invcode'),
+    pytest.param('scstep', id='check_scode_step_alphabet'),
+    pytest.param('fs', id='check_fs_refinement'),
+])
+def test_individual_checks_pass_small_sizes(check):
+    report = run_checks(5, checks=(check,))
+    assert report.passed
+    assert {item.check for item in report.items} == {check}
+    assert {item.n for item in report.items} == {1, 2, 3, 4, 5}
 
 
 def test_euler_mahonian_all_families():
@@ -122,18 +121,42 @@ def test_euler_mahonian_rejects_unacceptable_family():
         check_euler_mahonian(3, reversed_tau)
 
 
+def test_euler_mahonian_checks_a_family_outside_the_registry():
+    custom = CodeFamily('custom', s_code, tau_s, s_decode)
+    report = check_euler_mahonian(4, custom)
+    assert report.passed
+    assert [item.subject for item in report.items] == ['family=custom']
+
+
+def _near_miss(encode):
+    """``encode`` with a positive first entry lowered by one: still
+    sub-diagonal, but its entry sum changes."""
+    def broken(p):
+        c = encode(p)
+        return (c[0] - 1,) + c[1:] if c and c[0] > 0 else c
+    return broken
+
+
+def test_euler_mahonian_fails_a_near_miss_encoder_of_a_registered_name():
+    broken = dataclasses.replace(SCODE, encode=_near_miss(s_code))
+    report = check_euler_mahonian(4, broken)
+    assert not report.passed
+    assert report.failures[0].subject == 'family=scode'
+    assert report.failures[0].witness.startswith('pair (stat, des)=')
+
+
 def test_theorem_witness_names_monomial_and_least_permutation(monkeypatch):
     # the Lehmer code is *not* equidistributed over inverse descent classes;
     # wiring it in as "invcode" must produce a failing item with a witness
     broken = CodeFamily('invcode', lehmer_code, tau_i, lehmer_decode)
     monkeypatch.setitem(FAMILIES, 'invcode', broken)
-    report = check_theorem_equidistribution(3, family_names=('invcode',))
+    report = run_checks(3, checks=('theorem',), family_names=('invcode',))
     assert not report.passed
     assert {item.subject for item in report.failures} == {'I=(2,1)', 'I=(1,2)'}
     failure = next(f for f in report.failures if f.subject == 'I=(2,1)')
     assert 'monomial [002]' in failure.witness
     assert 'least contributing sigma: 231' in failure.witness
-    assert report.render_text().endswith('FAIL (2 of 4 checks)')
+    assert report.render_text().endswith('FAIL (2 of 7 checks)')
 
 
 def test_report_rendering_and_json():
@@ -154,11 +177,45 @@ def test_reports_identical_across_worker_counts():
     assert serial == parallel
 
 
+@pytest.mark.parametrize('requested, cpus, pool_size', [
+    (5000, 4, 4),        # clamped to the CPU count
+    (5000, 64, 7),       # clamped to the 7 theorem tasks of n <= 3
+    (3, 64, 3),          # left as requested
+    (5000, None, None),  # unknown CPU count: serial, no pool
+    (1, 64, None),       # one worker: serial, no pool
+])
+def test_workers_are_clamped_to_cpus_and_tasks(monkeypatch, requested, cpus, pool_size):
+    sizes = []
+
+    class RecordingPool:
+        """Records ``max_workers`` and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verify, 'ProcessPoolExecutor', RecordingPool)
+    monkeypatch.setattr(verify.os, 'cpu_count', lambda: cpus)
+    report = run_checks(3, checks=('theorem',), workers=requested)
+    assert report == run_checks(3, checks=('theorem',))
+    assert sizes == ([] if pool_size is None else [pool_size])
+
+
 def test_run_checks_subset_selection():
     report = run_checks(4, checks=('theorem',), family_names=('scode',))
     assert report.passed
     assert {item.check for item in report.items} == {'theorem'}
     assert {item.n for item in report.items} == {1, 2, 3, 4}
+    with pytest.raises(ValueError, match="unknown check 'nope'"):
+        run_checks(2, checks=('theorem', 'nope'))
 
 
 def test_failure_line_rendering():
