@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from collections import Counter
 
 import pytest
@@ -128,7 +129,7 @@ def test_euler_mahonian_checks_a_family_outside_the_registry():
     assert [item.subject for item in report.items] == ['family=custom']
 
 
-def _near_miss(encode):
+def near_miss(encode):
     """``encode`` with a positive first entry lowered by one: still
     sub-diagonal, but its entry sum changes."""
     def broken(p):
@@ -137,8 +138,16 @@ def _near_miss(encode):
     return broken
 
 
+def swap01(encode):
+    """``encode`` with its first two entries swapped."""
+    def broken(p):
+        c = encode(p)
+        return (c[1], c[0]) + c[2:] if len(c) > 1 else c
+    return broken
+
+
 def test_euler_mahonian_fails_a_near_miss_encoder_of_a_registered_name():
-    broken = dataclasses.replace(SCODE, encode=_near_miss(s_code))
+    broken = dataclasses.replace(SCODE, encode=near_miss(s_code))
     report = check_euler_mahonian(4, broken)
     assert not report.passed
     assert report.failures[0].subject == 'family=scode'
@@ -157,6 +166,39 @@ def test_theorem_witness_names_monomial_and_least_permutation(monkeypatch):
     assert 'monomial [002]' in failure.witness
     assert 'least contributing sigma: 231' in failure.witness
     assert report.render_text().endswith('FAIL (2 of 7 checks)')
+
+
+def _digest(report):
+    return hashlib.sha256(report.render_text().encode()).hexdigest()
+
+
+# Failing reports of broken encoders, pinned byte for byte: a change to how
+# the checks enumerate, count or find witnesses must not change what they say.
+
+def test_near_miss_scode_fails_theorem_coarse_and_em_with_pinned_report(monkeypatch):
+    monkeypatch.setitem(FAMILIES, 'scode',
+                        dataclasses.replace(SCODE, encode=near_miss(s_code)))
+    report = run_checks(4, checks=('theorem', 'coarse', 'em'))
+    assert len(report.items) == 42
+    assert report.render_text().endswith('FAIL (25 of 42 checks)')
+    assert _digest(report) == (
+        'ead6906ef748dc0b0dc5f339715664e1a5df68390c59340802fda6473d52ba8a')
+
+
+def test_swapped_invcode_fails_ncinv_with_pinned_report(monkeypatch):
+    monkeypatch.setattr(verify, 'inv_code', swap01(inv_code))
+    report = run_checks(4, checks=('ncinv',))
+    assert (len(report.items), len(report.failures)) == (15, 11)
+    assert _digest(report) == (
+        '258b2e8d8d24ecfb8f351ef1a374d3d2a9cb0b22df61db08f7b8533259806b7b')
+
+
+def test_swapped_scode_fails_scstep_with_pinned_report(monkeypatch):
+    monkeypatch.setattr(verify, 's_code', swap01(s_code))
+    report = run_checks(4, checks=('scstep',))
+    assert (len(report.items), len(report.failures)) == (20, 10)
+    assert _digest(report) == (
+        '5e8583ae2dad23408f334fac440738699e743f824c16bed521ab8153335fbf84')
 
 
 def test_report_rendering_and_json():
