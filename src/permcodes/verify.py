@@ -16,17 +16,18 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .codes import CodeFamily, FAMILIES, inv_code, s_code, sorted_code, tau_s
+from .codes import CodeFamily, FAMILIES, inv_code, is_acceptable, s_code, sorted_code, tau_s
 from .permutations import (
     Composition,
-    Perm,
     compositions_of,
-    descent_composition,
+    descent_class,
     des,
     format_composition,
+    format_permutation,
     identity_block_shuffle,
     inv,
     inverse,
@@ -35,8 +36,14 @@ from .permutations import (
     shifted_shuffle,
     identity,
 )
-from .polynomials import IndexPolynomial, QPolynomial
-from .ribbons import format_monomial, h_product, ribbon_determinant, ribbon_flagged
+from .polynomials import IndexPolynomial, QPolynomial, format_q_polynomial
+from .ribbons import (
+    alphabet_flag,
+    format_monomial,
+    h_product,
+    ribbon_determinant,
+    ribbon_flagged,
+)
 
 __all__ = [
     'CheckItem',
@@ -125,11 +132,6 @@ class ClassDistribution:
         return self.poly.total_mass()
 
 
-def _descent_class_members(comp: Composition) -> list[Perm]:
-    n = sum(comp)
-    return [p for p in iter_permutations(n) if descent_composition(p) == comp]
-
-
 def class_distribution(
     comp: Composition, family: CodeFamily, limit: int | None = None
 ) -> ClassDistribution:
@@ -140,38 +142,28 @@ def class_distribution(
     >>> sorted(dist.poly.terms)
     [(0, 0, 1), (0, 1, 1)]
     """
-    from .permutations import _check_limit
-
-    _check_limit(sum(comp), limit)
-    poly = IndexPolynomial.zero()
-    for p in _descent_class_members(comp):
-        poly = poly + IndexPolynomial.monomial(sorted_code(family.encode(inverse(p))))
+    poly = IndexPolynomial(Counter(
+        sorted_code(family.encode(inverse(p))) for p in descent_class(comp, limit)
+    ))
     return ClassDistribution(comp, family.name, poly)
 
 
-def _poly_diff_witness(label_a: str, a: IndexPolynomial,
-                       label_b: str, b: IndexPolynomial) -> str:
-    """Minimal differing monomial between two polynomials."""
-    keys = sorted(set(a.terms) | set(b.terms))
-    for key in keys:
-        ca = a.terms.get(key, 0)
-        cb = b.terms.get(key, 0)
-        if ca != cb:
-            return (
-                f'monomial {format_monomial(key)}: '
-                f'{label_a} has {ca}, {label_b} has {cb}'
-            )
-    return ''
+def _difference(show, label_a: str, a, label_b: str, b):
+    """The least key whose counts in the mappings ``a`` and ``b`` differ, and
+    a witness naming it and both counts; ``(None, '')`` when they agree."""
+    keys = [key for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0)]
+    if not keys:
+        return None, ''
+    key = min(keys)
+    return key, f'{show(key)}: {label_a} has {a.get(key, 0)}, {label_b} has {b.get(key, 0)}'
 
 
-def _word_multiset_witness(label_a: str, a: dict, label_b: str, b: dict) -> str:
-    for key in sorted(set(a) | set(b)):
-        ca = a.get(key, 0)
-        cb = b.get(key, 0)
-        if ca != cb:
-            word = ''.join(map(str, key))
-            return f'word {word}: {label_a} has {ca}, {label_b} has {cb}'
-    return ''
+def _monomial(key) -> str:
+    return f'monomial {format_monomial(key)}'
+
+
+def _word(key) -> str:
+    return 'word ' + ''.join(map(str, key))
 
 
 # ---------------------------------------------------------------------------
@@ -179,179 +171,112 @@ def _word_multiset_witness(label_a: str, a: dict, label_b: str, b: dict) -> str:
 
 
 def _theorem_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
-    subject = f'I={format_composition(comp)}'
-    dists = [
-        class_distribution(comp, FAMILIES[name], limit=n)
-        for name in family_names
-    ]
-    expected_count = len(_descent_class_members(comp))
-    for dist in dists:
-        if dist.count != expected_count:
-            return [CheckItem('theorem', n, subject, False,
-                              f'{dist.family} multiplicity {dist.count} != |D_I| '
-                              f'{expected_count}')]
+    members = descent_class(comp, limit=n)
+    inverses = [inverse(p) for p in members]
     ie = ribbon_flagged(comp)
-    det = ribbon_determinant(comp)
-    if ie != det:
-        return [CheckItem('theorem', n, subject, False,
-                          _poly_diff_witness('inclusion-exclusion', ie,
-                                             'determinant', det))]
-    for dist in dists:
-        if dist.poly != ie:
-            witness = _poly_diff_witness(dist.family, dist.poly, 'ribbon', ie)
-            witness += _least_failing_perm(comp, dist.family, dist.poly, ie)
-            return [CheckItem('theorem', n, subject, False, witness)]
-    return [CheckItem('theorem', n, subject, True)]
-
-
-def _least_failing_perm(comp: Composition, family_name: str,
-                        got: IndexPolynomial, expected: IndexPolynomial) -> str:
-    """The lexicographically least member of D_I contributing to the first
-    differing monomial, when the family side has a surplus there."""
-    keys = sorted(set(got.terms) | set(expected.terms))
-    mono = next(
-        (k for k in keys if got.terms.get(k, 0) != expected.terms.get(k, 0)),
-        None,
-    )
-    if mono is None:
-        return ''
-    family = FAMILIES[family_name]
-    for p in _descent_class_members(comp):
-        if sorted_code(family.encode(inverse(p))) == mono:
-            from .permutations import format_permutation
-
-            return f'; least contributing sigma: {format_permutation(p)}'
-    return ''
+    _, witness = _difference(_monomial, 'inclusion-exclusion', ie.terms,
+                             'determinant', ribbon_determinant(comp).terms)
+    for name in family_names:
+        if witness:
+            break
+        codes = [sorted_code(FAMILIES[name].encode(q)) for q in inverses]
+        mono, witness = _difference(_monomial, name, Counter(codes), 'ribbon', ie.terms)
+        # members are sorted, so the first code equal to the witness
+        # monomial belongs to the least contributing σ
+        if mono in codes:
+            least = members[codes.index(mono)]
+            witness += f'; least contributing sigma: {format_permutation(least)}'
+    return [CheckItem('theorem', n, f'I={format_composition(comp)}', not witness, witness)]
 
 
 def _coarse_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
-    subject = f'I={format_composition(comp)}'
     shuffle_set = identity_block_shuffle(comp, limit=n)
-    expected = h_product(comp)
+    expected = h_product(comp).terms
+    witness = ''
     for name in family_names:
-        family = FAMILIES[name]
-        got = IndexPolynomial.zero()
-        for p in shuffle_set:
-            got = got + IndexPolynomial.monomial(sorted_code(family.encode(p)))
-        if got != expected:
-            witness = _poly_diff_witness(name, got, 'h_product', expected)
-            return [CheckItem('coarse', n, subject, False, witness)]
-    return [CheckItem('coarse', n, subject, True)]
+        got = Counter(sorted_code(FAMILIES[name].encode(p)) for p in shuffle_set)
+        _, witness = _difference(_monomial, name, got, 'h_product', expected)
+        if witness:
+            break
+    return [CheckItem('coarse', n, f'I={format_composition(comp)}', not witness, witness)]
 
 
 def _ncinv_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
-    subject = f'I={format_composition(comp)}'
-    got: dict[tuple, int] = {}
-    for p in identity_block_shuffle(comp, limit=n):
-        word = inv_code(p)
-        got[word] = got.get(word, 0) + 1
-    expected: dict[tuple, int] = {}
-    suffixes = []
-    total = 0
-    for part in reversed(comp):
-        suffixes.append(total)
-        total += part
-    suffixes.reverse()
+    got = Counter(inv_code(p) for p in identity_block_shuffle(comp, limit=n))
     blocks = [
-        list(itertools.combinations_with_replacement(range(suffix + 1), part))
-        for part, suffix in zip(comp, suffixes)
+        itertools.combinations_with_replacement(range(size + 1), part)
+        for part, size in zip(comp, alphabet_flag(comp))
     ]
-    for pieces in itertools.product(*blocks):
-        word = tuple(itertools.chain.from_iterable(pieces))
-        expected[word] = expected.get(word, 0) + 1
-    if got != expected:
-        witness = _word_multiset_witness('invcode words', got,
-                                         'concatenation product', expected)
-        return [CheckItem('ncinv', n, subject, False, witness)]
-    return [CheckItem('ncinv', n, subject, True)]
+    expected = Counter(
+        tuple(itertools.chain.from_iterable(pieces))
+        for pieces in itertools.product(*blocks)
+    )
+    _, witness = _difference(_word, 'invcode words', got, 'concatenation product', expected)
+    return [CheckItem('ncinv', n, f'I={format_composition(comp)}', not witness, witness)]
+
+
+def _scstep_witness(m: int, k: int) -> str:
+    for beta in iter_permutations(m):
+        rank = {value: i for i, value in enumerate(tau_s(beta))}
+        expected = Counter(
+            word for word in itertools.product(range(m + 1), repeat=k)
+            if all(rank[a] <= rank[b] for a, b in zip(word, word[1:]))
+        )
+        got = Counter(s_code(p)[:k] for p in shifted_shuffle(identity(k), beta))
+        _, detail = _difference(_word, 'prefixes', got, 'tau_S-nondecreasing words', expected)
+        if detail:
+            return f'beta={format_permutation(beta)}: {detail}'
+    return ''
 
 
 def _scstep_items(n: int, m: int, family_names) -> list[CheckItem]:
     items = []
     for k in range(1, n - m + 1):
-        subject = f'm={m} k={k}'
-        failure = None
-        for beta in iter_permutations(m):
-            order = tau_s(beta)
-            rank = {value: i for i, value in enumerate(order)}
-            expected: dict[tuple, int] = {}
-            for word in itertools.product(range(m + 1), repeat=k):
-                if all(rank[word[i]] <= rank[word[i + 1]] for i in range(k - 1)):
-                    expected[word] = expected.get(word, 0) + 1
-            got: dict[tuple, int] = {}
-            for p in shifted_shuffle(identity(k), beta):
-                prefix = s_code(p)[:k]
-                got[prefix] = got.get(prefix, 0) + 1
-            if got != expected:
-                failure = (beta, _word_multiset_witness(
-                    'prefixes', got, 'tau_S-nondecreasing words', expected))
-                break
-        if failure is None:
-            items.append(CheckItem('scstep', n, subject, True))
-        else:
-            beta, detail = failure
-            from .permutations import format_permutation
-
-            items.append(CheckItem(
-                'scstep', n, subject, False,
-                f'beta={format_permutation(beta)}: {detail}'))
+        witness = _scstep_witness(m, k)
+        items.append(CheckItem('scstep', n, f'm={m} k={k}', not witness, witness))
     return items
 
 
 def _em_items(n: int, family: CodeFamily) -> list[CheckItem]:
-    subject = f'family={family.name}'
-    joint_code: dict[tuple[int, int], int] = {}
-    joint_maj: dict[tuple[int, int], int] = {}
-    joint_inv: dict[tuple[int, int], int] = {}
-    for p in iter_permutations(n):
-        d = des(p)
-        q = inverse(p)
-        key = (sum(family.encode(q)), d)
-        joint_code[key] = joint_code.get(key, 0) + 1
-        key = (maj(q), d)
-        joint_maj[key] = joint_maj.get(key, 0) + 1
-        key = (inv(p), d)
-        joint_inv[key] = joint_inv.get(key, 0) + 1
-    for label, other in (('maj of inverse', joint_maj), ('inv', joint_inv)):
-        if joint_code != other:
-            for key in sorted(set(joint_code) | set(other)):
-                if joint_code.get(key, 0) != other.get(key, 0):
-                    witness = (
-                        f'pair (stat, des)={key}: code sum has '
-                        f'{joint_code.get(key, 0)}, {label} has {other.get(key, 0)}'
-                    )
-                    return [CheckItem('em', n, subject, False, witness)]
-    return [CheckItem('em', n, subject, True)]
+    # (Σ code(σ^{-1}), maj σ^{-1}, inv σ, des σ) over S_n
+    stats = Counter(
+        (sum(family.encode(q)), maj(q), inv(p), des(p))
+        for p in iter_permutations(n) for q in [inverse(p)]
+    )
+    code = Counter((key[0], key[3]) for key in stats.elements())
+    witness = ''
+    for label, column in (('maj of inverse', 1), ('inv', 2)):
+        other = Counter((key[column], key[3]) for key in stats.elements())
+        _, witness = _difference(lambda key: f'pair (stat, des)={key}', 'code sum', code,
+                                 label, other)
+        if witness:
+            break
+    return [CheckItem('em', n, f'family={family.name}', not witness, witness)]
 
 
 def _fs_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
-    subject = f'I={format_composition(comp)}'
-    members = _descent_class_members(comp)
-    q_inv: QPolynomial = {}
-    q_maj_inverse: QPolynomial = {}
-    for p in members:
-        d = inv(p)
-        q_inv[d] = q_inv.get(d, 0) + 1
-        d = maj(inverse(p))
-        q_maj_inverse[d] = q_maj_inverse.get(d, 0) + 1
+    members = descent_class(comp, limit=n)
+    inverses = [inverse(p) for p in members]
+    q_inv = Counter(map(inv, members))
+    q_maj_inverse = Counter(map(maj, inverses))
+    witness = ''
     if q_inv != q_maj_inverse:
-        return [CheckItem('fs', n, subject, False,
-                          f'inv distribution {q_inv} != maj-of-inverse '
-                          f'{q_maj_inverse}')]
+        witness = (f'inv distribution {format_q_polynomial(q_inv)} != '
+                   f'maj-of-inverse {format_q_polynomial(q_maj_inverse)}')
     for name in family_names:
-        dist = class_distribution(comp, FAMILIES[name], limit=n)
-        if dist.poly.q_by_index_sum() != q_inv:
-            return [CheckItem('fs', n, subject, False,
-                              f'{name} q-specialization '
-                              f'{dist.poly.q_by_index_sum()} != {q_inv}')]
-    return [CheckItem('fs', n, subject, True)]
+        if witness:
+            break
+        # x_j -> q^j sends the monomial of a sorted code to q^(its entry sum)
+        q_code = Counter(sum(FAMILIES[name].encode(q)) for q in inverses)
+        if q_code != q_inv:
+            witness = (f'{name} q-specialization {format_q_polynomial(q_code)} != '
+                       f'{format_q_polynomial(q_inv)}')
+    return [CheckItem('fs', n, f'I={format_composition(comp)}', not witness, witness)]
 
 
 def check_euler_mahonian(n: int, family: CodeFamily) -> VerificationReport:
     """Joint multiset equality of (Σ code(σ^{-1}), des σ) with both
     (maj(σ^{-1}), des σ) and (inv σ, des σ).  Requires an acceptable family."""
-    from .codes import is_acceptable
-
     result = is_acceptable(family, n)
     if not result.ok:
         raise ValueError(f'family {family.name} is not acceptable: {result.witness}')
@@ -455,8 +380,4 @@ def q_statistic(n: int, stat) -> QPolynomial:
     """
     if isinstance(stat, str):
         stat = {'maj': maj, 'inv': inv, 'des': des}[stat]
-    out: QPolynomial = {}
-    for p in iter_permutations(n):
-        d = stat(p)
-        out[d] = out.get(d, 0) + 1
-    return out
+    return dict(Counter(map(stat, iter_permutations(n))))

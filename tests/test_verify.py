@@ -201,6 +201,14 @@ def test_swapped_scode_fails_scstep_with_pinned_report(monkeypatch):
         '5e8583ae2dad23408f334fac440738699e743f824c16bed521ab8153335fbf84')
 
 
+def test_fs_witness_renders_q_polynomials_in_degree_order(monkeypatch):
+    monkeypatch.setitem(FAMILIES, 'scode',
+                        dataclasses.replace(SCODE, encode=near_miss(s_code)))
+    lines = run_checks(4, checks=('fs',)).render_text().splitlines()
+    assert ('fs n=4 I=(3,1): FAIL '
+            '[scode q-specialization q + 2*q^2 != q + q^2 + q^3]') in lines
+
+
 def test_report_rendering_and_json():
     report = run_checks(3)
     text = report.render_text()
