@@ -13,6 +13,7 @@ import sys
 
 from . import codes, lequiv, ribbons, trees, verify
 from .permutations import (
+    DEFAULT_ENUMERATION_LIMIT,
     compositions_of,
     conjugate_composition,
     descent_composition,
@@ -23,10 +24,10 @@ from .permutations import (
     parse_composition,
     parse_permutation,
 )
+from .polynomials import format_q_polynomial
 
 __all__ = ['main', 'build_parser', 'code_table_lines']
 
-HARD_CAP = 9
 WORKERS_ENV = 'PERMCODES_WORKERS'
 VERIFY_FAMILIES = 'ic,sc,mc'
 
@@ -67,10 +68,10 @@ def _resolve_families(text: str) -> tuple[codes.CodeFamily, ...]:
 def _check_cap(n: int, allow_large: bool) -> None:
     if n < 0:
         raise UsageError('n must be non-negative')
-    if n > HARD_CAP and not allow_large:
+    if n > DEFAULT_ENUMERATION_LIMIT and not allow_large:
         raise UsageError(
-            f'n={n} exceeds the cap {HARD_CAP}; pass --allow-large to accept '
-            f'the runtime'
+            f'n={n} exceeds the cap {DEFAULT_ENUMERATION_LIMIT}; pass --allow-large '
+            f'to accept the runtime'
         )
 
 
@@ -275,7 +276,7 @@ def cmd_trees(args) -> int:
             ],
             'x': trees.format_v_polynomial(x_poly),
             'c': trees.format_v_polynomial(c_poly),
-            'eulerian': _format_q(eulerian),
+            'eulerian': format_q_polynomial(eulerian),
         }, indent=2))
         return 0
     print(f'tree series, {len(series)} shapes:')
@@ -283,14 +284,8 @@ def cmd_trees(args) -> int:
         print(f'  {coeff} {trees.tree_to_text(t)}')
     print(f'x_{n} = {trees.format_v_polynomial(x_poly)}')
     print(f'C_{max(n - 1, 0)} = {trees.format_v_polynomial(c_poly)}')
-    print(f'eulerian = {_format_q(eulerian)}')
+    print(f'eulerian = {format_q_polynomial(eulerian)}')
     return 0
-
-
-def _format_q(poly) -> str:
-    from .polynomials import format_q_polynomial
-
-    return format_q_polynomial(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +300,7 @@ def cmd_lclass(args) -> int:
             p = parse_permutation(args.perm)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        _check_cap(len(p), args.allow_large)
         cls = lequiv.l_class(p)
         if args.json:
             print(json.dumps({
@@ -324,7 +320,7 @@ def cmd_lclass(args) -> int:
             print(f'min {format_permutation(cls.min_member)}')
         return 0
     _check_cap(args.n, args.allow_large)
-    classes = lequiv.l_classes(args.n, limit=max(args.n, 8))
+    classes = lequiv.l_classes(args.n, limit=args.n)
     if args.json:
         print(json.dumps({
             'n': args.n,

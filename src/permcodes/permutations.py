@@ -54,8 +54,8 @@ Word = tuple[int, ...]
 Composition = tuple[int, ...]
 
 #: Materializing a set indexed by S_n is refused above this size unless the
-#: caller passes an explicit higher limit.
-DEFAULT_ENUMERATION_LIMIT = 8
+#: caller passes an explicit limit; the CLI refuses it without --allow-large.
+DEFAULT_ENUMERATION_LIMIT = 9
 
 
 class EnumerationLimitError(ValueError):

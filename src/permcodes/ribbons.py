@@ -144,11 +144,15 @@ def _permutation_sign(sigma: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _index_word(mono: Monomial) -> str:
+    """Sorted index word: digits while every index is below 10, else
+    comma-separated."""
+    return (',' if mono and max(mono) > 9 else '').join(map(str, mono))
+
+
 def format_monomial(mono: Monomial) -> str:
     """Bracketed sorted index word: x_0²x_1x_2 -> ``[0012]``."""
-    if mono and max(mono) > 9:
-        return '[' + ','.join(map(str, mono)) + ']'
-    return '[' + ''.join(map(str, mono)) + ']'
+    return f'[{_index_word(mono)}]'
 
 
 def format_bracket(poly: IndexPolynomial) -> str:
@@ -170,9 +174,10 @@ def format_bracket(poly: IndexPolynomial) -> str:
 
 
 def poly_to_json(poly: IndexPolynomial) -> list[dict[str, object]]:
-    """JSON-friendly term list: [{"monomial": "0012", "coeff": 2}, ...]."""
+    """JSON-friendly term list: [{"monomial": "0012", "coeff": 2}, ...],
+    monomials written as in ``format_monomial`` without the brackets."""
     return [
-        {'monomial': ''.join(map(str, mono)), 'coeff': poly.terms[mono]}
+        {'monomial': _index_word(mono), 'coeff': poly.terms[mono]}
         for mono in sorted(poly.terms)
     ]
 

@@ -97,6 +97,12 @@ def test_ribbon_json(capsys):
     assert {'monomial': '0012', 'coeff': 1} in payload['terms']
 
 
+def test_ribbon_json_separates_indices_past_nine(capsys):
+    code, out, _ = run(capsys, 'ribbon', '1,10', '--json', '--allow-large')
+    assert code == 0
+    assert json.loads(out)['terms'][-1]['monomial'] == '0,0,0,0,0,0,0,0,0,0,10'
+
+
 def test_verify_text_and_exit_zero(capsys):
     code, out, _ = run(capsys, 'verify', '--n', '4')
     assert code == 0
@@ -181,6 +187,22 @@ def test_lclass_whole_size_json(capsys):
     payload = json.loads(out)
     assert payload['count'] == 14
     assert payload['classes'][0]['members'] == ['1234']
+
+
+def test_lclass_perm_is_capped_before_the_class_is_closed(capsys, monkeypatch):
+    perm = '2,1,3,4,5,6,7,8,9,10'
+
+    def refuse(p):
+        raise AssertionError('l_class called above the cap')
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.lequiv, 'l_class', refuse)
+        code, _, err = run(capsys, 'lclass', '--perm', perm)
+    assert code == 2
+    assert 'allow-large' in err
+    code, out, _ = run(capsys, 'lclass', '--perm', perm, '--allow-large')
+    assert code == 0
+    assert f'class of {perm} (sorted Lcode 0000000001, 9 members)' in out
 
 
 def test_lclass_requires_exactly_one_mode(capsys):

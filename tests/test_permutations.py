@@ -58,13 +58,17 @@ def test_iter_permutations_counts():
 
 
 def test_enumeration_cap_guards_materializing_helpers():
+    # each refusal comes before any enumeration
     big = DEFAULT_ENUMERATION_LIMIT + 1
     with pytest.raises(EnumerationLimitError):
         descent_class((big,))
     with pytest.raises(EnumerationLimitError):
         identity_block_shuffle((1,) * big)
-    # an explicit limit overrides the default
-    assert descent_class((big,), limit=big) == [tuple(range(1, big + 1))]
+    # an explicit limit replaces the default, upwards (one permutation is
+    # built) and downwards
+    assert identity_block_shuffle((big,), limit=big) == [identity(big)]
+    with pytest.raises(EnumerationLimitError):
+        descent_class((3,), limit=2)
 
 
 def test_statistics_on_small_words():
