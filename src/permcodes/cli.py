@@ -24,7 +24,6 @@ from .permutations import (
     parse_composition,
     parse_permutation,
 )
-from .polynomials import format_q_polynomial
 
 __all__ = ['main', 'build_parser', 'code_table_lines']
 
@@ -276,7 +275,7 @@ def cmd_trees(args) -> int:
             ],
             'x': trees.format_v_polynomial(x_poly),
             'c': trees.format_v_polynomial(c_poly),
-            'eulerian': format_q_polynomial(eulerian),
+            'eulerian': _format_q(eulerian),
         }, indent=2))
         return 0
     print(f'tree series, {len(series)} shapes:')
@@ -284,8 +283,14 @@ def cmd_trees(args) -> int:
         print(f'  {coeff} {trees.tree_to_text(t)}')
     print(f'x_{n} = {trees.format_v_polynomial(x_poly)}')
     print(f'C_{max(n - 1, 0)} = {trees.format_v_polynomial(c_poly)}')
-    print(f'eulerian = {format_q_polynomial(eulerian)}')
+    print(f'eulerian = {_format_q(eulerian)}')
     return 0
+
+
+def _format_q(poly) -> str:
+    from .polynomials import format_q_polynomial
+
+    return format_q_polynomial(poly)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,15 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .codes import CodeFamily, FAMILIES, inv_code, is_acceptable, s_code, sorted_code, tau_s
+from .codes import (
+    CodeFamily,
+    FAMILIES,
+    inv_code,
+    is_acceptable,
+    s_code,
+    sorted_code,
+    tau_s,
+)
 from .permutations import (
     Composition,
     compositions_of,
@@ -155,7 +163,8 @@ def _difference(show, label_a: str, a, label_b: str, b):
     if not keys:
         return None, ''
     key = min(keys)
-    return key, f'{show(key)}: {label_a} has {a.get(key, 0)}, {label_b} has {b.get(key, 0)}'
+    return key, (f'{show(key)}: {label_a} has {a.get(key, 0)}, '
+                 f'{label_b} has {b.get(key, 0)}')
 
 
 def _monomial(key) -> str:
@@ -171,6 +180,7 @@ def _word(key) -> str:
 
 
 def _theorem_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
+    subject = f'I={format_composition(comp)}'
     members = descent_class(comp, limit=n)
     inverses = [inverse(p) for p in members]
     ie = ribbon_flagged(comp)
@@ -186,10 +196,11 @@ def _theorem_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
         if mono in codes:
             least = members[codes.index(mono)]
             witness += f'; least contributing sigma: {format_permutation(least)}'
-    return [CheckItem('theorem', n, f'I={format_composition(comp)}', not witness, witness)]
+    return [CheckItem('theorem', n, subject, not witness, witness)]
 
 
 def _coarse_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
+    subject = f'I={format_composition(comp)}'
     shuffle_set = identity_block_shuffle(comp, limit=n)
     expected = h_product(comp).terms
     witness = ''
@@ -198,10 +209,11 @@ def _coarse_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
         _, witness = _difference(_monomial, name, got, 'h_product', expected)
         if witness:
             break
-    return [CheckItem('coarse', n, f'I={format_composition(comp)}', not witness, witness)]
+    return [CheckItem('coarse', n, subject, not witness, witness)]
 
 
 def _ncinv_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
+    subject = f'I={format_composition(comp)}'
     got = Counter(inv_code(p) for p in identity_block_shuffle(comp, limit=n))
     blocks = [
         itertools.combinations_with_replacement(range(size + 1), part)
@@ -211,8 +223,9 @@ def _ncinv_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
         tuple(itertools.chain.from_iterable(pieces))
         for pieces in itertools.product(*blocks)
     )
-    _, witness = _difference(_word, 'invcode words', got, 'concatenation product', expected)
-    return [CheckItem('ncinv', n, f'I={format_composition(comp)}', not witness, witness)]
+    _, witness = _difference(_word, 'invcode words', got,
+                             'concatenation product', expected)
+    return [CheckItem('ncinv', n, subject, not witness, witness)]
 
 
 def _scstep_witness(m: int, k: int) -> str:
@@ -223,7 +236,8 @@ def _scstep_witness(m: int, k: int) -> str:
             if all(rank[a] <= rank[b] for a, b in zip(word, word[1:]))
         )
         got = Counter(s_code(p)[:k] for p in shifted_shuffle(identity(k), beta))
-        _, detail = _difference(_word, 'prefixes', got, 'tau_S-nondecreasing words', expected)
+        _, detail = _difference(_word, 'prefixes', got,
+                                'tau_S-nondecreasing words', expected)
         if detail:
             return f'beta={format_permutation(beta)}: {detail}'
     return ''
@@ -247,14 +261,15 @@ def _em_items(n: int, family: CodeFamily) -> list[CheckItem]:
     witness = ''
     for label, column in (('maj of inverse', 1), ('inv', 2)):
         other = Counter((key[column], key[3]) for key in stats.elements())
-        _, witness = _difference(lambda key: f'pair (stat, des)={key}', 'code sum', code,
-                                 label, other)
+        _, witness = _difference(lambda key: f'pair (stat, des)={key}',
+                                 'code sum', code, label, other)
         if witness:
             break
     return [CheckItem('em', n, f'family={family.name}', not witness, witness)]
 
 
 def _fs_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
+    subject = f'I={format_composition(comp)}'
     members = descent_class(comp, limit=n)
     inverses = [inverse(p) for p in members]
     q_inv = Counter(map(inv, members))
@@ -271,7 +286,7 @@ def _fs_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
         if q_code != q_inv:
             witness = (f'{name} q-specialization {format_q_polynomial(q_code)} != '
                        f'{format_q_polynomial(q_inv)}')
-    return [CheckItem('fs', n, f'I={format_composition(comp)}', not witness, witness)]
+    return [CheckItem('fs', n, subject, not witness, witness)]
 
 
 def check_euler_mahonian(n: int, family: CodeFamily) -> VerificationReport:
