@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from . import codes, lequiv, ribbons, trees, verify
 from .permutations import (
@@ -24,6 +25,7 @@ from .permutations import (
     parse_composition,
     parse_permutation,
 )
+from .polynomials import format_q_polynomial
 
 __all__ = ['main', 'build_parser', 'code_table_lines']
 
@@ -275,7 +277,7 @@ def cmd_trees(args) -> int:
             ],
             'x': trees.format_v_polynomial(x_poly),
             'c': trees.format_v_polynomial(c_poly),
-            'eulerian': _format_q(eulerian),
+            'eulerian': format_q_polynomial(eulerian),
         }, indent=2))
         return 0
     print(f'tree series, {len(series)} shapes:')
@@ -283,14 +285,8 @@ def cmd_trees(args) -> int:
         print(f'  {coeff} {trees.tree_to_text(t)}')
     print(f'x_{n} = {trees.format_v_polynomial(x_poly)}')
     print(f'C_{max(n - 1, 0)} = {trees.format_v_polynomial(c_poly)}')
-    print(f'eulerian = {_format_q(eulerian)}')
+    print(f'eulerian = {format_q_polynomial(eulerian)}')
     return 0
-
-
-def _format_q(poly) -> str:
-    from .polynomials import format_q_polynomial
-
-    return format_q_polynomial(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +422,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f'error: {exc}', file=sys.stderr)
+        return 2
+    except BrokenProcessPool as exc:
+        print(f'error: worker pool failed: {exc}', file=sys.stderr)
         return 2
 
 

@@ -358,12 +358,32 @@ def compositions_of(n: int) -> list[Composition]:
 def descent_class(comp: Composition, limit: int | None = None) -> list[Perm]:
     """All permutations with descent composition ``comp``, sorted.
 
+    Generated block by block: block a is an increasing choice of i_a of the
+    values left, taken in lexicographic order, so its first entry never
+    decreases and the loop stops once it exceeds the previous block's last
+    entry (that boundary would not be a descent).
+
     >>> [''.join(map(str, p)) for p in descent_class((2, 1))]
     ['132', '231']
     """
     n = sum(comp)
     _check_limit(n, limit)
-    return [p for p in iter_permutations(n) if descent_composition(p) == comp]
+    if any(part < 1 for part in comp):
+        return []
+    out = []
+
+    def extend(prefix: Perm, remaining: tuple[int, ...], a: int) -> None:
+        if a == len(comp):
+            out.append(prefix)
+            return
+        for block in itertools.combinations(remaining, comp[a]):
+            if prefix and block[0] > prefix[-1]:
+                break
+            rest = tuple(v for v in remaining if v not in block)
+            extend(prefix + block, rest, a + 1)
+
+    extend((), identity(n), 0)
+    return out
 
 
 def coarser_class(comp: Composition, limit: int | None = None) -> list[Perm]:

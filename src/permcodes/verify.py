@@ -334,12 +334,16 @@ def _build_tasks(n_max: int, checks, family_names) -> list[tuple]:
     if unknown:
         raise ValueError(f'unknown check {unknown[0]!r}')
     families = tuple(family_names)
-    return [
+    tasks = [
         (check, n, unit, families)
         for n in range(1, n_max + 1)
         for check in checks
         for unit in CHECKS[check][0](n, families)
     ]
+    if not tasks:
+        raise ValueError('the selection runs no checks: n must be at least 1, '
+                         'ncinv needs family ic and scstep needs sc')
+    return tasks
 
 
 def run_checks(

@@ -1,5 +1,6 @@
 import importlib.metadata
 import json
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,42 @@ def test_verify_rejects_unknown_check(capsys):
     code, _, err = run(capsys, 'verify', '--checks', 'nope')
     assert code == 2
     assert 'unknown checks' in err
+
+
+@pytest.mark.parametrize('argv', [
+    ('--n', '3', '--checks', ','),
+    ('--n', '3', '--checks', 'ncinv', '--families', 'mc'),
+    ('--n', '3', '--checks', 'scstep', '--families', 'ic'),
+    ('--n', '0'),
+])
+def test_verify_selection_without_checks_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, 'verify', *argv)
+    assert code == 2
+    assert out == ''
+    assert err.startswith('error: the selection runs no checks')
+    assert 'Traceback' not in err
+
+
+def test_verify_broken_worker_pool_exits_two(capsys, monkeypatch):
+    class BrokenPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            raise BrokenProcessPool('a worker died')
+
+    monkeypatch.setattr(cli.verify, 'ProcessPoolExecutor', BrokenPool)
+    monkeypatch.setattr(cli.verify.os, 'cpu_count', lambda: 2)
+    code, out, err = run(capsys, 'verify', '--n', '3', '--workers', '2')
+    assert code == 2
+    assert out == ''
+    assert err == 'error: worker pool failed: a worker died\n'
 
 
 def test_verify_cap_requires_acknowledgment(capsys):

@@ -268,6 +268,17 @@ def test_run_checks_subset_selection():
         run_checks(2, checks=('theorem', 'nope'))
 
 
+@pytest.mark.parametrize('n_max, checks, family_names', [
+    (3, (), verify.DEFAULT_FAMILY_NAMES),
+    (3, ('ncinv',), ('majcode',)),
+    (3, ('scstep',), ('invcode',)),
+    (0, CHECK_NAMES, verify.DEFAULT_FAMILY_NAMES),
+])
+def test_run_checks_refuses_a_selection_without_checks(n_max, checks, family_names):
+    with pytest.raises(ValueError, match='the selection runs no checks'):
+        run_checks(n_max, checks=checks, family_names=family_names)
+
+
 def test_failure_line_rendering():
     report = run_checks(3)
     item = report.items[0]
