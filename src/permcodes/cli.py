@@ -125,6 +125,8 @@ def code_table_lines(n: int) -> list[str]:
 def cmd_code(args) -> int:
     families = _resolve_families(args.families)
     if args.table is not None:
+        if args.perm is not None:
+            raise UsageError('give a permutation or --table N, not both')
         _check_cap(args.table, args.allow_large)
         lines = code_table_lines(args.table)
         if args.json:
@@ -185,19 +187,23 @@ def cmd_decode(args) -> int:
 
 
 def cmd_ribbon(args) -> int:
+    route = RIBBON_MODES[args.mode]
     if args.all is not None:
+        if args.composition is not None:
+            raise UsageError('give a composition or --all N, not both')
         _check_cap(args.all, args.allow_large)
         if args.json:
             payload = [
                 {
                     'composition': format_composition(comp),
-                    'terms': ribbons.poly_to_json(ribbons.ribbon_flagged(comp)),
+                    'terms': ribbons.poly_to_json(route(comp)),
                 }
                 for comp in compositions_of(args.all)
             ]
             print(json.dumps(payload, indent=2))
         else:
-            print('\n'.join(ribbons.ribbon_table_lines(args.all)))
+            symbol = 'h' if args.mode == 'product' else 'r'
+            print('\n'.join(ribbons.ribbon_table_lines(args.all, route, symbol)))
         return 0
     if args.composition is None:
         raise UsageError('a composition argument or --all N is required')
@@ -206,7 +212,7 @@ def cmd_ribbon(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _check_cap(sum(comp), args.allow_large)
-    poly = RIBBON_MODES[args.mode](comp)
+    poly = route(comp)
     if args.json:
         print(json.dumps({
             'composition': format_composition(comp),

@@ -11,7 +11,10 @@ prepends a single new entry to the code of β; the permutation τ(β) of
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
+from operator import gt
 from typing import Callable, NamedTuple
 
 from .permutations import (
@@ -21,7 +24,6 @@ from .permutations import (
     insert_one_at,
     inverse,
     iter_permutations,
-    maj,
     standardize,
 )
 
@@ -92,13 +94,20 @@ def sorted_code(c: Code) -> Code:
 def lehmer_code(p: Perm) -> Code:
     """c_i = number of j > i with p(j) < p(i).
 
+    One right-to-left pass: c_i is the rank of p(i) among the sorted letters
+    already seen.
+
     >>> ''.join(map(str, lehmer_code((5, 3, 1, 9, 6, 2, 4, 8, 7))))
     '420520010'
     """
-    n = len(p)
-    return tuple(
-        sum(1 for j in range(i + 1, n) if p[j] < p[i]) for i in range(n)
-    )
+    seen: list[int] = []
+    out = []
+    for v in reversed(p):
+        k = bisect_left(seen, v)
+        out.append(k)
+        seen.insert(k, v)
+    out.reverse()
+    return tuple(out)
 
 
 def lehmer_decode(c: Code) -> Perm:
@@ -116,14 +125,19 @@ def inv_code(p: Perm) -> Code:
     """Inverse code: entry i counts the values greater than i to the left of
     i.  Equals the Lehmer code of the inverse permutation.
 
+    One left-to-right pass: of the j letters before position j, all but the
+    ones smaller than p(j) count towards the entry of p(j).
+
     >>> ''.join(map(str, inv_code((4, 1, 2, 3))))
     '1110'
     """
-    n = len(p)
-    position = {v: i for i, v in enumerate(p)}
-    return tuple(
-        sum(1 for j in range(position[i]) if p[j] > i) for i in range(1, n + 1)
-    )
+    seen: list[int] = []
+    out = [0] * len(p)
+    for j, v in enumerate(p):
+        k = bisect_left(seen, v)
+        out[v - 1] = j - k
+        seen.insert(k, v)
+    return tuple(out)
 
 
 def inv_decode(c: Code) -> Perm:
@@ -135,19 +149,67 @@ def maj_code(p: Perm) -> Code:
     """Major code: c_i = maj of the word keeping letters ≥ i, minus maj of the
     word keeping letters ≥ i+1.
 
+    One pass deletes the letters 1, 2, ... in turn from a word w and keeps
+    its descent bits d[j] = w[j] > w[j+1].  Deleting the least letter, at
+    slot k, drops the descent just before it (at position k, when k > 0),
+    moves every later descent one position left, and makes w[k−1], w[k+1]
+    adjacent: a descent at position k again unless they form a rise.
+
     >>> ''.join(map(str, maj_code((9, 3, 5, 7, 2, 1, 4, 6, 8))))
     '501012010'
     """
-    n = len(p)
-    majs = []
-    for i in range(1, n + 2):
-        majs.append(maj(tuple(x for x in p if x >= i)))
-    return tuple(majs[i] - majs[i + 1] for i in range(n))
+    w = list(p)
+    d = list(map(gt, w, w[1:]))
+    out = []
+    for i in range(1, len(w) + 1):
+        k = w.index(i)
+        c = d[k + 1:].count(True)
+        del w[k]
+        if k == 0:
+            del d[:1]
+        elif k == len(w):
+            c += k
+            del d[k - 1]
+        else:
+            rise = w[k - 1] < w[k]
+            if rise:
+                c += k
+            d[k - 1] = not rise
+            del d[k]
+        out.append(c)
+    return tuple(out)
 
 
 def maj_decode(c: Code) -> Perm:
-    """Inverse of ``maj_code``, via the τ recursion."""
-    return generic_decode(MAJCODE, c)
+    """Inverse of ``maj_code``, τ_M read backwards: start from the letter n
+    and insert n−1, ..., 1 in turn.  When the word has d descents, letter i
+    goes into the (d − c_i)-th descent slot if c_i < d, and otherwise into
+    rise slot number c_i − d, counted from 0, where slot 0 and the slot
+    after the last letter are rises.
+
+    >>> maj_decode((5, 0, 1, 0, 1, 2, 0, 1, 0))
+    (9, 3, 5, 7, 2, 1, 4, 6, 8)
+    >>> maj_decode(())
+    ()
+    """
+    check_code(c)
+    n = len(c)
+    if n == 0:
+        return ()
+    word = [n]
+    for i in range(n - 1, 0, -1):
+        descents = list(compress(range(1, len(word)), map(gt, word, word[1:])))
+        a = c[i - 1]
+        if a < len(descents):
+            slot = descents[-1 - a]
+        else:
+            slot = a - len(descents)
+            for t in descents:  # step over the descent slots up to the rise
+                if t > slot:
+                    break
+                slot += 1
+        word.insert(slot, i)
+    return tuple(word)
 
 
 def s_code(p: Perm) -> Code:
@@ -155,21 +217,23 @@ def s_code(p: Perm) -> Code:
     letter to the left of the position of value i that exceeds i (a_i = 0 when
     no such letter exists).
 
+    One left-to-right pass: r is the top of a stack of the letters seen so
+    far that no later letter exceeds, once the ones below i are popped.
+
     >>> ''.join(map(str, s_code((4, 3, 1, 2, 5))))
     '33200'
     >>> ''.join(map(str, s_code((1, 5, 4, 2, 3))))
     '02210'
     """
     n = len(p)
-    position = {v: i for i, v in enumerate(p)}
-    out = []
-    for i in range(1, n + 1):
-        r = 0
-        for j in range(position[i] - 1, -1, -1):
-            if p[j] > i:
-                r = p[j]
-                break
-        out.append(n + 1 - r if r else 0)
+    stack: list[int] = []
+    out = [0] * n
+    for v in p:
+        while stack and stack[-1] < v:
+            stack.pop()
+        if stack:
+            out[v - 1] = n + 1 - stack[-1]
+        stack.append(v)
     return tuple(out)
 
 

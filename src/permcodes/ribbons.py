@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
+from typing import Callable
 
 from .permutations import Composition, compositions_of, format_composition
 from .polynomials import IndexPolynomial, Monomial
@@ -166,12 +167,17 @@ def poly_to_json(poly: IndexPolynomial) -> list[dict[str, object]]:
     ]
 
 
-def ribbon_table_lines(n: int) -> list[str]:
-    """The r_I table for all compositions of n, one line per composition in
-    descending lexicographic order, e.g. ``r_21 = [001] + [011]``.
+def ribbon_table_lines(
+    n: int,
+    route: Callable[[Composition], IndexPolynomial] = ribbon_flagged,
+    symbol: str = 'r',
+) -> list[str]:
+    """The table of ``route`` over all compositions of n, one line per
+    composition in descending lexicographic order, e.g. ``r_21 = [001] +
+    [011]`` for the default r_I by inclusion–exclusion.
     """
     lines = []
     for comp in compositions_of(n):
         name = ''.join(map(str, comp)) if n <= 9 else format_composition(comp)
-        lines.append(f'r_{name} = {format_bracket(ribbon_flagged(comp))}')
+        lines.append(f'{symbol}_{name} = {format_bracket(route(comp))}')
     return lines

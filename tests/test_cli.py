@@ -1,11 +1,15 @@
 import importlib.metadata
+import io
 import json
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from permcodes import cli
+from permcodes import cli, ribbons
+from permcodes.permutations import compositions_of
 from permcodes.verify import CheckItem, VerificationReport
 
 
@@ -88,6 +92,43 @@ def test_ribbon_all_table(capsys):
         'r_21 = [001] + [011]',
         'r_12 = [001] + [002]',
         'r_111 = [012]',
+    ]
+
+
+@pytest.mark.parametrize('argv', [
+    ('code', '312', '--table', '2'),
+    ('ribbon', '21', '--all', '2'),
+], ids=('code-table', 'ribbon-all'))
+def test_argument_beside_a_whole_table_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ''
+    assert err.startswith('error: ')
+
+
+@pytest.mark.parametrize('extra', ((), ('--json',)), ids=('text', 'json'))
+def test_ribbon_all_follows_the_mode(capsys, monkeypatch, extra):
+    called = []
+
+    def determinant(comp):
+        called.append(comp)
+        return ribbons.ribbon_determinant(comp)
+
+    monkeypatch.setitem(cli.RIBBON_MODES, 'det', determinant)
+    code, out, _ = run(capsys, 'ribbon', '--all', '4', '--mode', 'det', *extra)
+    assert code == 0
+    assert called == compositions_of(4)
+    assert out == run(capsys, 'ribbon', '--all', '4', *extra)[1]
+
+
+def test_ribbon_all_product_mode_prints_h_products(capsys):
+    code, out, _ = run(capsys, 'ribbon', '--all', '3', '--mode', 'product')
+    assert code == 0
+    assert out.splitlines() == [
+        'h_3 = [000]',
+        'h_21 = [000] + [001] + [011]',
+        'h_12 = [000] + [001] + [002]',
+        'h_111 = [000] + 2 [001] + [002] + [011] + [012]',
     ]
 
 
@@ -245,6 +286,30 @@ def test_lclass_perm_is_capped_before_the_class_is_closed(capsys, monkeypatch):
 def test_lclass_requires_exactly_one_mode(capsys):
     assert run(capsys, 'lclass')[0] == 2
     assert run(capsys, 'lclass', '--perm', '21', '--n', '3')[0] == 2
+
+
+#: Each command is given one fuzzed argument after its options.
+FUZZ_COMMANDS = (
+    ('code',),
+    *(('decode', '--family', family) for family in ('lc', 'ic', 'mc', 'sc')),
+    ('ribbon',),
+    ('lclass', '--perm'),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZ_COMMANDS), st.text('0123456789,()- a', max_size=12))
+def test_fuzzed_arguments_exit_zero_or_two(command, text):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main([*command, text])
+        except SystemExit as exc:  # argparse's own usage error
+            assert exc.code == 2
+            return
+    assert code in (0, 2)
+    if code == 2:
+        assert 'error:' in err.getvalue()
 
 
 def _declared_scripts(pyproject: Path) -> dict[str, str]:

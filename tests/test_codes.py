@@ -1,10 +1,12 @@
+from itertools import product
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from permcodes.codes import (
     FAMILIES,
+    MAJCODE,
     format_code,
     generic_decode,
     generic_encode,
@@ -43,6 +45,51 @@ DECODE = {
     'invcode': inv_decode,
     'majcode': maj_decode,
     'scode': s_decode,
+}
+
+
+# The codes as defined, letter by letter: test-only references for the
+# one-pass encoders of permcodes.codes.
+
+def lehmer_code_reference(p):
+    n = len(p)
+    return tuple(
+        sum(1 for j in range(i + 1, n) if p[j] < p[i]) for i in range(n)
+    )
+
+
+def inv_code_reference(p):
+    position = {v: i for i, v in enumerate(p)}
+    return tuple(
+        sum(1 for j in range(position[i]) if p[j] > i)
+        for i in range(1, len(p) + 1)
+    )
+
+
+def maj_code_reference(p):
+    majs = [maj(tuple(x for x in p if x >= i)) for i in range(1, len(p) + 2)]
+    return tuple(majs[i] - majs[i + 1] for i in range(len(p)))
+
+
+def s_code_reference(p):
+    n = len(p)
+    position = {v: i for i, v in enumerate(p)}
+    out = []
+    for i in range(1, n + 1):
+        r = 0
+        for j in range(position[i] - 1, -1, -1):
+            if p[j] > i:
+                r = p[j]
+                break
+        out.append(n + 1 - r if r else 0)
+    return tuple(out)
+
+
+REFERENCE = {
+    'lehmer': lehmer_code_reference,
+    'invcode': inv_code_reference,
+    'majcode': maj_code_reference,
+    'scode': s_code_reference,
 }
 
 # The printed S_4 reference: permutations grouped by inverse descent class,
@@ -90,6 +137,31 @@ def test_known_codes_of_a_long_permutation():
     assert format_code(inv_code(p)) == '241301210'
     assert format_code(maj_code(p)) == '514421210'
     assert format_code(s_code(p)) == '745401210'
+
+
+@pytest.mark.parametrize('name', sorted(ENCODE))
+def test_encoders_match_their_definitions_exhaustively(name):
+    encode, reference = ENCODE[name], REFERENCE[name]
+    for n in range(9):
+        for p in iter_permutations(n):
+            assert encode(p) == reference(p)
+
+
+# Uniform draws seldom hold long decreasing runs, where the saillance
+# stack grows deep, so two such words are always tried.
+@given(st.integers(min_value=9, max_value=16).flatmap(
+    lambda n: st.permutations(range(1, n + 1)).map(tuple)))
+@example(tuple(range(16, 0, -1)))
+@example((*range(15, 0, -1), 16))
+def test_encoders_match_their_definitions_on_long_permutations(p):
+    for name in ENCODE:
+        assert ENCODE[name](p) == REFERENCE[name](p)
+
+
+def test_maj_decode_agrees_with_the_tau_recursion():
+    for n in range(8):
+        for c in product(*(range(n - i) for i in range(n))):
+            assert maj_decode(c) == generic_decode(MAJCODE, c)
 
 
 def test_invcode_is_lehmer_of_inverse():
