@@ -105,8 +105,6 @@ from .verify import (
     VerificationReport,
     check_euler_mahonian,
     class_distribution,
-    q_factorial,
-    q_statistic,
     run_checks,
 )
 

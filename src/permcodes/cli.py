@@ -31,6 +31,8 @@ __all__ = ['main', 'build_parser', 'code_table_lines']
 
 WORKERS_ENV = 'PERMCODES_WORKERS'
 VERIFY_FAMILIES = 'ic,sc,mc'
+#: The text code table's columns when --families is not given.
+TABLE_FAMILIES = (codes.INVCODE, codes.MAJCODE, codes.SCODE)
 
 #: Each family answers to its name, its short label (``ic``) and its name
 #: without the ``code`` suffix (``inv``).
@@ -88,10 +90,16 @@ def _default_workers() -> int:
 # code
 
 
-def code_table_lines(n: int) -> list[str]:
+def _label(family: codes.CodeFamily) -> str:
+    """Column label of a family: ``Ic``, ``Mc``, ``Sc``, ``Lc``."""
+    return family.name[0].upper() + 'c'
+
+
+def code_table_lines(n: int, families=TABLE_FAMILIES) -> list[str]:
     """The S_n code table: permutations grouped by inverse descent class,
     each class paired with its conjugate in a second column, classes in
-    descending lexicographic order of composition, rows lexicographic."""
+    descending lexicographic order of composition, rows lexicographic; one
+    code column per family in ``families``."""
     by_class: dict[tuple, list] = {}
     for p in iter_permutations(n):
         by_class.setdefault(descent_composition(inverse(p)), []).append(p)
@@ -99,12 +107,11 @@ def code_table_lines(n: int) -> list[str]:
     def row(p) -> str:
         return ' '.join((
             format_permutation(p),
-            codes.format_code(codes.inv_code(p)),
-            codes.format_code(codes.maj_code(p)),
-            codes.format_code(codes.s_code(p)),
+            *(codes.format_code(family.encode(p)) for family in families),
         ))
 
-    lines = ['sigma Ic Mc Sc' + ('   sigma Ic Mc Sc' if n >= 2 else '')]
+    header = ' '.join(('sigma', *map(_label, families)))
+    lines = [header + (f'   {header}' if n >= 2 else '')]
     groups = [comp for comp in compositions_of(n) if comp and comp[0] >= 2]
     if n == 1:
         groups = [(1,)]
@@ -123,12 +130,16 @@ def code_table_lines(n: int) -> list[str]:
 
 
 def cmd_code(args) -> int:
-    families = _resolve_families(args.families)
+    if args.families is not None:
+        families = _resolve_families(args.families)
+    elif args.table is not None and not args.json:
+        families = TABLE_FAMILIES
+    else:
+        families = (codes.LEHMER, *TABLE_FAMILIES)
     if args.table is not None:
         if args.perm is not None:
             raise UsageError('give a permutation or --table N, not both')
         _check_cap(args.table, args.allow_large)
-        lines = code_table_lines(args.table)
         if args.json:
             payload = []
             for p in sorted(iter_permutations(args.table)):
@@ -138,7 +149,7 @@ def cmd_code(args) -> int:
                 payload.append(entry)
             print(json.dumps(payload, indent=2))
         else:
-            print('\n'.join(lines))
+            print('\n'.join(code_table_lines(args.table, families)))
         return 0
     if args.perm is None:
         raise UsageError('a permutation argument or --table N is required')
@@ -156,8 +167,7 @@ def cmd_code(args) -> int:
     print(f'sigma: {format_permutation(p)}')
     for family in families:
         c = family.encode(p)
-        label = family.name[0].upper() + 'c'
-        print(f'{label} {codes.format_code(c)}  '
+        print(f'{_label(family)} {codes.format_code(c)}  '
               f'sorted {codes.format_code(codes.sorted_code(c))}')
     return 0
 
@@ -365,10 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_code = sub.add_parser('code', help='codes of a permutation, or a full table')
     p_code.add_argument('perm', nargs='?', help='permutation (digits or comma-separated)')
-    p_code.add_argument('--families', default='lc,ic,mc,sc',
-                        help='comma list among lc,ic,mc,sc')
+    p_code.add_argument('--families',
+                        help='comma list among lc,ic,mc,sc (default all four; '
+                             'ic,mc,sc for the text table)')
     p_code.add_argument('--table', type=int, metavar='N',
-                        help='print the full S_N table (Ic, Mc, Sc)')
+                        help='print the full S_N table (columns Ic, Mc, Sc '
+                             'unless --families is given)')
     p_code.add_argument('--json', action='store_true')
     p_code.add_argument('--allow-large', action='store_true')
     p_code.set_defaults(handler=cmd_code)

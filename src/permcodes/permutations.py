@@ -41,7 +41,6 @@ __all__ = [
     'coarser_compositions',
     'compositions_of',
     'descent_class',
-    'coarser_class',
     'identity_block_shuffle',
     'parse_permutation',
     'format_permutation',
@@ -386,23 +385,11 @@ def descent_class(comp: Composition, limit: int | None = None) -> list[Perm]:
     return out
 
 
-def coarser_class(comp: Composition, limit: int | None = None) -> list[Perm]:
-    """All permutations whose descent composition is coarser than ``comp``
-    (descent set contained in Des(comp)), sorted.
-
-    >>> [''.join(map(str, p)) for p in coarser_class((2, 1))]
-    ['123', '132', '231']
-    """
-    n = sum(comp)
-    _check_limit(n, limit)
-    allowed = composition_descent_set(comp)
-    return [p for p in iter_permutations(n) if descent_set(p) <= allowed]
-
-
 def identity_block_shuffle(comp: Composition, limit: int | None = None) -> list[Perm]:
     """The shifted shuffle id_{i_1} ⩂ id_{i_2} ⩂ ... ⩂ id_{i_r}, sorted.
 
-    Its elements are exactly the inverses of ``coarser_class(comp)``.
+    Its elements are exactly the inverses of the permutations whose descent
+    set lies in Set(comp).
 
     >>> [''.join(map(str, p)) for p in identity_block_shuffle((2, 1))]
     ['123', '132', '312']

@@ -7,15 +7,22 @@ and determinant; and verifies the shuffle-product factorizations, the
 noncommutative inverse-code identity, the saillance step-alphabet lemma, and
 the Euler-Mahonian joint distributions.
 
-Checks are pure functions of (check name, n, unit), so sweeps parallelize over
-units (compositions, mostly) and reports merge deterministically: rendered
-output is byte-identical for any worker count.
+Every check but scstep reads one pass per size n.  The pass walks each
+descent class D_J of S_n once, inverts each member once, encodes each inverse
+once per family, and keeps per-class counts of what the selected checks read.
+theorem and fs compare a class's counts while it is walked; em sums them over
+all classes; coarse and ncinv sum them over the classes J with Set(J) ⊆ Set(I)
+by a subset-sum (zeta) transform over the n − 1 cut positions.  scstep runs
+one unit per (n, m).  Units are pure functions of their arguments, so sweeps
+parallelize over them and reports merge deterministically: rendered output is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +40,6 @@ from .permutations import (
     Composition,
     compositions_of,
     descent_class,
-    des,
     format_composition,
     format_permutation,
     identity_block_shuffle,
@@ -44,7 +50,7 @@ from .permutations import (
     shifted_shuffle,
     identity,
 )
-from .polynomials import IndexPolynomial, QPolynomial, format_q_polynomial
+from .polynomials import IndexPolynomial, format_q_polynomial
 from .ribbons import (
     alphabet_flag,
     format_monomial,
@@ -60,10 +66,7 @@ __all__ = [
     'class_distribution',
     'check_euler_mahonian',
     'run_checks',
-    'CHECKS',
     'CHECK_NAMES',
-    'q_factorial',
-    'q_statistic',
 ]
 
 DEFAULT_FAMILY_NAMES = ('invcode', 'scode', 'majcode')
@@ -159,6 +162,8 @@ def class_distribution(
 def _difference(show, label_a: str, a, label_b: str, b):
     """The least key whose counts in the mappings ``a`` and ``b`` differ, and
     a witness naming it and both counts; ``(None, '')`` when they agree."""
+    if a == b:
+        return None, ''
     keys = [key for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0)]
     if not keys:
         return None, ''
@@ -175,45 +180,123 @@ def _word(key) -> str:
     return 'word ' + ''.join(map(str, key))
 
 
+def _subject(comp: Composition) -> str:
+    return f'I={format_composition(comp)}'
+
+
 # ---------------------------------------------------------------------------
-# individual checks, one composition / unit at a time
+# the class pass: every check but scstep, one size at a time
 
 
-def _theorem_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
-    subject = f'I={format_composition(comp)}'
-    members = descent_class(comp, limit=n)
-    inverses = [inverse(p) for p in members]
-    ie = ribbon_flagged(comp)
-    _, witness = _difference(_monomial, 'inclusion-exclusion', ie.terms,
-                             'determinant', ribbon_determinant(comp).terms)
-    for name in family_names:
-        if witness:
-            break
-        codes = [sorted_code(FAMILIES[name].encode(q)) for q in inverses]
-        mono, witness = _difference(_monomial, name, Counter(codes), 'ribbon', ie.terms)
-        # members are sorted, so the first code equal to the witness
-        # monomial belongs to the least contributing σ
-        if mono in codes:
-            least = members[codes.index(mono)]
-            witness += f'; least contributing sigma: {format_permutation(least)}'
-    return [CheckItem('theorem', n, subject, not witness, witness)]
+def _cut_mask(comp: Composition) -> int:
+    """Set(comp) as a bit mask: bit s − 1 stands for the proper partial sum s."""
+    mask = acc = 0
+    for part in comp[:-1]:
+        acc += part
+        mask |= 1 << (acc - 1)
+    return mask
 
 
-def _coarse_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
-    subject = f'I={format_composition(comp)}'
-    shuffle_set = identity_block_shuffle(comp, limit=n)
-    expected = h_product(comp).terms
+def _subset_sums(by_comp: dict) -> dict:
+    """Given counts ``by_comp[J]`` for every composition J of one n, sum them
+    in place into I -> Σ_{Set(J) ⊆ Set(I)} by_comp[J], by a subset-sum (zeta)
+    transform over the n − 1 cut positions, and return ``by_comp``."""
+    by_mask = {_cut_mask(comp): counts for comp, counts in by_comp.items()}
+    step = 1
+    while step < len(by_mask):
+        for mask, counts in by_mask.items():
+            if mask & step:
+                for key, value in by_mask[mask ^ step].items():
+                    counts[key] = counts.get(key, 0) + value
+        step <<= 1
+    return by_comp
+
+
+def _exact_descent_words(comp: Composition) -> list[tuple[int, ...]]:
+    """E′(J), sorted: the words of the concatenation product E(J) of
+    nondecreasing blocks of sizes ``comp`` over its alphabet flag whose
+    descent set is exactly Set(J).
+
+    Built from the last block, whose alphabet is {0}: an earlier block is
+    kept only in front of the words whose first letter is below its last.
+
+    >>> [''.join(map(str, w)) for w in _exact_descent_words((2, 1))]
+    ['010', '110']
+    """
+    if not comp:
+        return [()]
+    flag = alphabet_flag(comp)
+    words = [(0,) * comp[-1]]
+    for a in reversed(range(len(comp) - 1)):
+        firsts = [word[0] for word in words]
+        words = [
+            block + word
+            for block in itertools.combinations_with_replacement(
+                range(flag[a] + 1), comp[a])
+            for word in words[:bisect_left(firsts, block[-1])]
+        ]
+    return words
+
+
+def _theorem_witness(name: str, got, ribbon, members, sorted_codes) -> str:
+    """Compare one family's sorted-code counts over D_I with the ribbon."""
+    mono, witness = _difference(_monomial, name, got, 'ribbon', ribbon)
+    # members are sorted, so the first code equal to the witness
+    # monomial belongs to the least contributing σ
+    if mono in sorted_codes:
+        least = members[sorted_codes.index(mono)]
+        witness += f'; least contributing sigma: {format_permutation(least)}'
+    return witness
+
+
+def _fs_item(n: int, comp: Composition, names, q_inv, q_maj_inverse,
+             q_codes) -> CheckItem:
     witness = ''
-    for name in family_names:
-        got = Counter(sorted_code(FAMILIES[name].encode(p)) for p in shuffle_set)
-        _, witness = _difference(_monomial, name, got, 'h_product', expected)
+    if q_inv != q_maj_inverse:
+        witness = (f'inv distribution {format_q_polynomial(q_inv)} != '
+                   f'maj-of-inverse {format_q_polynomial(q_maj_inverse)}')
+    for name, q_code in zip(names, q_codes):
         if witness:
             break
-    return [CheckItem('coarse', n, subject, not witness, witness)]
+        # x_j -> q^j sends the monomial of a sorted code to q^(its entry sum)
+        if q_code != q_inv:
+            witness = (f'{name} q-specialization {format_q_polynomial(q_code)} != '
+                       f'{format_q_polynomial(q_inv)}')
+    return CheckItem('fs', n, _subject(comp), not witness, witness)
 
 
-def _ncinv_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
-    subject = f'I={format_composition(comp)}'
+def _summed_em_items(n: int, names, code_pairs, maj_pairs, inv_pairs) -> list[CheckItem]:
+    items = []
+    for name, code in zip(names, code_pairs):
+        witness = ''
+        for label, other in (('maj of inverse', maj_pairs), ('inv', inv_pairs)):
+            _, witness = _difference(lambda key: f'pair (stat, des)={key}',
+                                     'code sum', code, label, other)
+            if witness:
+                break
+        items.append(CheckItem('em', n, f'family={name}', not witness, witness))
+    return items
+
+
+def _zeta_coarse_items(n: int, names, by_family) -> list[CheckItem]:
+    """coarse from the per-class sorted-code counts ``by_family[i][J]``: the
+    counts over {σ : Des σ ⊆ Set(I)} are their subset sums."""
+    sums = [_subset_sums(by_comp) for by_comp in by_family]
+    items = []
+    for comp in compositions_of(n):
+        expected = h_product(comp).terms
+        witness = ''
+        for name, by_comp in zip(names, sums):
+            got = by_comp.pop(comp)
+            if not witness:
+                _, witness = _difference(_monomial, name, got, 'h_product', expected)
+        items.append(CheckItem('coarse', n, _subject(comp), not witness, witness))
+    return items
+
+
+def _ncinv_item(n: int, comp: Composition) -> CheckItem:
+    """ncinv for one unit by the direct route: the invcode words of the whole
+    shuffle set against the concatenation product E(I)."""
     got = Counter(inv_code(p) for p in identity_block_shuffle(comp, limit=n))
     blocks = [
         itertools.combinations_with_replacement(range(size + 1), part)
@@ -225,7 +308,95 @@ def _ncinv_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
     )
     _, witness = _difference(_word, 'invcode words', got,
                              'concatenation product', expected)
-    return [CheckItem('ncinv', n, subject, not witness, witness)]
+    return CheckItem('ncinv', n, _subject(comp), not witness, witness)
+
+
+def _zeta_ncinv_items(n: int, differences) -> list[CheckItem]:
+    """ncinv from the per-class signed differences between the invcode words
+    of D_J's inverses and E′(J).  A word w lies in E(I) exactly when
+    Des(w) ⊆ Set(I) and w lies in E(Des w), since merging blocks across a
+    non-descent keeps them nondecreasing and within the later, smaller
+    alphabet; so E(I) is the disjoint union of E′(J) over Set(J) ⊆ Set(I), as
+    the shuffle set of I is the union of the inverses of those D_J.  A unit
+    passes exactly when its subset sum is zero; one that fails reruns the
+    direct route, which words the witness."""
+    return [
+        _ncinv_item(n, comp) if any(total.values())
+        else CheckItem('ncinv', n, _subject(comp), True)
+        for comp, total in _subset_sums(differences).items()
+    ]
+
+
+def _class_items(n: int, checks, families) -> list[CheckItem]:
+    """The items at size n of the selected ``checks`` among CLASS_CHECKS for
+    the code families ``families``, from one walk over the descent classes
+    of S_n that computes only what those checks read."""
+    names = [family.name for family in families]
+    want_codes = 'theorem' in checks or 'coarse' in checks
+    want_stats = 'em' in checks or 'fs' in checks
+    encoders = [family.encode for family in families] if want_codes or want_stats else []
+    items: list[CheckItem] = []
+    coarse_counts = [{} for _ in families]
+    code_pairs = [Counter() for _ in families]
+    maj_pairs: Counter = Counter()
+    inv_pairs: Counter = Counter()
+    differences = {}
+    for comp in compositions_of(n):
+        members = descent_class(comp, limit=n)
+        inverses = list(map(inverse, members))
+        if 'theorem' in checks:
+            ribbon = ribbon_flagged(comp).terms
+            _, witness = _difference(_monomial, 'inclusion-exclusion', ribbon,
+                                     'determinant', ribbon_determinant(comp).terms)
+        # the families share one key tuple per monomial, which keeps the
+        # subset sums that coarse holds at once small
+        shared = {}
+        q_codes = []
+        for name, encode, by_comp in zip(names, encoders, coarse_counts):
+            if want_codes:
+                codes = [sorted_code(encode(q)) for q in inverses]
+                got = Counter(codes)
+                if 'theorem' in checks and not witness:
+                    witness = _theorem_witness(name, got, ribbon, members, codes)
+                if 'coarse' in checks:
+                    by_comp[comp] = {shared.setdefault(key, key): count
+                                     for key, count in got.items()}
+            else:
+                codes = list(map(encode, inverses))
+            if want_stats:
+                # sorting keeps a code's entry sum
+                q_codes.append(Counter(map(sum, codes)))
+        if 'theorem' in checks:
+            items.append(CheckItem('theorem', n, _subject(comp), not witness, witness))
+        if want_stats:
+            q_inv = Counter(map(inv, members))
+            q_maj_inverse = Counter(map(maj, inverses))
+            if 'fs' in checks:
+                items.append(_fs_item(n, comp, names, q_inv, q_maj_inverse, q_codes))
+            des_sigma = len(comp) - 1
+            for pairs, q in [*zip(code_pairs, q_codes),
+                             (maj_pairs, q_maj_inverse), (inv_pairs, q_inv)]:
+                for stat, count in q.items():
+                    pairs[stat, des_sigma] += count
+        if 'ncinv' in checks:
+            words = sorted(map(inv_code, inverses))
+            expected = _exact_descent_words(comp)
+            difference = Counter()
+            if words != expected:
+                difference.update(words)
+                difference.subtract(expected)
+            differences[comp] = difference
+    if 'coarse' in checks:
+        items.extend(_zeta_coarse_items(n, names, coarse_counts))
+    if 'em' in checks:
+        items.extend(_summed_em_items(n, names, code_pairs, maj_pairs, inv_pairs))
+    if 'ncinv' in checks:
+        items.extend(_zeta_ncinv_items(n, differences))
+    return items
+
+
+# ---------------------------------------------------------------------------
+# scstep, one (n, m) at a time
 
 
 def _scstep_witness(m: int, k: int) -> str:
@@ -243,50 +414,12 @@ def _scstep_witness(m: int, k: int) -> str:
     return ''
 
 
-def _scstep_items(n: int, m: int, family_names) -> list[CheckItem]:
+def _scstep_items(n: int, m: int) -> list[CheckItem]:
     items = []
     for k in range(1, n - m + 1):
         witness = _scstep_witness(m, k)
         items.append(CheckItem('scstep', n, f'm={m} k={k}', not witness, witness))
     return items
-
-
-def _em_items(n: int, family: CodeFamily) -> list[CheckItem]:
-    # (Σ code(σ^{-1}), maj σ^{-1}, inv σ, des σ) over S_n
-    stats = Counter(
-        (sum(family.encode(q)), maj(q), inv(p), des(p))
-        for p in iter_permutations(n) for q in [inverse(p)]
-    )
-    code = Counter((key[0], key[3]) for key in stats.elements())
-    witness = ''
-    for label, column in (('maj of inverse', 1), ('inv', 2)):
-        other = Counter((key[column], key[3]) for key in stats.elements())
-        _, witness = _difference(lambda key: f'pair (stat, des)={key}',
-                                 'code sum', code, label, other)
-        if witness:
-            break
-    return [CheckItem('em', n, f'family={family.name}', not witness, witness)]
-
-
-def _fs_items(n: int, comp: Composition, family_names) -> list[CheckItem]:
-    subject = f'I={format_composition(comp)}'
-    members = descent_class(comp, limit=n)
-    inverses = [inverse(p) for p in members]
-    q_inv = Counter(map(inv, members))
-    q_maj_inverse = Counter(map(maj, inverses))
-    witness = ''
-    if q_inv != q_maj_inverse:
-        witness = (f'inv distribution {format_q_polynomial(q_inv)} != '
-                   f'maj-of-inverse {format_q_polynomial(q_maj_inverse)}')
-    for name in family_names:
-        if witness:
-            break
-        # x_j -> q^j sends the monomial of a sorted code to q^(its entry sum)
-        q_code = Counter(sum(FAMILIES[name].encode(q)) for q in inverses)
-        if q_code != q_inv:
-            witness = (f'{name} q-specialization {format_q_polynomial(q_code)} != '
-                       f'{format_q_polynomial(q_inv)}')
-    return [CheckItem('fs', n, subject, not witness, witness)]
 
 
 def check_euler_mahonian(n: int, family: CodeFamily) -> VerificationReport:
@@ -295,51 +428,45 @@ def check_euler_mahonian(n: int, family: CodeFamily) -> VerificationReport:
     result = is_acceptable(family, n)
     if not result.ok:
         raise ValueError(f'family {family.name} is not acceptable: {result.witness}')
-    return VerificationReport.from_items(_em_items(n, family))
+    return VerificationReport.from_items(_class_items(n, ('em',), (family,)))
 
 
 # ---------------------------------------------------------------------------
 # sweep driver
 
 
-def _compositions(n: int, family_names) -> list[Composition]:
-    return compositions_of(n)
+#: Checks read off the pass over the descent classes of each size.
+CLASS_CHECKS = ('theorem', 'coarse', 'ncinv', 'em', 'fs')
+CHECK_NAMES = ('theorem', 'coarse', 'ncinv', 'scstep', 'em', 'fs')
 
 
-#: Check name -> (units function (n, family names) -> units,
-#: item function (n, unit, family names) -> [CheckItem]).  A check whose
-#: units come out empty is skipped: ncinv needs invcode, scstep needs scode.
-#: The em unit is a family name, looked up in FAMILIES when the task runs.
-CHECKS = {
-    'theorem': (_compositions, _theorem_items),
-    'coarse': (_compositions, _coarse_items),
-    'ncinv': (lambda n, names: compositions_of(n) if 'invcode' in names else (),
-              _ncinv_items),
-    'scstep': (lambda n, names: range(n) if 'scode' in names else (),
-               _scstep_items),
-    'em': (lambda n, names: names,
-           lambda n, name, names: _em_items(n, FAMILIES[name])),
-    'fs': (_compositions, _fs_items),
-}
-CHECK_NAMES = tuple(CHECKS)
+def _class_task(n: int, checks, names) -> list[CheckItem]:
+    return _class_items(n, checks, [FAMILIES[name] for name in names])
 
 
 def _run_task(task) -> list[CheckItem]:
-    check, n, unit, families = task
-    return CHECKS[check][1](n, unit, families)
+    function, *args = task
+    return function(*args)
 
 
 def _build_tasks(n_max: int, checks, family_names) -> list[tuple]:
-    unknown = [check for check in checks if check not in CHECKS]
+    """One class-pass task per size, when a class check is selected, and
+    one scstep task per (n, m).  ncinv needs invcode; scstep needs scode."""
+    unknown = [check for check in checks if check not in CHECK_NAMES]
     if unknown:
         raise ValueError(f'unknown check {unknown[0]!r}')
-    families = tuple(family_names)
-    tasks = [
-        (check, n, unit, families)
-        for n in range(1, n_max + 1)
-        for check in checks
-        for unit in CHECKS[check][0](n, families)
-    ]
+    names = tuple(family_names)
+    class_checks = tuple(
+        check for check in CLASS_CHECKS
+        if check in checks and (check != 'ncinv' or 'invcode' in names)
+    )
+    scstep = 'scstep' in checks and 'scode' in names
+    tasks: list[tuple] = []
+    for n in range(1, n_max + 1):
+        if class_checks:
+            tasks.append((_class_task, n, class_checks, names))
+        if scstep:
+            tasks.extend((_scstep_items, n, m) for m in range(n))
     if not tasks:
         raise ValueError('the selection runs no checks: n must be at least 1, '
                          'ncinv needs family ic and scstep needs sc')
@@ -369,34 +496,3 @@ def run_checks(
             for result in pool.map(_run_task, tasks, chunksize=4):
                 items.extend(result)
     return VerificationReport.from_items(items)
-
-
-# ---------------------------------------------------------------------------
-# classical q-identities used by the acceptance suite
-
-
-def q_factorial(n: int) -> QPolynomial:
-    """[n]_q! = Π_{i=1..n} (1 + q + ... + q^{i-1}) as a degree->coeff map.
-
-    >>> q_factorial(3)
-    {0: 1, 1: 2, 2: 2, 3: 1}
-    """
-    out: QPolynomial = {0: 1}
-    for i in range(1, n + 1):
-        nxt: QPolynomial = {}
-        for deg, coeff in out.items():
-            for j in range(i):
-                nxt[deg + j] = nxt.get(deg + j, 0) + coeff
-        out = nxt
-    return out
-
-
-def q_statistic(n: int, stat) -> QPolynomial:
-    """Distribution Σ_{σ∈S_n} q^{stat(σ)} as a degree->coeff map.
-
-    ``stat`` is a callable on permutations or one of the names 'maj', 'inv',
-    'des'.
-    """
-    if isinstance(stat, str):
-        stat = {'maj': maj, 'inv': inv, 'des': des}[stat]
-    return dict(Counter(map(stat, iter_permutations(n))))

@@ -1,0 +1,158 @@
+"""Direct, unshared routes to what the library computes by faster means.
+
+Each check here enumerates on its own, one unit at a time, the way the
+verifier did before it shared one pass over the descent classes of each
+size: theorem and fs walk D_I, coarse encodes the whole shuffle set of I, em
+walks S_n once per family.  The tests compare the library's reports with
+these byte for byte.
+"""
+
+from collections import Counter
+
+from permcodes import verify
+from permcodes.codes import FAMILIES, CodeFamily, sorted_code
+from permcodes.permutations import (
+    compositions_of,
+    composition_descent_set,
+    descent_class,
+    descent_set,
+    des,
+    format_composition,
+    format_permutation,
+    identity_block_shuffle,
+    inv,
+    inverse,
+    iter_permutations,
+    maj,
+)
+from permcodes.polynomials import QPolynomial, format_q_polynomial
+from permcodes.ribbons import h_product, ribbon_determinant, ribbon_flagged
+from permcodes.verify import CheckItem, VerificationReport, _difference, _monomial
+
+
+def q_factorial(n: int) -> QPolynomial:
+    """[n]_q! = Π_{i=1..n} (1 + q + ... + q^{i-1}) as a degree->coeff map."""
+    out: QPolynomial = {0: 1}
+    for i in range(1, n + 1):
+        nxt: QPolynomial = {}
+        for deg, coeff in out.items():
+            for j in range(i):
+                nxt[deg + j] = nxt.get(deg + j, 0) + coeff
+        out = nxt
+    return out
+
+
+def q_statistic(n: int, stat) -> QPolynomial:
+    """Distribution Σ_{σ∈S_n} q^{stat(σ)} as a degree->coeff map.
+
+    ``stat`` is a callable on permutations or one of the names 'maj', 'inv',
+    'des'.
+    """
+    if isinstance(stat, str):
+        stat = {'maj': maj, 'inv': inv, 'des': des}[stat]
+    return dict(Counter(map(stat, iter_permutations(n))))
+
+
+def coarser_class(comp):
+    """All permutations whose descent set lies in Set(comp), sorted."""
+    allowed = composition_descent_set(comp)
+    return [p for p in iter_permutations(sum(comp)) if descent_set(p) <= allowed]
+
+
+def theorem_items(n, comp, family_names):
+    subject = f'I={format_composition(comp)}'
+    members = descent_class(comp, limit=n)
+    inverses = [inverse(p) for p in members]
+    ie = ribbon_flagged(comp)
+    _, witness = _difference(_monomial, 'inclusion-exclusion', ie.terms,
+                             'determinant', ribbon_determinant(comp).terms)
+    for name in family_names:
+        if witness:
+            break
+        codes = [sorted_code(FAMILIES[name].encode(q)) for q in inverses]
+        mono, witness = _difference(_monomial, name, Counter(codes), 'ribbon', ie.terms)
+        if mono in codes:
+            least = members[codes.index(mono)]
+            witness += f'; least contributing sigma: {format_permutation(least)}'
+    return [CheckItem('theorem', n, subject, not witness, witness)]
+
+
+def coarse_items(n, comp, family_names):
+    subject = f'I={format_composition(comp)}'
+    shuffle_set = identity_block_shuffle(comp, limit=n)
+    expected = h_product(comp).terms
+    witness = ''
+    for name in family_names:
+        got = Counter(sorted_code(FAMILIES[name].encode(p)) for p in shuffle_set)
+        _, witness = _difference(_monomial, name, got, 'h_product', expected)
+        if witness:
+            break
+    return [CheckItem('coarse', n, subject, not witness, witness)]
+
+
+def em_items(n, family: CodeFamily):
+    # (Σ code(σ^{-1}), maj σ^{-1}, inv σ, des σ) over S_n
+    stats = Counter(
+        (sum(family.encode(q)), maj(q), inv(p), des(p))
+        for p in iter_permutations(n) for q in [inverse(p)]
+    )
+    code = Counter((key[0], key[3]) for key in stats.elements())
+    witness = ''
+    for label, column in (('maj of inverse', 1), ('inv', 2)):
+        other = Counter((key[column], key[3]) for key in stats.elements())
+        _, witness = _difference(lambda key: f'pair (stat, des)={key}',
+                                 'code sum', code, label, other)
+        if witness:
+            break
+    return [CheckItem('em', n, f'family={family.name}', not witness, witness)]
+
+
+def fs_items(n, comp, family_names):
+    subject = f'I={format_composition(comp)}'
+    members = descent_class(comp, limit=n)
+    inverses = [inverse(p) for p in members]
+    q_inv = Counter(map(inv, members))
+    q_maj_inverse = Counter(map(maj, inverses))
+    witness = ''
+    if q_inv != q_maj_inverse:
+        witness = (f'inv distribution {format_q_polynomial(q_inv)} != '
+                   f'maj-of-inverse {format_q_polynomial(q_maj_inverse)}')
+    for name in family_names:
+        if witness:
+            break
+        q_code = Counter(sum(FAMILIES[name].encode(q)) for q in inverses)
+        if q_code != q_inv:
+            witness = (f'{name} q-specialization {format_q_polynomial(q_code)} != '
+                       f'{format_q_polynomial(q_inv)}')
+    return [CheckItem('fs', n, subject, not witness, witness)]
+
+
+def _compositions(n, family_names):
+    return compositions_of(n)
+
+
+#: Check name -> (units (n, family names) -> units, items (n, unit, family
+#: names) -> [CheckItem]), one unit per composition, family or m.
+DIRECT_CHECKS = {
+    'theorem': (_compositions, theorem_items),
+    'coarse': (_compositions, coarse_items),
+    'ncinv': (lambda n, names: compositions_of(n) if 'invcode' in names else (),
+              lambda n, comp, names: [verify._ncinv_item(n, comp)]),
+    'scstep': (lambda n, names: range(n) if 'scode' in names else (),
+               lambda n, m, names: verify._scstep_items(n, m)),
+    'em': (lambda n, names: names,
+           lambda n, name, names: em_items(n, FAMILIES[name])),
+    'fs': (_compositions, fs_items),
+}
+
+
+def direct_report(n_max, checks=verify.CHECK_NAMES,
+                  family_names=verify.DEFAULT_FAMILY_NAMES) -> VerificationReport:
+    """``run_checks(n_max, checks, family_names)`` by the direct routes."""
+    items = []
+    for n in range(1, n_max + 1):
+        for check in checks:
+            units, unit_items = DIRECT_CHECKS[check]
+            for unit in units(n, family_names):
+                items.extend(unit_items(n, unit, family_names))
+    return VerificationReport.from_items(items)

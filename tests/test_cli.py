@@ -48,6 +48,16 @@ def test_code_table(capsys):
                                '4321', '3210', '3210', '3210']
 
 
+def test_code_table_prints_the_selected_families(capsys):
+    code, out, _ = run(capsys, 'code', '--table', '3', '--families', 'mc')
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split() == ['sigma', 'Mc'] * 2
+    assert lines[2].split() == ['123', '000', '321', '210']
+    code, out, _ = run(capsys, 'code', '--table', '2', '--families', 'sc,lc')
+    assert out.splitlines() == ['sigma Sc Lc   sigma Sc Lc', '', '12 00 00   21 10 10']
+
+
 def test_decode_roundtrip(capsys):
     code, out, _ = run(capsys, 'decode', '501012010', '--family', 'mc')
     assert code == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 from collections import Counter
 
 import pytest
@@ -19,18 +20,26 @@ from permcodes.codes import (
     tau_i,
     tau_s,
 )
-from permcodes.permutations import descent_class, inverse, parse_permutation
+from permcodes.permutations import (
+    compositions_of,
+    composition_descent_set,
+    descent_class,
+    descent_set,
+    identity_block_shuffle,
+    inverse,
+    parse_permutation,
+)
 from permcodes.polynomials import IndexPolynomial
-from permcodes.ribbons import ribbon_flagged
+from permcodes.ribbons import alphabet_flag, ribbon_flagged
 from permcodes.verify import (
     CHECK_NAMES,
     VerificationReport,
     check_euler_mahonian,
     class_distribution,
-    q_factorial,
-    q_statistic,
     run_checks,
 )
+
+from oracles import coarser_class, direct_report, q_factorial, q_statistic
 
 # The 19 permutations of descent composition (2,1,1,2), with the invcode,
 # saillance code and majcode of their inverses, row-aligned, and the common
@@ -228,8 +237,8 @@ def test_reports_identical_across_worker_counts():
 
 
 @pytest.mark.parametrize('requested, cpus, pool_size', [
-    (5000, 4, 4),        # clamped to the CPU count
-    (5000, 64, 7),       # clamped to the 7 theorem tasks of n <= 3
+    (5000, 2, 2),        # clamped to the CPU count
+    (5000, 64, 3),       # clamped to the 3 theorem tasks, one per n <= 3
     (3, 64, 3),          # left as requested
     (5000, None, None),  # unknown CPU count: serial, no pool
     (1, 64, None),       # one worker: serial, no pool
@@ -302,3 +311,94 @@ def test_sorted_code_multiset_is_what_class_distribution_counts():
         expected = expected + IndexPolynomial.monomial(
             sorted_code(maj_code(inverse(p))))
     assert dist.poly == expected
+
+
+# The class pass against the direct routes.
+
+def test_exact_descent_words_are_e_filtered_by_descent_set():
+    for n in range(1, 8):
+        for comp in compositions_of(n):
+            blocks = [
+                itertools.combinations_with_replacement(range(size + 1), part)
+                for part, size in zip(comp, alphabet_flag(comp))
+            ]
+            e_words = [sum(pieces, ()) for pieces in itertools.product(*blocks)]
+            cuts = composition_descent_set(comp)
+            expected = sorted(w for w in e_words if descent_set(w) == cuts)
+            assert verify._exact_descent_words(comp) == expected, comp
+
+
+@pytest.mark.parametrize('name', ('invcode', 'scode', 'majcode'))
+def test_subset_sums_of_class_counts_are_the_shuffle_set_counts(name):
+    family = FAMILIES[name]
+    for n in range(1, 8):
+        by_class = {comp: Counter(class_distribution(comp, family).poly.terms)
+                    for comp in compositions_of(n)}
+        sums = verify._subset_sums(by_class)
+        assert list(sums) == compositions_of(n)
+        for comp, got in sums.items():
+            shuffle_set = identity_block_shuffle(comp)
+            if n <= 6:
+                assert shuffle_set == sorted(map(inverse, coarser_class(comp)))
+            direct = Counter(sorted_code(family.encode(p)) for p in shuffle_set)
+            assert got == direct, (n, comp)
+
+
+MUTATIONS = [('none', None, None)] + [
+    (f'{mutate.__name__}-{name}', name, mutate)
+    for name in ('invcode', 'scode', 'majcode', 'verify.inv_code')
+    for mutate in (near_miss, swap01)
+]
+
+
+@pytest.mark.parametrize('label, target, mutate', MUTATIONS,
+                         ids=[label for label, _, _ in MUTATIONS])
+def test_reports_equal_the_direct_routes(monkeypatch, label, target, mutate):
+    if target == 'verify.inv_code':
+        monkeypatch.setattr(verify, 'inv_code', mutate(inv_code))
+    elif target is not None:
+        family = FAMILIES[target]
+        monkeypatch.setitem(FAMILIES, target,
+                            dataclasses.replace(family, encode=mutate(family.encode)))
+    fast = run_checks(5)
+    assert fast.render_text() == direct_report(5).render_text()
+    if label in ('near_miss-scode', 'near_miss-majcode', 'near_miss-verify.inv_code'):
+        assert not fast.passed
+
+
+def _spy(monkeypatch, calls, name):
+    original = getattr(verify, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, name, counted)
+
+
+def test_a_theorem_sweep_takes_no_inv_or_maj(monkeypatch):
+    calls = Counter()
+    _spy(monkeypatch, calls, 'inv')
+    _spy(monkeypatch, calls, 'maj')
+    assert run_checks(5, checks=('theorem',)).passed
+    assert calls == Counter()
+    assert run_checks(5, checks=('fs',)).passed
+    assert calls == Counter(inv=153, maj=153)
+
+
+def test_ncinv_takes_the_direct_route_only_for_failing_units(monkeypatch):
+    calls = Counter()
+    _spy(monkeypatch, calls, 'identity_block_shuffle')
+    assert run_checks(5, checks=('ncinv',)).passed
+    assert calls == Counter()
+    monkeypatch.setattr(verify, 'inv_code', swap01(inv_code))
+    report = run_checks(4, checks=('ncinv',))
+    assert calls['identity_block_shuffle'] == len(report.failures) == 11
+
+
+@pytest.mark.parametrize('workers', (1, 2))
+def test_verify_n7_report_is_pinned(workers):
+    report = run_checks(7, workers=workers)
+    assert len(report.items) == 613
+    assert hashlib.sha256((report.render_text() + '\n').encode()).hexdigest() == (
+        '535cf0cbc4277813011b71754f4b4e466dea2ee3f954904a91e7b19ead475f98')
