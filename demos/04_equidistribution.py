@@ -41,8 +41,8 @@ def main() -> None:
     # The three distributions coincide, and equal the flagged ribbon.
     dists = {name: class_distribution(comp, FAMILIES[name])
              for name in ('invcode', 'scode', 'majcode')}
-    first = dists['invcode'].poly
-    assert all(d.poly == first for d in dists.values())
+    first = dists['invcode']
+    assert all(dist == first for dist in dists.values())
     assert first == ribbon_flagged(comp)
     print('sorted-code distribution, identical for all three families:')
     print(f'  {format_bracket(first)}')

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -17,7 +16,7 @@ from .permutations import (
     DEFAULT_ENUMERATION_LIMIT,
     compositions_of,
     conjugate_composition,
-    descent_composition,
+    descent_class,
     format_composition,
     format_permutation,
     inverse,
@@ -29,7 +28,6 @@ from .polynomials import format_q_polynomial
 
 __all__ = ['main', 'build_parser', 'code_table_lines']
 
-WORKERS_ENV = 'PERMCODES_WORKERS'
 VERIFY_FAMILIES = 'ic,sc,mc'
 #: The text code table's columns when --families is not given.
 TABLE_FAMILIES = (codes.INVCODE, codes.MAJCODE, codes.SCODE)
@@ -78,14 +76,6 @@ def _check_cap(n: int, allow_large: bool) -> None:
         )
 
 
-def _default_workers() -> int:
-    try:
-        value = int(os.environ.get(WORKERS_ENV, '1'))
-    except ValueError:
-        return 1
-    return max(value, 1)
-
-
 # ---------------------------------------------------------------------------
 # code
 
@@ -100,9 +90,6 @@ def code_table_lines(n: int, families=TABLE_FAMILIES) -> list[str]:
     each class paired with its conjugate in a second column, classes in
     descending lexicographic order of composition, rows lexicographic; one
     code column per family in ``families``."""
-    by_class: dict[tuple, list] = {}
-    for p in iter_permutations(n):
-        by_class.setdefault(descent_composition(inverse(p)), []).append(p)
 
     def row(p) -> str:
         return ' '.join((
@@ -119,9 +106,10 @@ def code_table_lines(n: int, families=TABLE_FAMILIES) -> list[str]:
         groups = []
     for comp in groups:
         lines.append('')
-        left = sorted(by_class.get(comp, []))
+        left = sorted(map(inverse, descent_class(comp, limit=n)))
         if n >= 2:
-            right = sorted(by_class.get(conjugate_composition(comp), []))
+            right = sorted(map(inverse, descent_class(
+                conjugate_composition(comp), limit=n)))
             for lp, rp in zip(left, right):
                 lines.append(f'{row(lp)}   {row(rp)}')
         else:
@@ -408,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f'comma list among {",".join(verify.CHECK_NAMES)} or "all"')
     p_ver.add_argument('--families', default=VERIFY_FAMILIES,
                        help=f'comma list among {VERIFY_FAMILIES}')
-    p_ver.add_argument('--workers', type=int, default=_default_workers(),
-                       help=f'parallel workers (default ${WORKERS_ENV} or 1)')
+    p_ver.add_argument('--workers', type=int, default=1,
+                       help='parallel workers (default 1)')
     p_ver.add_argument('--json', action='store_true')
     p_ver.add_argument('--allow-large', action='store_true')
     p_ver.set_defaults(handler=cmd_verify)

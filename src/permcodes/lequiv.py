@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from math import comb
 
 from .codes import Code, lehmer_code, lehmer_decode, sorted_code
-from .permutations import Perm, check_permutation, iter_permutations
+from .permutations import (
+    Perm,
+    _check_limit,
+    check_permutation,
+    iter_permutations,
+    standardize,
+)
 
 __all__ = [
     'LClass',
@@ -126,8 +132,6 @@ def l_class(p: Perm) -> LClass:
 def l_classes(n: int, limit: int | None = None) -> list[LClass]:
     """Partition of S_n into L-classes, sorted by minimal member; there are
     Catalan(n) of them."""
-    from .permutations import _check_limit
-
     _check_limit(n, limit)
     remaining = set(iter_permutations(n))
     classes = []
@@ -189,8 +193,6 @@ def avoids_pattern(p: Perm, pattern: Perm) -> bool:
     if len(pattern) != 3:
         raise ValueError('only length-3 patterns are supported')
     n = len(p)
-    from .permutations import standardize
-
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):

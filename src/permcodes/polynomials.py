@@ -9,7 +9,7 @@ generating functions of sorted codes live directly in this class.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = ['Monomial', 'IndexPolynomial', 'QPolynomial', 'format_q_polynomial']
 
@@ -73,9 +73,6 @@ class IndexPolynomial:
             out[k] = out.get(k, 0) - v
         return IndexPolynomial(out)
 
-    def __neg__(self) -> IndexPolynomial:
-        return IndexPolynomial({k: -v for k, v in self.terms.items()})
-
     def __mul__(self, other: IndexPolynomial | int) -> IndexPolynomial:
         if isinstance(other, int):
             return IndexPolynomial({k: v * other for k, v in self.terms.items()})
@@ -85,15 +82,6 @@ class IndexPolynomial:
                 key = tuple(sorted(ka + kb))
                 out[key] = out.get(key, 0) + va * vb
         return IndexPolynomial(out)
-
-    def __rmul__(self, other: int) -> IndexPolynomial:
-        return self.__mul__(other)
-
-    def monomials(self) -> Iterator[Monomial]:
-        return iter(sorted(self.terms))
-
-    def coeff(self, indices: Iterable[int]) -> int:
-        return self.terms.get(tuple(sorted(indices)), 0)
 
     def total_mass(self) -> int:
         """Sum of all coefficients (the value at every variable = 1)."""
@@ -106,14 +94,6 @@ class IndexPolynomial:
             key = tuple(i for i in k if i != index)
             out[key] = out.get(key, 0) + v
         return IndexPolynomial(out)
-
-    def q_by_index_sum(self) -> QPolynomial:
-        """Substitute x_j -> q^j; the degree of a monomial is its index sum."""
-        out: QPolynomial = {}
-        for k, v in self.terms.items():
-            deg = sum(k)
-            out[deg] = out.get(deg, 0) + v
-        return {d: c for d, c in out.items() if c}
 
     def q_by_factor_count(self) -> QPolynomial:
         """Substitute every variable -> q; the degree is the factor count."""

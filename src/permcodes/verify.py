@@ -13,9 +13,10 @@ once per family, and keeps per-class counts of what the selected checks read.
 theorem and fs compare a class's counts while it is walked; em sums them over
 all classes; coarse and ncinv sum them over the classes J with Set(J) ⊆ Set(I)
 by a subset-sum (zeta) transform over the n − 1 cut positions.  scstep runs
-one unit per (n, m).  Units are pure functions of their arguments, so sweeps
-parallelize over them and reports merge deterministically: rendered output is
-byte-identical for any worker count.
+one unit per (m, k), which yields its item at every n ≥ m + k.  Units are
+pure functions of their arguments, so sweeps parallelize over them and
+reports merge deterministically: rendered output is byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .ribbons import (
 __all__ = [
     'CheckItem',
     'VerificationReport',
-    'ClassDistribution',
     'class_distribution',
     'check_euler_mahonian',
     'run_checks',
@@ -130,33 +130,18 @@ class VerificationReport:
         return cls(items=tuple(sorted(items)))
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
-    """Generating function of sorted codes of inverses over a descent class."""
-
-    composition: Composition
-    family: str
-    poly: IndexPolynomial
-
-    @property
-    def count(self) -> int:
-        return self.poly.total_mass()
-
-
 def class_distribution(
     comp: Composition, family: CodeFamily, limit: int | None = None
-) -> ClassDistribution:
+) -> IndexPolynomial:
     """Σ over σ in D_I of the monomial of sorted family-code of σ^{-1}.
 
     >>> from .codes import INVCODE
-    >>> dist = class_distribution((2, 1), INVCODE)
-    >>> sorted(dist.poly.terms)
+    >>> sorted(class_distribution((2, 1), INVCODE).terms)
     [(0, 0, 1), (0, 1, 1)]
     """
-    poly = IndexPolynomial(Counter(
+    return IndexPolynomial(Counter(
         sorted_code(family.encode(inverse(p))) for p in descent_class(comp, limit)
     ))
-    return ClassDistribution(comp, family.name, poly)
 
 
 def _difference(show, label_a: str, a, label_b: str, b):
@@ -396,7 +381,7 @@ def _class_items(n: int, checks, families) -> list[CheckItem]:
 
 
 # ---------------------------------------------------------------------------
-# scstep, one (n, m) at a time
+# scstep, one (m, k) for every n at once
 
 
 def _scstep_witness(m: int, k: int) -> str:
@@ -414,12 +399,12 @@ def _scstep_witness(m: int, k: int) -> str:
     return ''
 
 
-def _scstep_items(n: int, m: int) -> list[CheckItem]:
-    items = []
-    for k in range(1, n - m + 1):
-        witness = _scstep_witness(m, k)
-        items.append(CheckItem('scstep', n, f'm={m} k={k}', not witness, witness))
-    return items
+def _scstep_items(m: int, k: int, n_max: int) -> list[CheckItem]:
+    """The scstep items of (m, k) at every n from m + k to ``n_max``: the
+    witness depends on (m, k) alone, so it is computed once."""
+    witness = _scstep_witness(m, k)
+    return [CheckItem('scstep', n, f'm={m} k={k}', not witness, witness)
+            for n in range(m + k, n_max + 1)]
 
 
 def check_euler_mahonian(n: int, family: CodeFamily) -> VerificationReport:
@@ -451,22 +436,30 @@ def _run_task(task) -> list[CheckItem]:
 
 def _build_tasks(n_max: int, checks, family_names) -> list[tuple]:
     """One class-pass task per size, when a class check is selected, and
-    one scstep task per (n, m).  ncinv needs invcode; scstep needs scode."""
+    one scstep task per (m, k) with m + k ≤ n_max.  ncinv needs invcode;
+    scstep needs scode."""
     unknown = [check for check in checks if check not in CHECK_NAMES]
     if unknown:
         raise ValueError(f'unknown check {unknown[0]!r}')
     names = tuple(family_names)
+    unknown = [name for name in names if name not in FAMILIES]
+    if unknown:
+        raise ValueError(f'unknown family {unknown[0]!r}; choose from '
+                         f'{", ".join(FAMILIES)}')
+    if not names:
+        raise ValueError('no code families selected')
     class_checks = tuple(
         check for check in CLASS_CHECKS
         if check in checks and (check != 'ncinv' or 'invcode' in names)
     )
     scstep = 'scstep' in checks and 'scode' in names
     tasks: list[tuple] = []
-    for n in range(1, n_max + 1):
-        if class_checks:
-            tasks.append((_class_task, n, class_checks, names))
-        if scstep:
-            tasks.extend((_scstep_items, n, m) for m in range(n))
+    if class_checks:
+        tasks.extend((_class_task, n, class_checks, names)
+                     for n in range(1, n_max + 1))
+    if scstep:
+        tasks.extend((_scstep_items, m, k, n_max)
+                     for m in range(n_max) for k in range(1, n_max - m + 1))
     if not tasks:
         raise ValueError('the selection runs no checks: n must be at least 1, '
                          'ncinv needs family ic and scstep needs sc')

@@ -127,6 +127,15 @@ def fs_items(n, comp, family_names):
     return [CheckItem('fs', n, subject, not witness, witness)]
 
 
+def scstep_items(n, m):
+    """scstep at size n for one m, every k ≤ n − m witnessed afresh."""
+    items = []
+    for k in range(1, n - m + 1):
+        witness = verify._scstep_witness(m, k)
+        items.append(CheckItem('scstep', n, f'm={m} k={k}', not witness, witness))
+    return items
+
+
 def _compositions(n, family_names):
     return compositions_of(n)
 
@@ -139,7 +148,7 @@ DIRECT_CHECKS = {
     'ncinv': (lambda n, names: compositions_of(n) if 'invcode' in names else (),
               lambda n, comp, names: [verify._ncinv_item(n, comp)]),
     'scstep': (lambda n, names: range(n) if 'scode' in names else (),
-               lambda n, m, names: verify._scstep_items(n, m)),
+               lambda n, m, names: scstep_items(n, m)),
     'em': (lambda n, names: names,
            lambda n, name, names: em_items(n, FAMILIES[name])),
     'fs': (_compositions, fs_items),

@@ -232,14 +232,9 @@ def test_verify_cap_requires_acknowledgment(capsys):
     assert 'allow-large' in err
 
 
-def test_workers_default_comes_from_environment(monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV, '5')
-    parser = cli.build_parser()
-    args = parser.parse_args(['verify'])
-    assert args.workers == 5
-    monkeypatch.setenv(cli.WORKERS_ENV, 'junk')
-    args = cli.build_parser().parse_args(['verify'])
-    assert args.workers == 1
+def test_workers_default_is_one(monkeypatch):
+    monkeypatch.setenv('PERMCODES_WORKERS', '5')
+    assert cli.build_parser().parse_args(['verify']).workers == 1
 
 
 def test_trees_output(capsys):

@@ -1,12 +1,24 @@
-"""Run the usage examples embedded in the library docstrings."""
+"""Run the usage examples: the library docstrings, the README quickstart and
+the demos, and pin the package's top-level names to what those examples
+import."""
 
+import ast
 import doctest
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import permcodes
 from permcodes import codes, lequiv, permutations, polynomials, ribbons, trees, verify
 
 MODULES = [permutations, codes, polynomials, ribbons, trees, lequiv, verify]
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / 'README.md'
+DEMOS = sorted((ROOT / 'demos').glob('*.py'))
 
 
 @pytest.mark.parametrize('module', MODULES, ids=lambda m: m.__name__.split('.')[-1])
@@ -14,3 +26,37 @@ def test_module_doctests_pass(module):
     result = doctest.testmod(module, verbose=False)
     assert result.failed == 0
     assert result.attempted > 0
+
+
+def test_readme_quickstart_passes():
+    result = doctest.testfile(str(README), module_relative=False, verbose=False)
+    assert result.failed == 0
+    assert result.attempted > 0
+
+
+@pytest.mark.parametrize('demo', DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo):
+    env = {**os.environ, 'PYTHONPATH': str(ROOT / 'src')}
+    result = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
+def _names_imported_from_permcodes(source: str) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == 'permcodes'
+        for alias in node.names
+    }
+
+
+def test_package_exports_what_readme_and_demos_import():
+    examples = [example.source for example in
+                doctest.DocTestParser().get_examples(README.read_text())]
+    imported = _names_imported_from_permcodes(''.join(examples))
+    for demo in DEMOS:
+        imported |= _names_imported_from_permcodes(demo.read_text())
+    exported = {name for name, value in vars(permcodes).items()
+                if not name.startswith('_') and not isinstance(value, ModuleType)}
+    assert exported == imported

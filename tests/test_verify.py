@@ -96,8 +96,8 @@ def test_2112_sorted_codes_share_one_multiset():
 @pytest.mark.parametrize('name', ('invcode', 'scode', 'majcode'))
 def test_class_distribution_matches_2112(name):
     dist = class_distribution((2, 1, 1, 2), FAMILIES[name])
-    assert dist.count == 19
-    assert dist.poly == ribbon_flagged((2, 1, 1, 2))
+    assert dist.total_mass() == 19
+    assert dist == ribbon_flagged((2, 1, 1, 2))
 
 
 @pytest.mark.parametrize('check', [
@@ -288,6 +288,16 @@ def test_run_checks_refuses_a_selection_without_checks(n_max, checks, family_nam
         run_checks(n_max, checks=checks, family_names=family_names)
 
 
+@pytest.mark.parametrize('family_names, message', [
+    (('lehmer',), "unknown family 'lehmer'"),
+    (('invcode', 'bogus'), "unknown family 'bogus'"),
+    ((), 'no code families selected'),
+], ids=['lehmer', 'bogus', 'none'])
+def test_run_checks_refuses_unknown_or_no_families(family_names, message):
+    with pytest.raises(ValueError, match=message):
+        run_checks(3, family_names=family_names)
+
+
 def test_failure_line_rendering():
     report = run_checks(3)
     item = report.items[0]
@@ -310,7 +320,7 @@ def test_sorted_code_multiset_is_what_class_distribution_counts():
     for p in descent_class(comp):
         expected = expected + IndexPolynomial.monomial(
             sorted_code(maj_code(inverse(p))))
-    assert dist.poly == expected
+    assert dist == expected
 
 
 # The class pass against the direct routes.
@@ -332,7 +342,7 @@ def test_exact_descent_words_are_e_filtered_by_descent_set():
 def test_subset_sums_of_class_counts_are_the_shuffle_set_counts(name):
     family = FAMILIES[name]
     for n in range(1, 8):
-        by_class = {comp: Counter(class_distribution(comp, family).poly.terms)
+        by_class = {comp: Counter(class_distribution(comp, family).terms)
                     for comp in compositions_of(n)}
         sums = verify._subset_sums(by_class)
         assert list(sums) == compositions_of(n)
@@ -384,6 +394,16 @@ def test_a_theorem_sweep_takes_no_inv_or_maj(monkeypatch):
     assert calls == Counter()
     assert run_checks(5, checks=('fs',)).passed
     assert calls == Counter(inv=153, maj=153)
+
+
+def test_scstep_computes_each_pair_once(monkeypatch):
+    calls = Counter()
+    _spy(monkeypatch, calls, '_scstep_witness')
+    report = run_checks(7, checks=('scstep',))
+    # one witness per (m, k) with m + k <= 7, one item per (n, m, k)
+    assert calls['_scstep_witness'] == 28
+    assert len(report.items) == sum(n * (n + 1) // 2 for n in range(1, 8)) == 84
+    assert report.passed
 
 
 def test_ncinv_takes_the_direct_route_only_for_failing_units(monkeypatch):
