@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -431,6 +432,11 @@ def main(argv=None) -> int:
         return 2
     except BrokenProcessPool as exc:
         print(f'error: worker pool failed: {exc}', file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull so
+        # the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -432,19 +432,22 @@ def format_permutation(p: Perm) -> str:
 
 
 def parse_composition(text: str) -> Composition:
-    """Parse ``(2,1,1,2)``, ``2,1,1,2`` or the compact ``2112``.
+    """Parse ``(2,1,1,2)``, ``2,1,1,2`` or the compact ``2112``.  Parenthesized
+    text is always split on commas, so this inverts ``format_composition``.
 
     >>> parse_composition('(2,1,1,2)')
     (2, 1, 1, 2)
     >>> parse_composition('2112')
     (2, 1, 1, 2)
+    >>> parse_composition('(10)')
+    (10,)
     """
-    text = text.strip().lstrip('(').rstrip(')')
-    if ',' in text:
-        parts = [int(tok) for tok in text.split(',')]
+    text = text.strip()
+    if text[:1] == '(' and text[-1:] == ')':
+        tokens = text[1:-1].split(',') if text[1:-1].strip() else []
     else:
-        parts = [int(ch) for ch in text]
-    return check_composition(parts)
+        tokens = text.split(',') if ',' in text else list(text)
+    return check_composition(int(tok) for tok in tokens)
 
 
 def format_composition(comp: Composition) -> str:

@@ -12,11 +12,11 @@ descent class D_J of S_n once, inverts each member once, encodes each inverse
 once per family, and keeps per-class counts of what the selected checks read.
 theorem and fs compare a class's counts while it is walked; em sums them over
 all classes; coarse and ncinv sum them over the classes J with Set(J) ⊆ Set(I)
-by a subset-sum (zeta) transform over the n − 1 cut positions.  scstep runs
-one unit per (m, k), which yields its item at every n ≥ m + k.  Units are
-pure functions of their arguments, so sweeps parallelize over them and
-reports merge deterministically: rendered output is byte-identical for any
-worker count.
+by a subset-sum (zeta) transform over the n − 1 cut positions, and a failing
+unit's witness is read off those sums.  scstep runs one unit per (m, k),
+which yields its item at every n ≥ m + k.  Units are pure functions of their
+arguments, so sweeps parallelize over them and reports merge
+deterministically: rendered output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .permutations import (
     descent_class,
     format_composition,
     format_permutation,
-    identity_block_shuffle,
     inv,
     inverse,
     iter_permutations,
@@ -279,21 +278,18 @@ def _zeta_coarse_items(n: int, names, by_family) -> list[CheckItem]:
     return items
 
 
-def _ncinv_item(n: int, comp: Composition) -> CheckItem:
-    """ncinv for one unit by the direct route: the invcode words of the whole
-    shuffle set against the concatenation product E(I)."""
-    got = Counter(inv_code(p) for p in identity_block_shuffle(comp, limit=n))
-    blocks = [
-        itertools.combinations_with_replacement(range(size + 1), part)
-        for part, size in zip(comp, alphabet_flag(comp))
-    ]
-    expected = Counter(
-        tuple(itertools.chain.from_iterable(pieces))
-        for pieces in itertools.product(*blocks)
-    )
-    _, witness = _difference(_word, 'invcode words', got,
-                             'concatenation product', expected)
-    return CheckItem('ncinv', n, _subject(comp), not witness, witness)
+def _in_concatenation_product(word, comp: Composition) -> bool:
+    """Whether ``word`` lies in E(comp): it has length |comp|, and each block
+    of comp's shape is nondecreasing within its alphabet from alphabet_flag."""
+    if len(word) != sum(comp):
+        return False
+    start = 0
+    for part, size in zip(comp, alphabet_flag(comp)):
+        chain = (0, *word[start:start + part], size)
+        if any(a > b for a, b in itertools.pairwise(chain)):
+            return False
+        start += part
+    return True
 
 
 def _zeta_ncinv_items(n: int, differences) -> list[CheckItem]:
@@ -302,14 +298,20 @@ def _zeta_ncinv_items(n: int, differences) -> list[CheckItem]:
     Des(w) ⊆ Set(I) and w lies in E(Des w), since merging blocks across a
     non-descent keeps them nondecreasing and within the later, smaller
     alphabet; so E(I) is the disjoint union of E′(J) over Set(J) ⊆ Set(I), as
-    the shuffle set of I is the union of the inverses of those D_J.  A unit
-    passes exactly when its subset sum is zero; one that fails reruns the
-    direct route, which words the witness."""
-    return [
-        _ncinv_item(n, comp) if any(total.values())
-        else CheckItem('ncinv', n, _subject(comp), True)
-        for comp, total in _subset_sums(differences).items()
-    ]
+    the shuffle set of I is the union of the inverses of those D_J.  The
+    subset sum of I is therefore (invcode words of the shuffle set) − E(I),
+    each word of E(I) once: the least word with a nonzero sum is the witness,
+    and adding back its membership in E(I) gives both of its counts."""
+    items = []
+    for comp, total in _subset_sums(differences).items():
+        witness = ''
+        if any(total.values()):
+            word = min(key for key, count in total.items() if count)
+            member = int(_in_concatenation_product(word, comp))
+            _, witness = _difference(_word, 'invcode words', {word: total[word] + member},
+                                     'concatenation product', {word: member})
+        items.append(CheckItem('ncinv', n, _subject(comp), not witness, witness))
+    return items
 
 
 def _class_items(n: int, checks, families) -> list[CheckItem]:
@@ -386,11 +388,8 @@ def _class_items(n: int, checks, families) -> list[CheckItem]:
 
 def _scstep_witness(m: int, k: int) -> str:
     for beta in iter_permutations(m):
-        rank = {value: i for i, value in enumerate(tau_s(beta))}
-        expected = Counter(
-            word for word in itertools.product(range(m + 1), repeat=k)
-            if all(rank[a] <= rank[b] for a, b in zip(word, word[1:]))
-        )
+        # the words nondecreasing in the order τ_S(β), each once
+        expected = Counter(itertools.combinations_with_replacement(tau_s(beta), k))
         got = Counter(s_code(p)[:k] for p in shifted_shuffle(identity(k), beta))
         _, detail = _difference(_word, 'prefixes', got,
                                 'tau_S-nondecreasing words', expected)

@@ -2,15 +2,19 @@
 
 Each check here enumerates on its own, one unit at a time, the way the
 verifier did before it shared one pass over the descent classes of each
-size: theorem and fs walk D_I, coarse encodes the whole shuffle set of I, em
-walks S_n once per family.  The tests compare the library's reports with
-these byte for byte.
+size: theorem and fs walk D_I, coarse encodes the whole shuffle set of I,
+ncinv words that set and builds E(I) block by block, em walks S_n once per
+family, and scstep filters all (m+1)^k words by τ_S rank.  Only the report
+types and the ``inv_code`` and ``s_code`` bindings, which tests mutate, come
+from ``verify``.  The tests compare the library's reports with these byte
+for byte.
 """
 
+import itertools
 from collections import Counter
 
 from permcodes import verify
-from permcodes.codes import FAMILIES, CodeFamily, sorted_code
+from permcodes.codes import FAMILIES, CodeFamily, sorted_code, tau_s
 from permcodes.permutations import (
     compositions_of,
     composition_descent_set,
@@ -19,15 +23,42 @@ from permcodes.permutations import (
     des,
     format_composition,
     format_permutation,
+    identity,
     identity_block_shuffle,
     inv,
     inverse,
     iter_permutations,
     maj,
+    shifted_shuffle,
 )
 from permcodes.polynomials import QPolynomial, format_q_polynomial
-from permcodes.ribbons import h_product, ribbon_determinant, ribbon_flagged
-from permcodes.verify import CheckItem, VerificationReport, _difference, _monomial
+from permcodes.ribbons import (
+    alphabet_flag,
+    format_monomial,
+    h_product,
+    ribbon_determinant,
+    ribbon_flagged,
+)
+from permcodes.verify import CheckItem, VerificationReport
+
+
+def _difference(show, label_a, a, label_b, b):
+    """The least key whose counts in ``a`` and ``b`` differ, and the witness
+    naming it and both counts; ``(None, '')`` when they agree."""
+    keys = [key for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0)]
+    if not keys:
+        return None, ''
+    key = min(keys)
+    return key, (f'{show(key)}: {label_a} has {a.get(key, 0)}, '
+                 f'{label_b} has {b.get(key, 0)}')
+
+
+def _monomial(key):
+    return f'monomial {format_monomial(key)}'
+
+
+def _word(key):
+    return 'word ' + ''.join(map(str, key))
 
 
 def q_factorial(n: int) -> QPolynomial:
@@ -127,11 +158,47 @@ def fs_items(n, comp, family_names):
     return [CheckItem('fs', n, subject, not witness, witness)]
 
 
+def ncinv_items(n, comp, family_names):
+    """The invcode words of the whole shuffle set of I against the
+    concatenation product E(I), built as every choice of one nondecreasing
+    block per part."""
+    got = Counter(verify.inv_code(p) for p in identity_block_shuffle(comp, limit=n))
+    blocks = [
+        itertools.combinations_with_replacement(range(size + 1), part)
+        for part, size in zip(comp, alphabet_flag(comp))
+    ]
+    expected = Counter(
+        tuple(itertools.chain.from_iterable(pieces))
+        for pieces in itertools.product(*blocks)
+    )
+    _, witness = _difference(_word, 'invcode words', got,
+                             'concatenation product', expected)
+    return [CheckItem('ncinv', n, f'I={format_composition(comp)}', not witness, witness)]
+
+
+def scstep_witness(m, k):
+    """For each β in S_m, the length-k prefixes of the saillance codes of
+    the shifted shuffles of id_k with β against every word over {0..m} whose
+    letters are nondecreasing in the order τ_S(β)."""
+    for beta in iter_permutations(m):
+        rank = {value: i for i, value in enumerate(tau_s(beta))}
+        expected = Counter(
+            word for word in itertools.product(range(m + 1), repeat=k)
+            if all(rank[a] <= rank[b] for a, b in zip(word, word[1:]))
+        )
+        got = Counter(verify.s_code(p)[:k] for p in shifted_shuffle(identity(k), beta))
+        _, detail = _difference(_word, 'prefixes', got,
+                                'tau_S-nondecreasing words', expected)
+        if detail:
+            return f'beta={format_permutation(beta)}: {detail}'
+    return ''
+
+
 def scstep_items(n, m):
     """scstep at size n for one m, every k ≤ n − m witnessed afresh."""
     items = []
     for k in range(1, n - m + 1):
-        witness = verify._scstep_witness(m, k)
+        witness = scstep_witness(m, k)
         items.append(CheckItem('scstep', n, f'm={m} k={k}', not witness, witness))
     return items
 
@@ -146,7 +213,7 @@ DIRECT_CHECKS = {
     'theorem': (_compositions, theorem_items),
     'coarse': (_compositions, coarse_items),
     'ncinv': (lambda n, names: compositions_of(n) if 'invcode' in names else (),
-              lambda n, comp, names: [verify._ncinv_item(n, comp)]),
+              ncinv_items),
     'scstep': (lambda n, names: range(n) if 'scode' in names else (),
                lambda n, m, names: scstep_items(n, m)),
     'em': (lambda n, names: names,

@@ -1,6 +1,9 @@
 import importlib.metadata
 import io
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -153,6 +156,31 @@ def test_ribbon_json_separates_indices_past_nine(capsys):
     code, out, _ = run(capsys, 'ribbon', '1,10', '--json', '--allow-large')
     assert code == 0
     assert json.loads(out)['terms'][-1]['monomial'] == '0,0,0,0,0,0,0,0,0,0,10'
+
+
+def test_ribbon_takes_a_single_part_above_nine(capsys):
+    # `ribbon --all 10` labels this composition r_(10)
+    code, out, err = run(capsys, 'ribbon', '(10)', '--allow-large')
+    assert (code, out, err) == (0, '[0000000000]\n', '')
+
+
+@pytest.mark.parametrize('argv', [
+    ('ribbon', '--all', '8'),
+    ('code', '--table', '7'),
+], ids=('ribbon-all', 'code-table'))
+def test_closed_pipe_exits_2_without_a_traceback(argv):
+    # both print far more than a pipe buffers, so the write after the reader
+    # has gone fails
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, 'PYTHONPATH': str(root / 'src')}
+    proc = subprocess.Popen([sys.executable, '-m', 'permcodes.cli', *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert 'Traceback' not in err, err
 
 
 def test_verify_text_and_exit_zero(capsys):

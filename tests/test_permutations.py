@@ -221,3 +221,9 @@ def test_parse_format_composition():
     assert format_composition((2, 1, 1, 2)) == '(2,1,1,2)'
     with pytest.raises(ValueError):
         parse_composition('2,0,1')
+
+
+def test_parse_composition_inverts_format_composition():
+    comps = [comp for n in range(9) for comp in compositions_of(n)]
+    for comp in comps + [(10,), (12, 3)]:
+        assert parse_composition(format_composition(comp)) == comp

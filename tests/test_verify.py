@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from permcodes import verify
+from permcodes import permutations, verify
 from permcodes.codes import (
     FAMILIES,
     SCODE,
@@ -152,6 +152,14 @@ def swap01(encode):
     def broken(p):
         c = encode(p)
         return (c[1], c[0]) + c[2:] if len(c) > 1 else c
+    return broken
+
+
+def drop_last(encode):
+    """``encode`` with its last entry dropped when it is longer than 3."""
+    def broken(p):
+        c = encode(p)
+        return c[:-1] if len(c) > 3 else c
     return broken
 
 
@@ -325,17 +333,36 @@ def test_sorted_code_multiset_is_what_class_distribution_counts():
 
 # The class pass against the direct routes.
 
+def concatenation_product(comp):
+    """The words of E(I), one nondecreasing block per part of I over its
+    alphabet from ``alphabet_flag``."""
+    blocks = [
+        itertools.combinations_with_replacement(range(size + 1), part)
+        for part, size in zip(comp, alphabet_flag(comp))
+    ]
+    return [sum(pieces, ()) for pieces in itertools.product(*blocks)]
+
+
 def test_exact_descent_words_are_e_filtered_by_descent_set():
     for n in range(1, 8):
         for comp in compositions_of(n):
-            blocks = [
-                itertools.combinations_with_replacement(range(size + 1), part)
-                for part, size in zip(comp, alphabet_flag(comp))
-            ]
-            e_words = [sum(pieces, ()) for pieces in itertools.product(*blocks)]
             cuts = composition_descent_set(comp)
-            expected = sorted(w for w in e_words if descent_set(w) == cuts)
+            expected = sorted(w for w in concatenation_product(comp)
+                              if descent_set(w) == cuts)
             assert verify._exact_descent_words(comp) == expected, comp
+
+
+def test_concatenation_product_membership():
+    for n in range(1, 6):
+        for comp in compositions_of(n):
+            e_words = set(concatenation_product(comp))
+            for word in itertools.product(range(n + 1), repeat=n):
+                assert verify._in_concatenation_product(word, comp) == (word in e_words), (
+                    comp, word)
+            # one letter short or one too many: never in E(I)
+            for word in e_words:
+                assert not verify._in_concatenation_product(word[:-1], comp), (comp, word)
+                assert not verify._in_concatenation_product(word + (0,), comp), (comp, word)
 
 
 @pytest.mark.parametrize('name', ('invcode', 'scode', 'majcode'))
@@ -358,7 +385,7 @@ MUTATIONS = [('none', None, None)] + [
     (f'{mutate.__name__}-{name}', name, mutate)
     for name in ('invcode', 'scode', 'majcode', 'verify.inv_code')
     for mutate in (near_miss, swap01)
-]
+] + [('drop_last-verify.inv_code', 'verify.inv_code', drop_last)]
 
 
 @pytest.mark.parametrize('label, target, mutate', MUTATIONS,
@@ -372,7 +399,8 @@ def test_reports_equal_the_direct_routes(monkeypatch, label, target, mutate):
                             dataclasses.replace(family, encode=mutate(family.encode)))
     fast = run_checks(5)
     assert fast.render_text() == direct_report(5).render_text()
-    if label in ('near_miss-scode', 'near_miss-majcode', 'near_miss-verify.inv_code'):
+    if label in ('near_miss-scode', 'near_miss-majcode', 'near_miss-verify.inv_code',
+                 'drop_last-verify.inv_code'):
         assert not fast.passed
 
 
@@ -406,14 +434,22 @@ def test_scstep_computes_each_pair_once(monkeypatch):
     assert report.passed
 
 
-def test_ncinv_takes_the_direct_route_only_for_failing_units(monkeypatch):
+def test_ncinv_never_builds_a_shuffle_set(monkeypatch):
     calls = Counter()
-    _spy(monkeypatch, calls, 'identity_block_shuffle')
+    original = permutations.identity_block_shuffle
+
+    def counted(*args, **kwargs):
+        calls['identity_block_shuffle'] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(permutations, 'identity_block_shuffle', counted)
+    monkeypatch.setattr(verify, 'identity_block_shuffle', counted, raising=False)
     assert run_checks(5, checks=('ncinv',)).passed
-    assert calls == Counter()
     monkeypatch.setattr(verify, 'inv_code', swap01(inv_code))
     report = run_checks(4, checks=('ncinv',))
-    assert calls['identity_block_shuffle'] == len(report.failures) == 11
+    # failing units word their witnesses from the subset sums
+    assert len(report.failures) == 11
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize('workers', (1, 2))
