@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from . import codes, lequiv, ribbons, trees, verify
 from .permutations import (
@@ -429,9 +428,6 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f'error: {exc}', file=sys.stderr)
-        return 2
-    except BrokenProcessPool as exc:
-        print(f'error: worker pool failed: {exc}', file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader closed stdout; send what is still buffered to devnull so

@@ -24,6 +24,7 @@ from .permutations import (
     insert_one_at,
     inverse,
     iter_permutations,
+    parse_integers,
     standardize,
 )
 
@@ -384,17 +385,13 @@ def is_acceptable(family: CodeFamily, n: int) -> AcceptabilityResult:
 
 
 def parse_code(text: str) -> Code:
-    """Parse a code: digit string (n ≤ 10) or comma-separated entries.
+    """Parse a code in a form ``parse_integers`` reads: a digit string
+    (n ≤ 10) or comma-separated entries.
 
     >>> parse_code('420520010')
     (4, 2, 0, 5, 2, 0, 0, 1, 0)
     """
-    text = text.strip()
-    if ',' in text:
-        entries = [int(tok) for tok in text.split(',')]
-    else:
-        entries = [int(ch) for ch in text]
-    return check_code(entries)
+    return check_code(parse_integers(text, 'code'))
 
 
 def format_code(c: Code) -> str:

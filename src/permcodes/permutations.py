@@ -42,6 +42,7 @@ __all__ = [
     'compositions_of',
     'descent_class',
     'identity_block_shuffle',
+    'parse_integers',
     'parse_permutation',
     'format_permutation',
     'parse_composition',
@@ -402,21 +403,42 @@ def identity_block_shuffle(comp: Composition, limit: int | None = None) -> list[
     return acc
 
 
+def parse_integers(text: str, what: str) -> list[int]:
+    """The integers of a permutation, composition or code written as digits
+    (``2112``), comma-separated (``2,1,1,2``) or comma-separated in
+    parentheses (``(2,1,1,2)``); ``what`` names the thing in the error.
+    Parenthesized text is always split on commas, so ``(10)`` is one entry.
+
+    >>> parse_integers('(10)', 'composition')
+    [10]
+    >>> parse_integers('2,,1', 'composition')
+    Traceback (most recent call last):
+    ...
+    ValueError: malformed composition '2,,1': write digits like 2112, or integers separated by commas like 2,1,1,2 or (2,1,1,2)
+    """
+    body = text.strip()
+    if body[:1] == '(' and body[-1:] == ')':
+        body = body[1:-1]
+        tokens = body.split(',') if body.strip() else []
+    else:
+        tokens = body.split(',') if ',' in body else list(body)
+    try:
+        return [int(token) for token in tokens]
+    except ValueError:
+        raise ValueError(
+            f'malformed {what} {text!r}: write digits like 2112, or integers '
+            f'separated by commas like 2,1,1,2 or (2,1,1,2)') from None
+
+
 def parse_permutation(text: str) -> Perm:
-    """Parse one-line notation: either a digit string (n ≤ 9) or
-    comma-separated values.
+    """Parse one-line notation in a form ``parse_integers`` reads.
 
     >>> parse_permutation('31452')
     (3, 1, 4, 5, 2)
     >>> parse_permutation('10,2,3,4,5,6,7,8,9,1')
     (10, 2, 3, 4, 5, 6, 7, 8, 9, 1)
     """
-    text = text.strip()
-    if ',' in text:
-        values = [int(tok) for tok in text.split(',')]
-    else:
-        values = [int(ch) for ch in text]
-    return check_permutation(values)
+    return check_permutation(parse_integers(text, 'permutation'))
 
 
 def format_permutation(p: Perm) -> str:
@@ -432,8 +454,8 @@ def format_permutation(p: Perm) -> str:
 
 
 def parse_composition(text: str) -> Composition:
-    """Parse ``(2,1,1,2)``, ``2,1,1,2`` or the compact ``2112``.  Parenthesized
-    text is always split on commas, so this inverts ``format_composition``.
+    """Parse ``(2,1,1,2)``, ``2,1,1,2`` or the compact ``2112``, the forms
+    ``parse_integers`` reads; it inverts ``format_composition``.
 
     >>> parse_composition('(2,1,1,2)')
     (2, 1, 1, 2)
@@ -442,12 +464,7 @@ def parse_composition(text: str) -> Composition:
     >>> parse_composition('(10)')
     (10,)
     """
-    text = text.strip()
-    if text[:1] == '(' and text[-1:] == ')':
-        tokens = text[1:-1].split(',') if text[1:-1].strip() else []
-    else:
-        tokens = text.split(',') if ',' in text else list(text)
-    return check_composition(int(tok) for tok in tokens)
+    return check_composition(parse_integers(text, 'composition'))
 
 
 def format_composition(comp: Composition) -> str:

@@ -1,15 +1,27 @@
 """Sparse integer polynomials whose monomials are multisets of variable
 indices.
 
-A monomial like x_0²·x_2 is keyed by the sorted index tuple (0, 0, 2); the
-same representation serves the V-indexed tree polynomials (V_3·V_0³ is keyed
-by (0, 0, 0, 3)).  Sorted permutation codes ARE such keys, which is the point:
+A monomial like x_0²·x_2 is written as the sorted index tuple (0, 0, 2); the
+same notation serves the V-indexed tree polynomials (V_3·V_0³ is
+(0, 0, 0, 3)).  Sorted permutation codes ARE such tuples, which is the point:
 generating functions of sorted codes live directly in this class.
+
+Inside, a monomial is one packed integer, Σ_j e_j·2^(W·j) with W = 32, where
+e_j is the exponent of x_j, so the product of two monomials is the sum of
+their keys and a key hashes as one int.  The format is private to this
+module.  Every polynomial carries an upper bound on its degree, and the
+constructors and ``*`` raise ``ValueError`` before any exponent could reach
+2^W, where a carry would turn x_j^(2^W) into x_{j+1}.  ``terms`` is a
+read-only mapping view that reads and writes index tuples: iteration unpacks
+each key once, and a looked-up tuple is packed, so any order of its indices
+names the same monomial.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections import Counter
+from collections.abc import ItemsView, Mapping
+from typing import Iterable, Iterator, Sequence
 
 __all__ = ['Monomial', 'IndexPolynomial', 'QPolynomial', 'format_q_polynomial']
 
@@ -17,10 +29,77 @@ Monomial = tuple[int, ...]
 #: Univariate polynomial in q as a degree -> coefficient map.
 QPolynomial = dict[int, int]
 
+#: Bits per exponent in a packed key.
+W = 32
+_MASK = (1 << W) - 1
+
+
+def _pack(mono: Iterable[int]) -> int:
+    key = 0
+    for index in mono:
+        key += 1 << W * index
+    return key
+
+
+def _unpack(key: int) -> Monomial:
+    mono: Monomial = ()
+    index = 0
+    while key:
+        mono += (index,) * (key & _MASK)
+        key >>= W
+        index += 1
+    return mono
+
+
+def _check_degree(degree: int) -> None:
+    if degree >> W:
+        raise ValueError(f'degree {degree} reaches 2^{W}, the largest '
+                         f'exponent a monomial can hold')
+
+
+class _Terms(Mapping):
+    """Read-only view of a polynomial's terms as ``{index tuple: coeff}``."""
+
+    __slots__ = ('_packed',)
+
+    def __init__(self, packed: dict[int, int]):
+        self._packed = packed
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return map(_unpack, self._packed)
+
+    def __getitem__(self, mono: Iterable[int]) -> int:
+        try:
+            return self._packed[_pack(mono)]
+        except (TypeError, ValueError):
+            raise KeyError(mono) from None
+
+    def items(self) -> _TermItems:
+        return _TermItems(self)
+
+    def values(self):
+        return self._packed.values()
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _TermItems(ItemsView):
+    """The items of a ``_Terms`` view, each key unpacked once."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        for key, coeff in self._mapping._packed.items():
+            yield _unpack(key), coeff
+
 
 class IndexPolynomial:
-    """Polynomial with integer coefficients, monomials keyed by sorted index
-    tuples.
+    """Polynomial with integer coefficients, monomials written as sorted
+    index tuples.
 
     >>> p = IndexPolynomial.monomial((0, 1)) + IndexPolynomial.monomial((0, 0))
     >>> q = IndexPolynomial.monomial((1,), 2)
@@ -28,12 +107,26 @@ class IndexPolynomial:
     [((0, 0, 1), 2), ((0, 1, 1), 2)]
     """
 
-    __slots__ = ('terms',)
+    __slots__ = ('_terms', '_degree')
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self.terms: dict[Monomial, int] = {
-            k: v for k, v in (terms or {}).items() if v
-        }
+        terms = terms or {}
+        self._degree = max(map(len, terms), default=0)
+        _check_degree(self._degree)
+        packed: dict[int, int] = {}
+        for mono, coeff in terms.items():
+            key = _pack(mono)
+            packed[key] = packed.get(key, 0) + coeff
+        self._terms = {k: v for k, v in packed.items() if v}
+
+    @classmethod
+    def _packed(cls, terms: dict[int, int], degree: int) -> IndexPolynomial:
+        """The polynomial of packed ``terms``, dropping zero coefficients."""
+        poly = object.__new__(cls)
+        poly._terms = terms if 0 not in terms.values() else {
+            k: v for k, v in terms.items() if v}
+        poly._degree = degree
+        return poly
 
     @classmethod
     def zero(cls) -> IndexPolynomial:
@@ -45,14 +138,30 @@ class IndexPolynomial:
 
     @classmethod
     def monomial(cls, indices: Iterable[int], coeff: int = 1) -> IndexPolynomial:
-        return cls({tuple(sorted(indices)): coeff})
+        return cls({tuple(indices): coeff})
+
+    @classmethod
+    def from_words(cls, words: Iterable[Sequence[int]]) -> IndexPolynomial:
+        """Σ x^{word} over ``words``, whose letters may come in any order.
+
+        >>> IndexPolynomial.from_words([(1, 0), (0, 1), (0, 0)]).terms
+        {(0, 1): 2, (0, 0): 1}
+        """
+        words = list(words)
+        degree = max(map(len, words), default=0)
+        _check_degree(degree)
+        return cls._packed(dict(Counter(map(_pack, words))), degree)
+
+    @property
+    def terms(self) -> Mapping[Monomial, int]:
+        return _Terms(self._terms)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IndexPolynomial):
-            return self.terms == other.terms
+            return self._terms == other._terms
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -62,30 +171,37 @@ class IndexPolynomial:
         return f'IndexPolynomial({items or "0"})'
 
     def __add__(self, other: IndexPolynomial) -> IndexPolynomial:
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return IndexPolynomial(out)
+        out = dict(self._terms)
+        get = out.get
+        for k, v in other._terms.items():
+            out[k] = get(k, 0) + v
+        return IndexPolynomial._packed(out, max(self._degree, other._degree))
 
     def __sub__(self, other: IndexPolynomial) -> IndexPolynomial:
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return IndexPolynomial(out)
+        out = dict(self._terms)
+        get = out.get
+        for k, v in other._terms.items():
+            out[k] = get(k, 0) - v
+        return IndexPolynomial._packed(out, max(self._degree, other._degree))
 
     def __mul__(self, other: IndexPolynomial | int) -> IndexPolynomial:
         if isinstance(other, int):
-            return IndexPolynomial({k: v * other for k, v in self.terms.items()})
-        out: dict[Monomial, int] = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                key = tuple(sorted(ka + kb))
-                out[key] = out.get(key, 0) + va * vb
-        return IndexPolynomial(out)
+            return IndexPolynomial._packed(
+                {k: v * other for k, v in self._terms.items()}, self._degree)
+        degree = self._degree + other._degree
+        _check_degree(degree)
+        out: dict[int, int] = {}
+        get = out.get
+        b = other._terms.items()
+        for ka, va in self._terms.items():
+            for kb, vb in b:
+                key = ka + kb
+                out[key] = get(key, 0) + va * vb
+        return IndexPolynomial._packed(out, degree)
 
     def total_mass(self) -> int:
         """Sum of all coefficients (the value at every variable = 1)."""
-        return sum(self.terms.values())
+        return sum(self._terms.values())
 
     def substitute_one(self, index: int) -> IndexPolynomial:
         """Set the variable with the given index to 1 (drop it from keys)."""

@@ -57,11 +57,8 @@ def h_flagged(k: int, m: int) -> IndexPolynomial:
     """
     if k < 0 or m < 0:
         return IndexPolynomial.zero()
-    terms = {
-        word: 1
-        for word in itertools.combinations_with_replacement(range(m + 1), k)
-    }
-    return IndexPolynomial(terms)
+    return IndexPolynomial.from_words(
+        itertools.combinations_with_replacement(range(m + 1), k))
 
 
 def h_product(comp: Composition) -> IndexPolynomial:
@@ -151,8 +148,7 @@ def format_bracket(poly: IndexPolynomial) -> str:
     if not poly:
         return '0'
     parts = []
-    for mono in sorted(poly.terms):
-        coeff = poly.terms[mono]
+    for mono, coeff in sorted(poly.terms.items()):
         bracket = format_monomial(mono)
         parts.append(bracket if coeff == 1 else f'{coeff} {bracket}')
     return ' + '.join(parts)
@@ -162,8 +158,8 @@ def poly_to_json(poly: IndexPolynomial) -> list[dict[str, object]]:
     """JSON-friendly term list: [{"monomial": "0012", "coeff": 2}, ...],
     monomials written as in ``format_monomial`` without the brackets."""
     return [
-        {'monomial': _index_word(mono), 'coeff': poly.terms[mono]}
-        for mono in sorted(poly.terms)
+        {'monomial': _index_word(mono), 'coeff': coeff}
+        for mono, coeff in sorted(poly.terms.items())
     ]
 
 

@@ -22,10 +22,10 @@ deterministically: rendered output is byte-identical for any worker count.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .codes import (
@@ -138,9 +138,8 @@ def class_distribution(
     >>> sorted(class_distribution((2, 1), INVCODE).terms)
     [(0, 0, 1), (0, 1, 1)]
     """
-    return IndexPolynomial(Counter(
-        sorted_code(family.encode(inverse(p))) for p in descent_class(comp, limit)
-    ))
+    return IndexPolynomial.from_words(
+        family.encode(inverse(p)) for p in descent_class(comp, limit))
 
 
 def _difference(show, label_a: str, a, label_b: str, b):
@@ -181,19 +180,25 @@ def _cut_mask(comp: Composition) -> int:
     return mask
 
 
-def _subset_sums(by_comp: dict) -> dict:
-    """Given counts ``by_comp[J]`` for every composition J of one n, sum them
-    in place into I -> Σ_{Set(J) ⊆ Set(I)} by_comp[J], by a subset-sum (zeta)
-    transform over the n − 1 cut positions, and return ``by_comp``."""
-    by_mask = {_cut_mask(comp): counts for comp, counts in by_comp.items()}
+def _subset_sums(by_comp: dict, add) -> dict:
+    """Given counts ``by_comp[J]`` for every composition J of one n, replace
+    them with I -> Σ_{Set(J) ⊆ Set(I)} by_comp[J], summed by ``add`` in a
+    subset-sum (zeta) transform over the n − 1 cut positions, and return
+    ``by_comp``."""
+    by_mask = {_cut_mask(comp): comp for comp in by_comp}
     step = 1
     while step < len(by_mask):
-        for mask, counts in by_mask.items():
+        for mask, comp in by_mask.items():
             if mask & step:
-                for key, value in by_mask[mask ^ step].items():
-                    counts[key] = counts.get(key, 0) + value
+                by_comp[comp] = add(by_comp[comp], by_comp[by_mask[mask ^ step]])
         step <<= 1
     return by_comp
+
+
+def _add_into(counts: Counter, other: Counter) -> Counter:
+    """``counts`` with ``other`` added in place, negative counts kept."""
+    counts.update(other)
+    return counts
 
 
 def _exact_descent_words(comp: Composition) -> list[tuple[int, ...]]:
@@ -222,11 +227,13 @@ def _exact_descent_words(comp: Composition) -> list[tuple[int, ...]]:
     return words
 
 
-def _theorem_witness(name: str, got, ribbon, members, sorted_codes) -> str:
-    """Compare one family's sorted-code counts over D_I with the ribbon."""
-    mono, witness = _difference(_monomial, name, got, 'ribbon', ribbon)
-    # members are sorted, so the first code equal to the witness
-    # monomial belongs to the least contributing σ
+def _theorem_witness(name: str, got, ribbon, members, codes) -> str:
+    """Word how one family's sorted-code polynomial over D_I differs from
+    the ribbon."""
+    mono, witness = _difference(_monomial, name, got.terms, 'ribbon', ribbon.terms)
+    # members are sorted, so the first code whose sorted form is the
+    # witness monomial belongs to the least contributing σ
+    sorted_codes = list(map(sorted_code, codes))
     if mono in sorted_codes:
         least = members[sorted_codes.index(mono)]
         witness += f'; least contributing sigma: {format_permutation(least)}'
@@ -263,17 +270,18 @@ def _summed_em_items(n: int, names, code_pairs, maj_pairs, inv_pairs) -> list[Ch
 
 
 def _zeta_coarse_items(n: int, names, by_family) -> list[CheckItem]:
-    """coarse from the per-class sorted-code counts ``by_family[i][J]``: the
-    counts over {σ : Des σ ⊆ Set(I)} are their subset sums."""
-    sums = [_subset_sums(by_comp) for by_comp in by_family]
+    """coarse from the per-class sorted-code polynomials ``by_family[i][J]``:
+    the polynomials over {σ : Des σ ⊆ Set(I)} are their subset sums."""
+    sums = [_subset_sums(by_comp, operator.add) for by_comp in by_family]
     items = []
     for comp in compositions_of(n):
-        expected = h_product(comp).terms
+        expected = h_product(comp)
         witness = ''
         for name, by_comp in zip(names, sums):
             got = by_comp.pop(comp)
-            if not witness:
-                _, witness = _difference(_monomial, name, got, 'h_product', expected)
+            if not witness and got != expected:
+                _, witness = _difference(_monomial, name, got.terms,
+                                         'h_product', expected.terms)
         items.append(CheckItem('coarse', n, _subject(comp), not witness, witness))
     return items
 
@@ -303,7 +311,7 @@ def _zeta_ncinv_items(n: int, differences) -> list[CheckItem]:
     each word of E(I) once: the least word with a nonzero sum is the witness,
     and adding back its membership in E(I) gives both of its counts."""
     items = []
-    for comp, total in _subset_sums(differences).items():
+    for comp, total in _subset_sums(differences, _add_into).items():
         witness = ''
         if any(total.values()):
             word = min(key for key, count in total.items() if count)
@@ -332,26 +340,27 @@ def _class_items(n: int, checks, families) -> list[CheckItem]:
         members = descent_class(comp, limit=n)
         inverses = list(map(inverse, members))
         if 'theorem' in checks:
-            ribbon = ribbon_flagged(comp).terms
-            _, witness = _difference(_monomial, 'inclusion-exclusion', ribbon,
-                                     'determinant', ribbon_determinant(comp).terms)
-        # the families share one key tuple per monomial, which keeps the
-        # subset sums that coarse holds at once small
-        shared = {}
+            ribbon = ribbon_flagged(comp)
+            determinant = ribbon_determinant(comp)
+            witness = ''
+            if ribbon != determinant:
+                _, witness = _difference(_monomial, 'inclusion-exclusion', ribbon.terms,
+                                         'determinant', determinant.terms)
+        shared = None
         q_codes = []
         for name, encode, by_comp in zip(names, encoders, coarse_counts):
+            codes = list(map(encode, inverses))
             if want_codes:
-                codes = [sorted_code(encode(q)) for q in inverses]
-                got = Counter(codes)
-                if 'theorem' in checks and not witness:
+                got = IndexPolynomial.from_words(codes)
+                if 'theorem' in checks and not witness and got != ribbon:
                     witness = _theorem_witness(name, got, ribbon, members, codes)
                 if 'coarse' in checks:
-                    by_comp[comp] = {shared.setdefault(key, key): count
-                                     for key, count in got.items()}
-            else:
-                codes = list(map(encode, inverses))
+                    # a family whose polynomial equals the first family's
+                    # stores that one, so the subset sums that coarse holds
+                    # at once share one key per monomial
+                    shared = shared or got
+                    by_comp[comp] = shared if got == shared else got
             if want_stats:
-                # sorting keeps a code's entry sum
                 q_codes.append(Counter(map(sum, codes)))
         if 'theorem' in checks:
             items.append(CheckItem('theorem', n, _subject(comp), not witness, witness))
@@ -475,7 +484,8 @@ def run_checks(
 
     The report is independent of ``workers``: tasks are pure and items are
     sorted before rendering.  ``workers`` is clamped to the CPU count and the
-    number of tasks; at one worker the tasks run in this process.
+    number of tasks; at one worker the tasks run in this process.  A worker
+    pool that breaks raises ``ValueError``.
     """
     tasks = _build_tasks(n_max, checks, family_names)
     workers = min(workers, os.cpu_count() or 1, len(tasks))
@@ -484,7 +494,14 @@ def run_checks(
         for task in tasks:
             items.extend(_run_task(task))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_run_task, tasks, chunksize=4):
-                items.extend(result)
+        # imported here, so that a run in one process never loads the pool
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for result in pool.map(_run_task, tasks, chunksize=4):
+                    items.extend(result)
+        except BrokenProcessPool as exc:
+            raise ValueError(f'worker pool failed: {exc}') from exc
     return VerificationReport.from_items(items)

@@ -8,6 +8,10 @@ family, and scstep filters all (m+1)^k words by τ_S rank.  Only the report
 types and the ``inv_code`` and ``s_code`` bindings, which tests mutate, come
 from ``verify``.  The tests compare the library's reports with these byte
 for byte.
+
+``TuplePolynomial`` is the polynomial arithmetic with monomials keyed by
+sorted index tuples, which ``IndexPolynomial`` replaced by packed integer
+keys; the flagged ribbons' two recurrences run on it here.
 """
 
 import itertools
@@ -40,6 +44,89 @@ from permcodes.ribbons import (
     ribbon_flagged,
 )
 from permcodes.verify import CheckItem, VerificationReport
+
+
+class TuplePolynomial:
+    """Integer polynomial as ``{sorted index tuple: coeff}``, zero
+    coefficients dropped; a product of monomials is the sorted concatenation
+    of their tuples."""
+
+    def __init__(self, terms=None):
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, 0) + v
+        return TuplePolynomial(out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, 0) - v
+        return TuplePolynomial(out)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return TuplePolynomial({k: v * other for k, v in self.terms.items()})
+        out = {}
+        for ka, va in self.terms.items():
+            for kb, vb in other.terms.items():
+                key = tuple(sorted(ka + kb))
+                out[key] = out.get(key, 0) + va * vb
+        return TuplePolynomial(out)
+
+    def total_mass(self):
+        return sum(self.terms.values())
+
+    def substitute_one(self, index):
+        out = {}
+        for k, v in self.terms.items():
+            key = tuple(i for i in k if i != index)
+            out[key] = out.get(key, 0) + v
+        return TuplePolynomial(out)
+
+    def q_by_factor_count(self):
+        out = {}
+        for k, v in self.terms.items():
+            out[len(k)] = out.get(len(k), 0) + v
+        return {d: c for d, c in out.items() if c}
+
+
+def tuple_h(k, m):
+    """h_k over {x_0, ..., x_m}: every nondecreasing word, coefficient 1."""
+    if k < 0 or m < 0:
+        return TuplePolynomial()
+    return TuplePolynomial({
+        word: 1 for word in itertools.combinations_with_replacement(range(m + 1), k)})
+
+
+def tuple_ribbon_flagged(comp):
+    """r_I = h_{i_1}(X_{n−i_1})·r_{(i_2,...)} − r_{(i_1+i_2,i_3,...)}, with
+    r_{(n)} = h_n(X_0)."""
+    if not comp:
+        return TuplePolynomial({(): 1})
+    first, rest = comp[0], comp[1:]
+    out = tuple_h(first, sum(rest))
+    if rest:
+        out = out * tuple_ribbon_flagged(rest) - tuple_ribbon_flagged(
+            (first + rest[0],) + rest[1:])
+    return out
+
+
+def tuple_ribbon_determinant(comp):
+    """r_I = Σ_k (−1)^{k−1} h_{i_1+...+i_k}(X_{n−i_1−...−i_k})·r_{(i_{k+1},...)},
+    the first-row expansion of the flagged Hessenberg determinant."""
+    if not comp:
+        return TuplePolynomial({(): 1})
+    out = TuplePolynomial()
+    for k in range(1, len(comp) + 1):
+        term = tuple_h(sum(comp[:k]), sum(comp[k:])) * tuple_ribbon_determinant(comp[k:])
+        out = out + term if k % 2 else out - term
+    return out
 
 
 def _difference(show, label_a, a, label_b, b):

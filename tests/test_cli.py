@@ -165,6 +165,32 @@ def test_ribbon_takes_a_single_part_above_nine(capsys):
 
 
 @pytest.mark.parametrize('argv', [
+    ('ribbon', '10,'),
+    ('ribbon', '2,,1'),
+    ('ribbon', '(2,1'),
+    ('code', '3,1,,2'),
+    ('decode', '--family', 'ic', '1,,0'),
+])
+def test_malformed_lists_quote_the_input_and_the_forms(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ''
+    assert f"{argv[-1]!r}: write digits like 2112, or integers separated by " in err
+    assert 'Traceback' not in err
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, 'PYTHONPATH': str(root / 'src')}
+    script = ('import sys, permcodes.cli; '
+              'print(sorted(m for m in ("concurrent.futures", "multiprocessing") '
+              'if m in sys.modules))')
+    proc = subprocess.run([sys.executable, '-c', script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, '[]\n', '')
+
+
+@pytest.mark.parametrize('argv', [
     ('ribbon', '--all', '8'),
     ('code', '--table', '7'),
 ], ids=('ribbon-all', 'code-table'))
@@ -246,7 +272,7 @@ def test_verify_broken_worker_pool_exits_two(capsys, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             raise BrokenProcessPool('a worker died')
 
-    monkeypatch.setattr(cli.verify, 'ProcessPoolExecutor', BrokenPool)
+    monkeypatch.setattr('concurrent.futures.ProcessPoolExecutor', BrokenPool)
     monkeypatch.setattr(cli.verify.os, 'cpu_count', lambda: 2)
     code, out, err = run(capsys, 'verify', '--n', '3', '--workers', '2')
     assert code == 2

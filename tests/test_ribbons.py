@@ -20,6 +20,8 @@ from permcodes.ribbons import (
     ribbon_table_lines,
 )
 
+from oracles import tuple_ribbon_determinant, tuple_ribbon_flagged
+
 # Reference expansions.  Monomial [0012] stands for x_0^2 x_1 x_2; an integer
 # before a bracket is its coefficient.
 TABLE_N3 = """\
@@ -322,3 +324,10 @@ def test_format_and_json_helpers():
         {'monomial': '011', 'coeff': 1},
     ]
     assert format_bracket(IndexPolynomial.zero()) == '0'
+
+
+def test_ribbon_routes_equal_the_tuple_keyed_recurrences():
+    for n in range(8):
+        for comp in compositions_of(n):
+            assert ribbon_flagged(comp).terms == tuple_ribbon_flagged(comp).terms, comp
+            assert ribbon_determinant(comp).terms == tuple_ribbon_determinant(comp).terms, comp
