@@ -46,10 +46,6 @@ RIBBON_MODES = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 def _resolve_families(text: str) -> tuple[codes.CodeFamily, ...]:
     out = []
     for token in text.split(','):
@@ -58,19 +54,19 @@ def _resolve_families(text: str) -> tuple[codes.CodeFamily, ...]:
             continue
         family = FAMILY_ALIASES.get(token)
         if family is None:
-            raise UsageError(f'unknown code family {token!r}')
+            raise ValueError(f'unknown code family {token!r}')
         if family not in out:
             out.append(family)
     if not out:
-        raise UsageError('no code families selected')
+        raise ValueError('no code families selected')
     return tuple(out)
 
 
 def _check_cap(n: int, allow_large: bool) -> None:
     if n < 0:
-        raise UsageError('n must be non-negative')
+        raise ValueError('n must be non-negative')
     if n > DEFAULT_ENUMERATION_LIMIT and not allow_large:
-        raise UsageError(
+        raise ValueError(
             f'n={n} exceeds the cap {DEFAULT_ENUMERATION_LIMIT}; pass --allow-large '
             f'to accept the runtime'
         )
@@ -126,11 +122,11 @@ def cmd_code(args) -> int:
         families = (codes.LEHMER, *TABLE_FAMILIES)
     if args.table is not None:
         if args.perm is not None:
-            raise UsageError('give a permutation or --table N, not both')
+            raise ValueError('give a permutation or --table N, not both')
         _check_cap(args.table, args.allow_large)
         if args.json:
             payload = []
-            for p in sorted(iter_permutations(args.table)):
+            for p in iter_permutations(args.table):
                 entry = {'perm': format_permutation(p)}
                 for family in families:
                     entry[family.name] = codes.format_code(family.encode(p))
@@ -140,7 +136,7 @@ def cmd_code(args) -> int:
             print('\n'.join(code_table_lines(args.table, families)))
         return 0
     if args.perm is None:
-        raise UsageError('a permutation argument or --table N is required')
+        raise ValueError('a permutation argument or --table N is required')
     p = parse_permutation(args.perm)
     if args.json:
         payload = {'perm': format_permutation(p), 'codes': {}}
@@ -163,11 +159,8 @@ def cmd_code(args) -> int:
 def cmd_decode(args) -> int:
     families = _resolve_families(args.family)
     if len(families) != 1:
-        raise UsageError('--family takes exactly one family')
-    try:
-        c = codes.parse_code(args.code)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError('--family takes exactly one family')
+    c = codes.parse_code(args.code)
     p = families[0].decode(c)
     if args.json:
         print(json.dumps({
@@ -188,7 +181,7 @@ def cmd_ribbon(args) -> int:
     route = RIBBON_MODES[args.mode]
     if args.all is not None:
         if args.composition is not None:
-            raise UsageError('give a composition or --all N, not both')
+            raise ValueError('give a composition or --all N, not both')
         _check_cap(args.all, args.allow_large)
         if args.json:
             payload = [
@@ -204,11 +197,8 @@ def cmd_ribbon(args) -> int:
             print('\n'.join(ribbons.ribbon_table_lines(args.all, route, symbol)))
         return 0
     if args.composition is None:
-        raise UsageError('a composition argument or --all N is required')
-    try:
-        comp = parse_composition(args.composition)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError('a composition argument or --all N is required')
+    comp = parse_composition(args.composition)
     _check_cap(sum(comp), args.allow_large)
     poly = route(comp)
     if args.json:
@@ -234,18 +224,13 @@ def cmd_verify(args) -> int:
         selected = tuple(
             token.strip().lower() for token in args.checks.split(',') if token.strip()
         )
-        unknown = [c for c in selected if c not in verify.CHECK_NAMES]
-        if unknown:
-            raise UsageError(
-                f'unknown checks {unknown}; choose from {",".join(verify.CHECK_NAMES)}'
-            )
     families = _resolve_families(args.families)
     for family in families:
         if family.tau is None:
-            raise UsageError(f'code family {family.name!r} has no tau map; '
+            raise ValueError(f'code family {family.name!r} has no tau map; '
                              f'verify takes {VERIFY_FAMILIES}')
     if args.workers < 1:
-        raise UsageError('--workers must be at least 1')
+        raise ValueError('--workers must be at least 1')
     names = tuple(family.name for family in families)
     report = verify.run_checks(
         args.n, checks=selected, family_names=names, workers=args.workers
@@ -267,7 +252,7 @@ def cmd_trees(args) -> int:
     n = args.n
     _check_cap(n, args.allow_large)
     if n < 1:
-        raise UsageError('n must be at least 1')
+        raise ValueError('n must be at least 1')
     series = trees.taylor_tree_series(n)
     x_poly = trees.x_polynomial(n)
     c_poly = trees.c_polynomial(max(n - 1, 0))
@@ -297,24 +282,26 @@ def cmd_trees(args) -> int:
 # lclass
 
 
+def _class_json(cls: lequiv.LClass) -> dict:
+    """One class as ``lclass --json`` writes it."""
+    return {
+        'key': codes.format_code(cls.key),
+        'max': format_permutation(cls.max_member),
+        'min': format_permutation(cls.min_member),
+        'members': [format_permutation(q) for q in cls.members],
+    }
+
+
 def cmd_lclass(args) -> int:
     if (args.perm is None) == (args.n is None):
-        raise UsageError('exactly one of --perm or --n is required')
+        raise ValueError('exactly one of --perm or --n is required')
     if args.perm is not None:
-        try:
-            p = parse_permutation(args.perm)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        p = parse_permutation(args.perm)
         _check_cap(len(p), args.allow_large)
         cls = lequiv.l_class(p)
         if args.json:
-            print(json.dumps({
-                'perm': format_permutation(p),
-                'key': codes.format_code(cls.key),
-                'max': format_permutation(cls.max_member),
-                'min': format_permutation(cls.min_member),
-                'members': [format_permutation(q) for q in cls.members],
-            }, indent=2))
+            print(json.dumps({'perm': format_permutation(p), **_class_json(cls)},
+                             indent=2))
         else:
             print(f'class of {format_permutation(p)} '
                   f'(sorted Lcode {codes.format_code(cls.key)}, '
@@ -330,15 +317,7 @@ def cmd_lclass(args) -> int:
         print(json.dumps({
             'n': args.n,
             'count': len(classes),
-            'classes': [
-                {
-                    'key': codes.format_code(cls.key),
-                    'max': format_permutation(cls.max_member),
-                    'min': format_permutation(cls.min_member),
-                    'members': [format_permutation(q) for q in cls.members],
-                }
-                for cls in classes
-            ],
+            'classes': [_class_json(cls) for cls in classes],
         }, indent=2))
     else:
         print(f'{len(classes)} classes of S_{args.n}')
@@ -423,9 +402,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f'error: {exc}', file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 2

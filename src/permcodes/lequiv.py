@@ -10,6 +10,7 @@ the sorted Lehmer code, so there are Catalan(n) of them, each containing one
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 
@@ -131,15 +132,16 @@ def l_class(p: Perm) -> LClass:
 
 def l_classes(n: int, limit: int | None = None) -> list[LClass]:
     """Partition of S_n into L-classes, sorted by minimal member; there are
-    Catalan(n) of them."""
+    Catalan(n) of them.  S_n is walked in lexicographic order, so each class
+    is met first at its minimal member."""
     _check_limit(n, limit)
-    remaining = set(iter_permutations(n))
+    classified: set[Perm] = set()
     classes = []
-    while remaining:
-        cls = l_class(min(remaining))
-        classes.append(cls)
-        remaining.difference_update(cls.members)
-    classes.sort(key=lambda cls: cls.members[0])
+    for p in iter_permutations(n):
+        if p not in classified:
+            cls = l_class(p)
+            classes.append(cls)
+            classified.update(cls.members)
     return classes
 
 
@@ -166,13 +168,8 @@ def class_min(p: Perm) -> Perm:
     unused = sorted(lehmer_code(p))
     slots = [0] * n
     for i in range(n, 0, -1):
-        bound = n - i
-        pick = None
-        for j in range(len(unused) - 1, -1, -1):
-            if unused[j] <= bound:
-                pick = j
-                break
-        if pick is None:
+        pick = bisect_right(unused, n - i) - 1
+        if pick < 0:
             raise RuntimeError(
                 f'greedy construction failed at position {i} for code multiset '
                 f'{unused}; input was not a genuine Lehmer code multiset'

@@ -131,17 +131,7 @@ def descent_composition(p: Perm) -> Composition:
     >>> descent_composition(())
     ()
     """
-    n = len(p)
-    if n == 0:
-        return ()
-    parts = []
-    prev = 0
-    for i in range(1, n):
-        if p[i - 1] > p[i]:
-            parts.append(i - prev)
-            prev = i
-    parts.append(n - prev)
-    return tuple(parts)
+    return composition_from_descent_set(descent_set(p), len(p))
 
 
 def des(p: Perm) -> int:
@@ -269,12 +259,7 @@ def composition_descent_set(comp: Composition) -> set[int]:
     >>> sorted(composition_descent_set((2, 1, 1, 2)))
     [2, 3, 4]
     """
-    out = set()
-    acc = 0
-    for part in comp[:-1]:
-        acc += part
-        out.add(acc)
-    return out
+    return set(itertools.accumulate(comp[:-1]))
 
 
 def composition_from_descent_set(descents: Iterable[int], n: int) -> Composition:
@@ -345,14 +330,7 @@ def compositions_of(n: int) -> list[Composition]:
     >>> compositions_of(3)
     [(3,), (2, 1), (1, 2), (1, 1, 1)]
     """
-    if n == 0:
-        return [()]
-    out = []
-    for r in range(n):
-        for subset in itertools.combinations(range(1, n), r):
-            out.append(composition_from_descent_set(subset, n))
-    out.sort(reverse=True)
-    return out
+    return coarser_compositions((1,) * n)
 
 
 def descent_class(comp: Composition, limit: int | None = None) -> list[Perm]:

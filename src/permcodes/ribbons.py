@@ -38,12 +38,7 @@ def alphabet_flag(comp: Composition) -> tuple[int, ...]:
     (4, 3, 2, 0)
     """
     n = sum(comp)
-    sizes = []
-    acc = 0
-    for part in comp:
-        acc += part
-        sizes.append(n - acc)
-    return tuple(sizes)
+    return tuple(n - acc for acc in itertools.accumulate(comp))
 
 
 @cache

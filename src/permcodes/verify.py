@@ -26,7 +26,7 @@ import operator
 import os
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .codes import (
     CodeFamily,
@@ -39,6 +39,7 @@ from .codes import (
 )
 from .permutations import (
     Composition,
+    composition_descent_set,
     compositions_of,
     descent_class,
     format_composition,
@@ -52,6 +53,7 @@ from .permutations import (
 )
 from .polynomials import IndexPolynomial, format_q_polynomial
 from .ribbons import (
+    _index_word,
     alphabet_flag,
     format_monomial,
     h_product,
@@ -112,16 +114,7 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {
             'passed': self.passed,
-            'items': [
-                {
-                    'check': item.check,
-                    'n': item.n,
-                    'subject': item.subject,
-                    'passed': item.passed,
-                    'witness': item.witness,
-                }
-                for item in self.items
-            ],
+            'items': [asdict(item) for item in self.items],
         }
 
     @classmethod
@@ -160,7 +153,7 @@ def _monomial(key) -> str:
 
 
 def _word(key) -> str:
-    return 'word ' + ''.join(map(str, key))
+    return f'word {_index_word(key)}'
 
 
 def _subject(comp: Composition) -> str:
@@ -173,11 +166,7 @@ def _subject(comp: Composition) -> str:
 
 def _cut_mask(comp: Composition) -> int:
     """Set(comp) as a bit mask: bit s − 1 stands for the proper partial sum s."""
-    mask = acc = 0
-    for part in comp[:-1]:
-        acc += part
-        mask |= 1 << (acc - 1)
-    return mask
+    return sum(1 << (s - 1) for s in composition_descent_set(comp))
 
 
 def _subset_sums(by_comp: dict, add) -> dict:
@@ -195,9 +184,15 @@ def _subset_sums(by_comp: dict, add) -> dict:
     return by_comp
 
 
-def _add_into(counts: Counter, other: Counter) -> Counter:
-    """``counts`` with ``other`` added in place, negative counts kept."""
-    counts.update(other)
+def _add_into(counts: Counter, other: dict) -> Counter:
+    """``counts`` with ``other`` added in place: a key whose counts cancel is
+    dropped, negative counts are kept."""
+    for key, count in other.items():
+        total = counts[key] + count
+        if total:
+            counts[key] = total
+        else:
+            counts.pop(key, None)
     return counts
 
 
@@ -313,8 +308,8 @@ def _zeta_ncinv_items(n: int, differences) -> list[CheckItem]:
     items = []
     for comp, total in _subset_sums(differences, _add_into).items():
         witness = ''
-        if any(total.values()):
-            word = min(key for key, count in total.items() if count)
+        if total:
+            word = min(total)
             member = int(_in_concatenation_product(word, comp))
             _, witness = _difference(_word, 'invcode words', {word: total[word] + member},
                                      'concatenation product', {word: member})
@@ -380,7 +375,8 @@ def _class_items(n: int, checks, families) -> list[CheckItem]:
             difference = Counter()
             if words != expected:
                 difference.update(words)
-                difference.subtract(expected)
+                # E′(J) holds each word once
+                _add_into(difference, dict.fromkeys(expected, -1))
             differences[comp] = difference
     if 'coarse' in checks:
         items.extend(_zeta_coarse_items(n, names, coarse_counts))
@@ -448,7 +444,7 @@ def _build_tasks(n_max: int, checks, family_names) -> list[tuple]:
     scstep needs scode."""
     unknown = [check for check in checks if check not in CHECK_NAMES]
     if unknown:
-        raise ValueError(f'unknown check {unknown[0]!r}')
+        raise ValueError(f'unknown checks {unknown}; choose from {",".join(CHECK_NAMES)}')
     names = tuple(family_names)
     unknown = [name for name in names if name not in FAMILIES]
     if unknown:

@@ -145,7 +145,8 @@ def _monomial(key):
 
 
 def _word(key):
-    return 'word ' + ''.join(map(str, key))
+    # digits while every letter is at most 9, else comma-separated
+    return 'word ' + (',' if key and max(key) > 9 else '').join(map(str, key))
 
 
 def q_factorial(n: int) -> QPolynomial:

@@ -1,6 +1,6 @@
 from hypothesis import given, strategies as st
 
-from permcodes.codes import lehmer_code, sorted_code
+from permcodes.codes import lehmer_code, lehmer_decode, sorted_code
 from permcodes.lequiv import (
     avoids_pattern,
     catalan,
@@ -65,12 +65,29 @@ def test_classes_are_sorted_lehmer_fibers():
                 assert member not in seen
                 seen.add(member)
         assert len(seen) == len(list(iter_permutations(n)))
+        least = [cls.members[0] for cls in classes]
+        assert all(a < b for a, b in zip(least, least[1:]))
+
+
+def _class_min_by_scan(p):
+    """``class_min`` with the largest admissible code entry found by a
+    linear scan from the right."""
+    n = len(p)
+    unused = sorted(lehmer_code(p))
+    slots = [0] * n
+    for i in range(n, 0, -1):
+        pick = max(j for j, c in enumerate(unused) if c <= n - i)
+        slots[i - 1] = unused.pop(pick)
+    return lehmer_decode(tuple(slots))
 
 
 def test_class_extremes_for_682547193():
     p = parse_permutation('682547193')
     assert class_max(p) == parse_permutation('764352819')
     assert class_min(p) == parse_permutation('139857642')
+    for n in range(8):
+        for q in iter_permutations(n):
+            assert class_min(q) == _class_min_by_scan(q), q
 
 
 def test_unique_pattern_avoiders_per_class():

@@ -162,14 +162,25 @@ def test_insert_one_at_positions():
     assert insert_one_at(base, 3) == (3, 2, 4, 1)
 
 
+def _compositions_by_cuts(n):
+    """Every composition of n, one per subset of the cut positions 1..n−1,
+    in descending lexicographic order."""
+    out = []
+    for bits in itertools.product((False, True), repeat=n - 1):
+        ends = [s for s, cut in zip(range(1, n), bits) if cut] + [n]
+        out.append(tuple(b - a for a, b in zip([0] + ends, ends)))
+    return sorted(out, reverse=True)
+
+
 def test_compositions_of_descending_lex():
     assert compositions_of(4) == [
         (4,), (3, 1), (2, 2), (2, 1, 1),
         (1, 3), (1, 2, 1), (1, 1, 2), (1, 1, 1, 1),
     ]
     assert compositions_of(0) == [()]
-    for n in range(1, 9):
+    for n in range(1, 11):
         assert len(compositions_of(n)) == 2 ** (n - 1)
+        assert compositions_of(n) == _compositions_by_cuts(n), n
 
 
 def test_conjugate_composition_pairs():

@@ -282,8 +282,11 @@ def test_run_checks_subset_selection():
     assert report.passed
     assert {item.check for item in report.items} == {'theorem'}
     assert {item.n for item in report.items} == {1, 2, 3, 4}
-    with pytest.raises(ValueError, match="unknown check 'nope'"):
+    with pytest.raises(ValueError, match=r"unknown checks \['nope'\]; choose from "
+                                         r"theorem,coarse,ncinv,scstep,em,fs$"):
         run_checks(2, checks=('theorem', 'nope'))
+    with pytest.raises(ValueError, match=r"unknown checks \['nope', 'bad'\];"):
+        run_checks(3, checks=('nope', 'bad'))
 
 
 @pytest.mark.parametrize('n_max, checks, family_names', [
@@ -305,6 +308,13 @@ def test_run_checks_refuses_a_selection_without_checks(n_max, checks, family_nam
 def test_run_checks_refuses_unknown_or_no_families(family_names, message):
     with pytest.raises(ValueError, match=message):
         run_checks(3, family_names=family_names)
+
+
+def test_witness_words_past_letter_nine_are_comma_separated():
+    # digits while every letter is at most 9, as monomials are written
+    assert verify._word((1, 0, 9)) == 'word 109'
+    assert verify._word((1, 0, 10)) == 'word 1,0,10'
+    assert verify._word((10, 1, 0)) == 'word 10,1,0'
 
 
 def test_failure_line_rendering():
@@ -380,6 +390,12 @@ def test_subset_sums_of_class_counts_are_the_shuffle_set_counts(name):
                 assert shuffle_set == sorted(map(inverse, coarser_class(comp)))
             direct = Counter(sorted_code(family.encode(p)) for p in shuffle_set)
             assert got.terms == direct, (n, comp)
+
+
+def test_add_into_drops_cancelled_keys_and_keeps_negative_counts():
+    counts = Counter({(0,): 2, (1,): 1})
+    assert verify._add_into(counts, {(1,): -1, (2,): -3, (3,): 0}) is counts
+    assert dict(counts) == {(0,): 2, (2,): -3}
 
 
 MUTATIONS = [('none', None, None)] + [
