@@ -13,7 +13,6 @@ import sys
 
 from . import codes, lequiv, ribbons, trees, verify
 from .permutations import (
-    DEFAULT_ENUMERATION_LIMIT,
     compositions_of,
     conjugate_composition,
     descent_class,
@@ -29,6 +28,8 @@ from .polynomials import format_q_polynomial
 __all__ = ['main', 'build_parser', 'code_table_lines']
 
 VERIFY_FAMILIES = 'ic,sc,mc'
+#: The largest size a subcommand enumerates without --allow-large.
+SIZE_CAP = 9
 #: The text code table's columns when --families is not given.
 TABLE_FAMILIES = (codes.INVCODE, codes.MAJCODE, codes.SCODE)
 
@@ -65,9 +66,9 @@ def _resolve_families(text: str) -> tuple[codes.CodeFamily, ...]:
 def _check_cap(n: int, allow_large: bool) -> None:
     if n < 0:
         raise ValueError('n must be non-negative')
-    if n > DEFAULT_ENUMERATION_LIMIT and not allow_large:
+    if n > SIZE_CAP and not allow_large:
         raise ValueError(
-            f'n={n} exceeds the cap {DEFAULT_ENUMERATION_LIMIT}; pass --allow-large '
+            f'n={n} exceeds the cap {SIZE_CAP}; pass --allow-large '
             f'to accept the runtime'
         )
 
@@ -102,10 +103,9 @@ def code_table_lines(n: int, families=TABLE_FAMILIES) -> list[str]:
         groups = []
     for comp in groups:
         lines.append('')
-        left = sorted(map(inverse, descent_class(comp, limit=n)))
+        left = sorted(map(inverse, descent_class(comp)))
         if n >= 2:
-            right = sorted(map(inverse, descent_class(
-                conjugate_composition(comp), limit=n)))
+            right = sorted(map(inverse, descent_class(conjugate_composition(comp))))
             for lp, rp in zip(left, right):
                 lines.append(f'{row(lp)}   {row(rp)}')
         else:
@@ -312,7 +312,7 @@ def cmd_lclass(args) -> int:
             print(f'min {format_permutation(cls.min_member)}')
         return 0
     _check_cap(args.n, args.allow_large)
-    classes = lequiv.l_classes(args.n, limit=args.n)
+    classes = lequiv.l_classes(args.n)
     if args.json:
         print(json.dumps({
             'n': args.n,

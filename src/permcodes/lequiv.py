@@ -17,7 +17,6 @@ from math import comb
 from .codes import Code, lehmer_code, lehmer_decode, sorted_code
 from .permutations import (
     Perm,
-    _check_limit,
     check_permutation,
     iter_permutations,
     standardize,
@@ -130,11 +129,10 @@ def l_class(p: Perm) -> LClass:
     )
 
 
-def l_classes(n: int, limit: int | None = None) -> list[LClass]:
+def l_classes(n: int) -> list[LClass]:
     """Partition of S_n into L-classes, sorted by minimal member; there are
     Catalan(n) of them.  S_n is walked in lexicographic order, so each class
     is met first at its minimal member."""
-    _check_limit(n, limit)
     classified: set[Perm] = set()
     classes = []
     for p in iter_permutations(n):

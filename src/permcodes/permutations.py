@@ -15,8 +15,6 @@ __all__ = [
     'Perm',
     'Word',
     'Composition',
-    'EnumerationLimitError',
-    'DEFAULT_ENUMERATION_LIMIT',
     'is_permutation',
     'check_permutation',
     'identity',
@@ -37,7 +35,6 @@ __all__ = [
     'composition_descent_set',
     'composition_from_descent_set',
     'conjugate_composition',
-    'is_coarser',
     'coarser_compositions',
     'compositions_of',
     'descent_class',
@@ -52,24 +49,6 @@ __all__ = [
 Perm = tuple[int, ...]
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
-
-#: Materializing a set indexed by S_n is refused above this size unless the
-#: caller passes an explicit limit; the CLI refuses it without --allow-large.
-DEFAULT_ENUMERATION_LIMIT = 9
-
-
-class EnumerationLimitError(ValueError):
-    """Raised when an exhaustive enumeration would exceed the configured bound."""
-
-
-def _check_limit(n: int, limit: int | None) -> None:
-    bound = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
-    if n > bound:
-        raise EnumerationLimitError(
-            f'enumeration over size {n} exceeds the limit {bound}; '
-            f'pass limit={n} to allow it'
-        )
-
 
 def is_permutation(word: Sequence[int]) -> bool:
     """Whether ``word`` is a bijection of {1, ..., n} in one-line notation.
@@ -294,19 +273,6 @@ def conjugate_composition(comp: Composition) -> Composition:
     return composition_from_descent_set(complement, n)
 
 
-def is_coarser(i_comp: Composition, j_comp: Composition) -> bool:
-    """Whether ``i_comp`` is coarser than ``j_comp``: Des(I) ⊆ Des(J).
-
-    >>> is_coarser((3, 3), (2, 1, 1, 2))
-    True
-    >>> is_coarser((2, 1, 1, 2), (3, 3))
-    False
-    """
-    if sum(i_comp) != sum(j_comp):
-        raise ValueError('compositions of different integers are incomparable')
-    return composition_descent_set(i_comp) <= composition_descent_set(j_comp)
-
-
 def coarser_compositions(comp: Composition) -> list[Composition]:
     """All compositions coarser than ``comp``, i.e. with descent set contained
     in Des(comp); sorted in descending lexicographic order.
@@ -333,7 +299,7 @@ def compositions_of(n: int) -> list[Composition]:
     return coarser_compositions((1,) * n)
 
 
-def descent_class(comp: Composition, limit: int | None = None) -> list[Perm]:
+def descent_class(comp: Composition) -> list[Perm]:
     """All permutations with descent composition ``comp``, sorted.
 
     Generated block by block: block a is an increasing choice of i_a of the
@@ -345,7 +311,6 @@ def descent_class(comp: Composition, limit: int | None = None) -> list[Perm]:
     ['132', '231']
     """
     n = sum(comp)
-    _check_limit(n, limit)
     if any(part < 1 for part in comp):
         return []
     out = []
@@ -364,7 +329,7 @@ def descent_class(comp: Composition, limit: int | None = None) -> list[Perm]:
     return out
 
 
-def identity_block_shuffle(comp: Composition, limit: int | None = None) -> list[Perm]:
+def identity_block_shuffle(comp: Composition) -> list[Perm]:
     """The shifted shuffle id_{i_1} ⩂ id_{i_2} ⩂ ... ⩂ id_{i_r}, sorted.
 
     Its elements are exactly the inverses of the permutations whose descent
@@ -373,7 +338,6 @@ def identity_block_shuffle(comp: Composition, limit: int | None = None) -> list[
     >>> [''.join(map(str, p)) for p in identity_block_shuffle((2, 1))]
     ['123', '132', '312']
     """
-    _check_limit(sum(comp), limit)
     acc = [()]
     for part in comp:
         block = identity(part)

@@ -30,7 +30,6 @@ __all__ = [
     'tree_from_text',
     'derive',
     'taylor_tree_series',
-    'trees_of_size',
     'connes_moscovici',
     'increasing_labelings',
     'labeled_shape',
@@ -143,11 +142,6 @@ def taylor_tree_series(n: int) -> TreeSeries:
     if n == 1:
         return {SINGLE_NODE: 1}
     return derive(taylor_tree_series(n - 1))
-
-
-def trees_of_size(n: int) -> list[PlaneTree]:
-    """All canonical shapes with ``n`` nodes, sorted."""
-    return sorted(taylor_tree_series(n))
 
 
 def connes_moscovici(t: PlaneTree) -> int:

@@ -13,10 +13,12 @@ once per family, and keeps per-class counts of what the selected checks read.
 theorem and fs compare a class's counts while it is walked; em sums them over
 all classes; coarse and ncinv sum them over the classes J with Set(J) ⊆ Set(I)
 by a subset-sum (zeta) transform over the n − 1 cut positions, and a failing
-unit's witness is read off those sums.  scstep runs one unit per (m, k),
-which yields its item at every n ≥ m + k.  Units are pure functions of their
-arguments, so sweeps parallelize over them and reports merge
-deterministically: rendered output is byte-identical for any worker count.
+unit's witness is read off those sums.  ncinv sorts the words the pass
+encoded for the invcode family, so no σ^{-1} is encoded twice.  scstep runs
+one unit per (m, k), which yields its item at every n ≥ m + k, and encodes
+with the scode family.  Units are pure functions of their arguments, so
+sweeps parallelize over them and reports merge deterministically: rendered
+output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -28,15 +30,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .codes import (
-    CodeFamily,
-    FAMILIES,
-    inv_code,
-    is_acceptable,
-    s_code,
-    sorted_code,
-    tau_s,
-)
+from .codes import CodeFamily, FAMILIES, sorted_code, tau_s
 from .permutations import (
     Composition,
     composition_descent_set,
@@ -65,7 +59,6 @@ __all__ = [
     'CheckItem',
     'VerificationReport',
     'class_distribution',
-    'check_euler_mahonian',
     'run_checks',
     'CHECK_NAMES',
 ]
@@ -122,9 +115,7 @@ class VerificationReport:
         return cls(items=tuple(sorted(items)))
 
 
-def class_distribution(
-    comp: Composition, family: CodeFamily, limit: int | None = None
-) -> IndexPolynomial:
+def class_distribution(comp: Composition, family: CodeFamily) -> IndexPolynomial:
     """Σ over σ in D_I of the monomial of sorted family-code of σ^{-1}.
 
     >>> from .codes import INVCODE
@@ -132,7 +123,7 @@ def class_distribution(
     [(0, 0, 1), (0, 1, 1)]
     """
     return IndexPolynomial.from_words(
-        family.encode(inverse(p)) for p in descent_class(comp, limit))
+        family.encode(inverse(p)) for p in descent_class(comp))
 
 
 def _difference(show, label_a: str, a, label_b: str, b):
@@ -324,7 +315,9 @@ def _class_items(n: int, checks, families) -> list[CheckItem]:
     names = [family.name for family in families]
     want_codes = 'theorem' in checks or 'coarse' in checks
     want_stats = 'em' in checks or 'fs' in checks
-    encoders = [family.encode for family in families] if want_codes or want_stats else []
+    # with ncinv the only class check, only the invcode words are read
+    encoded = [family for family in families
+               if want_codes or want_stats or family.name == 'invcode']
     items: list[CheckItem] = []
     coarse_counts = [{} for _ in families]
     code_pairs = [Counter() for _ in families]
@@ -332,7 +325,7 @@ def _class_items(n: int, checks, families) -> list[CheckItem]:
     inv_pairs: Counter = Counter()
     differences = {}
     for comp in compositions_of(n):
-        members = descent_class(comp, limit=n)
+        members = descent_class(comp)
         inverses = list(map(inverse, members))
         if 'theorem' in checks:
             ribbon = ribbon_flagged(comp)
@@ -343,12 +336,14 @@ def _class_items(n: int, checks, families) -> list[CheckItem]:
                                          'determinant', determinant.terms)
         shared = None
         q_codes = []
-        for name, encode, by_comp in zip(names, encoders, coarse_counts):
-            codes = list(map(encode, inverses))
+        for family, by_comp in zip(encoded, coarse_counts):
+            codes = list(map(family.encode, inverses))
+            if 'ncinv' in checks and family.name == 'invcode':
+                words = sorted(codes)
             if want_codes:
                 got = IndexPolynomial.from_words(codes)
                 if 'theorem' in checks and not witness and got != ribbon:
-                    witness = _theorem_witness(name, got, ribbon, members, codes)
+                    witness = _theorem_witness(family.name, got, ribbon, members, codes)
                 if 'coarse' in checks:
                     # a family whose polynomial equals the first family's
                     # stores that one, so the subset sums that coarse holds
@@ -370,7 +365,6 @@ def _class_items(n: int, checks, families) -> list[CheckItem]:
                 for stat, count in q.items():
                     pairs[stat, des_sigma] += count
         if 'ncinv' in checks:
-            words = sorted(map(inv_code, inverses))
             expected = _exact_descent_words(comp)
             difference = Counter()
             if words != expected:
@@ -392,10 +386,11 @@ def _class_items(n: int, checks, families) -> list[CheckItem]:
 
 
 def _scstep_witness(m: int, k: int) -> str:
+    encode = FAMILIES['scode'].encode
     for beta in iter_permutations(m):
         # the words nondecreasing in the order τ_S(β), each once
         expected = Counter(itertools.combinations_with_replacement(tau_s(beta), k))
-        got = Counter(s_code(p)[:k] for p in shifted_shuffle(identity(k), beta))
+        got = Counter(encode(p)[:k] for p in shifted_shuffle(identity(k), beta))
         _, detail = _difference(_word, 'prefixes', got,
                                 'tau_S-nondecreasing words', expected)
         if detail:
@@ -409,15 +404,6 @@ def _scstep_items(m: int, k: int, n_max: int) -> list[CheckItem]:
     witness = _scstep_witness(m, k)
     return [CheckItem('scstep', n, f'm={m} k={k}', not witness, witness)
             for n in range(m + k, n_max + 1)]
-
-
-def check_euler_mahonian(n: int, family: CodeFamily) -> VerificationReport:
-    """Joint multiset equality of (Σ code(σ^{-1}), des σ) with both
-    (maj(σ^{-1}), des σ) and (inv σ, des σ).  Requires an acceptable family."""
-    result = is_acceptable(family, n)
-    if not result.ok:
-        raise ValueError(f'family {family.name} is not acceptable: {result.witness}')
-    return VerificationReport.from_items(_class_items(n, ('em',), (family,)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ Each check here enumerates on its own, one unit at a time, the way the
 verifier did before it shared one pass over the descent classes of each
 size: theorem and fs walk D_I, coarse encodes the whole shuffle set of I,
 ncinv words that set and builds E(I) block by block, em walks S_n once per
-family, and scstep filters all (m+1)^k words by τ_S rank.  Only the report
-types and the ``inv_code`` and ``s_code`` bindings, which tests mutate, come
-from ``verify``.  The tests compare the library's reports with these byte
-for byte.
+family, and scstep filters all (m+1)^k words by τ_S rank.  Every check
+encodes through the ``FAMILIES`` entries, which tests mutate: ncinv reads
+``FAMILIES['invcode']`` and scstep ``FAMILIES['scode']``, as the library
+does.  Only the report types and the default selections come from
+``verify``.  The tests compare the library's reports with these byte for
+byte.
 
 ``TuplePolynomial`` is the polynomial arithmetic with monomials keyed by
 sorted index tuples, which ``IndexPolynomial`` replaced by packed integer
@@ -180,7 +182,7 @@ def coarser_class(comp):
 
 def theorem_items(n, comp, family_names):
     subject = f'I={format_composition(comp)}'
-    members = descent_class(comp, limit=n)
+    members = descent_class(comp)
     inverses = [inverse(p) for p in members]
     ie = ribbon_flagged(comp)
     _, witness = _difference(_monomial, 'inclusion-exclusion', ie.terms,
@@ -198,7 +200,7 @@ def theorem_items(n, comp, family_names):
 
 def coarse_items(n, comp, family_names):
     subject = f'I={format_composition(comp)}'
-    shuffle_set = identity_block_shuffle(comp, limit=n)
+    shuffle_set = identity_block_shuffle(comp)
     expected = h_product(comp).terms
     witness = ''
     for name in family_names:
@@ -228,7 +230,7 @@ def em_items(n, family: CodeFamily):
 
 def fs_items(n, comp, family_names):
     subject = f'I={format_composition(comp)}'
-    members = descent_class(comp, limit=n)
+    members = descent_class(comp)
     inverses = [inverse(p) for p in members]
     q_inv = Counter(map(inv, members))
     q_maj_inverse = Counter(map(maj, inverses))
@@ -250,7 +252,8 @@ def ncinv_items(n, comp, family_names):
     """The invcode words of the whole shuffle set of I against the
     concatenation product E(I), built as every choice of one nondecreasing
     block per part."""
-    got = Counter(verify.inv_code(p) for p in identity_block_shuffle(comp, limit=n))
+    encode = FAMILIES['invcode'].encode
+    got = Counter(encode(p) for p in identity_block_shuffle(comp))
     blocks = [
         itertools.combinations_with_replacement(range(size + 1), part)
         for part, size in zip(comp, alphabet_flag(comp))
@@ -268,13 +271,14 @@ def scstep_witness(m, k):
     """For each β in S_m, the length-k prefixes of the saillance codes of
     the shifted shuffles of id_k with β against every word over {0..m} whose
     letters are nondecreasing in the order τ_S(β)."""
+    encode = FAMILIES['scode'].encode
     for beta in iter_permutations(m):
         rank = {value: i for i, value in enumerate(tau_s(beta))}
         expected = Counter(
             word for word in itertools.product(range(m + 1), repeat=k)
             if all(rank[a] <= rank[b] for a, b in zip(word, word[1:]))
         )
-        got = Counter(verify.s_code(p)[:k] for p in shifted_shuffle(identity(k), beta))
+        got = Counter(encode(p)[:k] for p in shifted_shuffle(identity(k), beta))
         _, detail = _difference(_word, 'prefixes', got,
                                 'tau_S-nondecreasing words', expected)
         if detail:

@@ -281,9 +281,15 @@ def test_verify_broken_worker_pool_exits_two(capsys, monkeypatch):
 
 
 def test_verify_cap_requires_acknowledgment(capsys):
-    code, _, err = run(capsys, 'verify', '--n', '10')
-    assert code == 2
-    assert 'allow-large' in err
+    # the CLI's cap is the only one: every path that enumerates checks it
+    # before any work, and the library below it takes any n
+    for argv in (('code', '--table', '10'), ('ribbon', '--all', '10'),
+                 ('ribbon', '1,1,1,1,1,1,1,1,1,1'), ('verify', '--n', '10'),
+                 ('trees', '10'), ('lclass', '--n', '10')):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ''), argv
+        assert err == ('error: n=10 exceeds the cap 9; pass --allow-large to '
+                       'accept the runtime\n'), argv
 
 
 def test_workers_default_is_one(monkeypatch):

@@ -9,9 +9,11 @@ import pytest
 from permcodes import permutations, verify
 from permcodes.codes import (
     FAMILIES,
+    INVCODE,
     SCODE,
     CodeFamily,
     inv_code,
+    is_acceptable,
     lehmer_code,
     lehmer_decode,
     maj_code,
@@ -19,7 +21,6 @@ from permcodes.codes import (
     s_decode,
     sorted_code,
     tau_i,
-    tau_s,
 )
 from permcodes.permutations import (
     compositions_of,
@@ -35,7 +36,6 @@ from permcodes.ribbons import alphabet_flag, ribbon_flagged
 from permcodes.verify import (
     CHECK_NAMES,
     VerificationReport,
-    check_euler_mahonian,
     class_distribution,
     run_checks,
 )
@@ -117,26 +117,22 @@ def test_individual_checks_pass_small_sizes(check):
 
 def test_euler_mahonian_all_families():
     for name in ('invcode', 'scode', 'majcode'):
-        for n in range(1, 6):
-            assert check_euler_mahonian(n, FAMILIES[name]).passed
+        report = run_checks(5, checks=('em',), family_names=(name,))
+        assert report.passed
+        assert [item.subject for item in report.items] == [f'family={name}'] * 5
 
 
-def test_euler_mahonian_rejects_unacceptable_family():
+def test_reversed_tau_is_not_acceptable():
     reversed_tau = CodeFamily(
         name='reversed',
         encode=s_code,
         tau=lambda beta: tuple(range(len(beta), -1, -1)),
         decode=s_decode,
     )
-    with pytest.raises(ValueError):
-        check_euler_mahonian(3, reversed_tau)
-
-
-def test_euler_mahonian_checks_a_family_outside_the_registry():
-    custom = CodeFamily('custom', s_code, tau_s, s_decode)
-    report = check_euler_mahonian(4, custom)
-    assert report.passed
-    assert [item.subject for item in report.items] == ['family=custom']
+    result = is_acceptable(reversed_tau, 3)
+    assert not result.ok
+    # inserting 1 into the empty β: τ(()) = (0,) but τ((1,)) begins with 1
+    assert result.witness == ((), 0)
 
 
 def near_miss(encode):
@@ -164,9 +160,10 @@ def drop_last(encode):
     return broken
 
 
-def test_euler_mahonian_fails_a_near_miss_encoder_of_a_registered_name():
-    broken = dataclasses.replace(SCODE, encode=near_miss(s_code))
-    report = check_euler_mahonian(4, broken)
+def test_euler_mahonian_fails_a_near_miss_encoder_of_a_registered_name(monkeypatch):
+    monkeypatch.setitem(FAMILIES, 'scode',
+                        dataclasses.replace(SCODE, encode=near_miss(s_code)))
+    report = run_checks(4, checks=('em',), family_names=('scode',))
     assert not report.passed
     assert report.failures[0].subject == 'family=scode'
     assert report.failures[0].witness.startswith('pair (stat, des)=')
@@ -204,7 +201,8 @@ def test_near_miss_scode_fails_theorem_coarse_and_em_with_pinned_report(monkeypa
 
 
 def test_swapped_invcode_fails_ncinv_with_pinned_report(monkeypatch):
-    monkeypatch.setattr(verify, 'inv_code', swap01(inv_code))
+    monkeypatch.setitem(FAMILIES, 'invcode',
+                        dataclasses.replace(INVCODE, encode=swap01(inv_code)))
     report = run_checks(4, checks=('ncinv',))
     assert (len(report.items), len(report.failures)) == (15, 11)
     assert _digest(report) == (
@@ -212,7 +210,8 @@ def test_swapped_invcode_fails_ncinv_with_pinned_report(monkeypatch):
 
 
 def test_swapped_scode_fails_scstep_with_pinned_report(monkeypatch):
-    monkeypatch.setattr(verify, 's_code', swap01(s_code))
+    monkeypatch.setitem(FAMILIES, 'scode',
+                        dataclasses.replace(SCODE, encode=swap01(s_code)))
     report = run_checks(4, checks=('scstep',))
     assert (len(report.items), len(report.failures)) == (20, 10)
     assert _digest(report) == (
@@ -400,25 +399,23 @@ def test_add_into_drops_cancelled_keys_and_keeps_negative_counts():
 
 MUTATIONS = [('none', None, None)] + [
     (f'{mutate.__name__}-{name}', name, mutate)
-    for name in ('invcode', 'scode', 'majcode', 'verify.inv_code')
+    for name in ('invcode', 'scode', 'majcode')
     for mutate in (near_miss, swap01)
-] + [('drop_last-verify.inv_code', 'verify.inv_code', drop_last)]
+] + [('drop_last-invcode', 'invcode', drop_last)]
 
 
 @pytest.mark.parametrize('label, target, mutate', MUTATIONS,
                          ids=[label for label, _, _ in MUTATIONS])
 def test_reports_equal_the_direct_routes(monkeypatch, label, target, mutate):
-    if target == 'verify.inv_code':
-        monkeypatch.setattr(verify, 'inv_code', mutate(inv_code))
-    elif target is not None:
+    if target is not None:
         family = FAMILIES[target]
         monkeypatch.setitem(FAMILIES, target,
                             dataclasses.replace(family, encode=mutate(family.encode)))
     fast = run_checks(5)
     assert fast.render_text() == direct_report(5).render_text()
-    if label in ('near_miss-scode', 'near_miss-majcode', 'near_miss-verify.inv_code',
-                 'drop_last-verify.inv_code'):
-        assert not fast.passed
+    # swapping two majcode entries keeps every sorted code and entry sum, and
+    # no check reads majcode words unsorted; every other mutation is caught
+    assert fast.passed == (label in ('none', 'swap01-majcode'))
 
 
 def _spy(monkeypatch, calls, name):
@@ -439,6 +436,28 @@ def test_a_theorem_sweep_takes_no_inv_or_maj(monkeypatch):
     assert calls == Counter()
     assert run_checks(5, checks=('fs',)).passed
     assert calls == Counter(inv=153, maj=153)
+
+
+def test_each_family_encodes_each_inverse_once(monkeypatch):
+    calls = Counter()
+    for name in verify.DEFAULT_FAMILY_NAMES:
+        family = FAMILIES[name]
+
+        def counted(p, encode=family.encode, name=name):
+            calls[name] += 1
+            return encode(p)
+
+        monkeypatch.setitem(FAMILIES, name, dataclasses.replace(family, encode=counted))
+    # ncinv sorts the invcode words of the class pass: Σ_{k ≤ 5} k! = 153
+    assert run_checks(5, checks=('ncinv',)).passed
+    assert calls == Counter(invcode=153)
+    calls.clear()
+    assert run_checks(5, checks=verify.CLASS_CHECKS).passed
+    assert calls == Counter(invcode=153, scode=153, majcode=153)
+    calls.clear()
+    # scstep encodes the shuffles id_k ⧢ β with scode, apart from the pass
+    assert run_checks(5).passed
+    assert calls['invcode'] == calls['majcode'] == 153
 
 
 def test_scstep_computes_each_pair_once(monkeypatch):
@@ -462,7 +481,8 @@ def test_ncinv_never_builds_a_shuffle_set(monkeypatch):
     monkeypatch.setattr(permutations, 'identity_block_shuffle', counted)
     monkeypatch.setattr(verify, 'identity_block_shuffle', counted, raising=False)
     assert run_checks(5, checks=('ncinv',)).passed
-    monkeypatch.setattr(verify, 'inv_code', swap01(inv_code))
+    monkeypatch.setitem(FAMILIES, 'invcode',
+                        dataclasses.replace(INVCODE, encode=swap01(inv_code)))
     report = run_checks(4, checks=('ncinv',))
     # failing units word their witnesses from the subset sums
     assert len(report.failures) == 11
