@@ -401,18 +401,26 @@ MUTATIONS = [('none', None, None)] + [
     (f'{mutate.__name__}-{name}', name, mutate)
     for name in ('invcode', 'scode', 'majcode')
     for mutate in (near_miss, swap01)
-] + [('drop_last-invcode', 'invcode', drop_last)]
+] + [('drop_last-invcode', 'invcode', drop_last)] + [
+    # ncinv selected alone, where the class pass encodes only the invcode
+    # words; the ids name the invcode encoder that ncinv reads
+    (f'{mutate.__name__}-verify.inv_code', 'verify.inv_code', mutate)
+    for mutate in (near_miss, swap01)
+]
 
 
 @pytest.mark.parametrize('label, target, mutate', MUTATIONS,
                          ids=[label for label, _, _ in MUTATIONS])
 def test_reports_equal_the_direct_routes(monkeypatch, label, target, mutate):
+    checks = verify.CHECK_NAMES
+    if target == 'verify.inv_code':
+        target, checks = 'invcode', ('ncinv',)
     if target is not None:
         family = FAMILIES[target]
         monkeypatch.setitem(FAMILIES, target,
                             dataclasses.replace(family, encode=mutate(family.encode)))
-    fast = run_checks(5)
-    assert fast.render_text() == direct_report(5).render_text()
+    fast = run_checks(5, checks=checks)
+    assert fast.render_text() == direct_report(5, checks=checks).render_text()
     # swapping two majcode entries keeps every sorted code and entry sum, and
     # no check reads majcode words unsorted; every other mutation is caught
     assert fast.passed == (label in ('none', 'swap01-majcode'))
