@@ -256,18 +256,22 @@ def _summed_em_items(n: int, names, code_pairs, maj_pairs, inv_pairs) -> list[Ch
 
 
 def _zeta_coarse_items(n: int, names, by_family) -> list[CheckItem]:
-    """coarse from the per-class sorted-code polynomials ``by_family[i][J]``:
-    the polynomials over {σ : Des σ ⊆ Set(I)} are their subset sums."""
+    """coarse from the first family's per-class sorted-code polynomials
+    ``by_family[0][J]`` and each later family's differences from them,
+    ``by_family[i][J]``: a family's polynomial over {σ : Des σ ⊆ Set(I)} is
+    the first family's subset sum plus the subset sum of its differences."""
     sums = [_subset_sums(by_comp, operator.add) for by_comp in by_family]
     items = []
     for comp in compositions_of(n):
         expected = h_product(comp)
+        first, *differences = [by_comp.pop(comp) for by_comp in sums]
         witness = ''
-        for name, by_comp in zip(names, sums):
-            got = by_comp.pop(comp)
-            if not witness and got != expected:
+        for name, difference in zip(names, [IndexPolynomial.zero(), *differences]):
+            got = first + difference if difference else first
+            if got != expected:
                 _, witness = _difference(_monomial, name, got.terms,
                                          'h_product', expected.terms)
+                break
         items.append(CheckItem('coarse', n, _subject(comp), not witness, witness))
     return items
 
@@ -308,11 +312,11 @@ def _zeta_ncinv_items(n: int, differences) -> list[CheckItem]:
     return items
 
 
-def _class_items(n: int, checks, families) -> list[CheckItem]:
+def _class_items(n: int, checks, names) -> list[CheckItem]:
     """The items at size n of the selected ``checks`` among CLASS_CHECKS for
-    the code families ``families``, from one walk over the descent classes
-    of S_n that computes only what those checks read."""
-    names = [family.name for family in families]
+    the code families named ``names``, from one walk over the descent
+    classes of S_n that computes only what those checks read."""
+    families = [FAMILIES[name] for name in names]
     want_codes = 'theorem' in checks or 'coarse' in checks
     want_stats = 'em' in checks or 'fs' in checks
     # with ncinv the only class check, only the invcode words are read
@@ -334,7 +338,7 @@ def _class_items(n: int, checks, families) -> list[CheckItem]:
             if ribbon != determinant:
                 _, witness = _difference(_monomial, 'inclusion-exclusion', ribbon.terms,
                                          'determinant', determinant.terms)
-        shared = None
+        first = None
         q_codes = []
         for family, by_comp in zip(encoded, coarse_counts):
             codes = list(map(family.encode, inverses))
@@ -345,11 +349,10 @@ def _class_items(n: int, checks, families) -> list[CheckItem]:
                 if 'theorem' in checks and not witness and got != ribbon:
                     witness = _theorem_witness(family.name, got, ribbon, members, codes)
                 if 'coarse' in checks:
-                    # a family whose polynomial equals the first family's
-                    # stores that one, so the subset sums that coarse holds
-                    # at once share one key per monomial
-                    shared = shared or got
-                    by_comp[comp] = shared if got == shared else got
+                    # a later family keeps its difference from the first,
+                    # which is zero wherever the theorem holds
+                    first = first or got
+                    by_comp[comp] = got if got is first else got - first
             if want_stats:
                 q_codes.append(Counter(map(sum, codes)))
         if 'theorem' in checks:
@@ -415,10 +418,6 @@ CLASS_CHECKS = ('theorem', 'coarse', 'ncinv', 'em', 'fs')
 CHECK_NAMES = ('theorem', 'coarse', 'ncinv', 'scstep', 'em', 'fs')
 
 
-def _class_task(n: int, checks, names) -> list[CheckItem]:
-    return _class_items(n, checks, [FAMILIES[name] for name in names])
-
-
 def _run_task(task) -> list[CheckItem]:
     function, *args = task
     return function(*args)
@@ -445,7 +444,7 @@ def _build_tasks(n_max: int, checks, family_names) -> list[tuple]:
     scstep = 'scstep' in checks and 'scode' in names
     tasks: list[tuple] = []
     if class_checks:
-        tasks.extend((_class_task, n, class_checks, names)
+        tasks.extend((_class_items, n, class_checks, names)
                      for n in range(1, n_max + 1))
     if scstep:
         tasks.extend((_scstep_items, m, k, n_max)

@@ -292,8 +292,7 @@ def test_verify_cap_requires_acknowledgment(capsys):
                        'accept the runtime\n'), argv
 
 
-def test_workers_default_is_one(monkeypatch):
-    monkeypatch.setenv('PERMCODES_WORKERS', '5')
+def test_workers_default_is_one():
     assert cli.build_parser().parse_args(['verify']).workers == 1
 
 

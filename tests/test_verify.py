@@ -397,25 +397,29 @@ def test_add_into_drops_cancelled_keys_and_keeps_negative_counts():
     assert dict(counts) == {(0,): 2, (2,): -3}
 
 
-MUTATIONS = [('none', None, None)] + [
-    (f'{mutate.__name__}-{name}', name, mutate)
+MUTATIONS = [('none', (), None)] + [
+    (f'{mutate.__name__}-{name}', (name,), mutate)
     for name in ('invcode', 'scode', 'majcode')
     for mutate in (near_miss, swap01)
-] + [('drop_last-invcode', 'invcode', drop_last)] + [
+] + [('drop_last-invcode', ('invcode',), drop_last)] + [
     # ncinv selected alone, where the class pass encodes only the invcode
     # words; the ids name the invcode encoder that ncinv reads
-    (f'{mutate.__name__}-verify.inv_code', 'verify.inv_code', mutate)
+    (f'{mutate.__name__}-verify.inv_code', ('verify.inv_code',), mutate)
     for mutate in (near_miss, swap01)
+] + [
+    # two later families broken at once: where both differ from the first
+    # family, the coarse witness comes from the earlier difference sum
+    ('near_miss-scode-majcode', ('scode', 'majcode'), near_miss),
 ]
 
 
-@pytest.mark.parametrize('label, target, mutate', MUTATIONS,
+@pytest.mark.parametrize('label, targets, mutate', MUTATIONS,
                          ids=[label for label, _, _ in MUTATIONS])
-def test_reports_equal_the_direct_routes(monkeypatch, label, target, mutate):
+def test_reports_equal_the_direct_routes(monkeypatch, label, targets, mutate):
     checks = verify.CHECK_NAMES
-    if target == 'verify.inv_code':
-        target, checks = 'invcode', ('ncinv',)
-    if target is not None:
+    if targets == ('verify.inv_code',):
+        targets, checks = ('invcode',), ('ncinv',)
+    for target in targets:
         family = FAMILIES[target]
         monkeypatch.setitem(FAMILIES, target,
                             dataclasses.replace(family, encode=mutate(family.encode)))
@@ -424,6 +428,21 @@ def test_reports_equal_the_direct_routes(monkeypatch, label, target, mutate):
     # swapping two majcode entries keeps every sorted code and entry sum, and
     # no check reads majcode words unsorted; every other mutation is caught
     assert fast.passed == (label in ('none', 'swap01-majcode'))
+
+
+def test_coarse_transforms_later_families_as_empty_differences(monkeypatch):
+    held = []
+    original = verify._subset_sums
+
+    def recording(by_comp, add):
+        held.append(any(by_comp.values()))
+        return original(by_comp, add)
+
+    monkeypatch.setattr(verify, '_subset_sums', recording)
+    assert run_checks(6, checks=('coarse',)).passed
+    # per size: the first family's polynomials, then the other two families'
+    # differences from them, which hold no monomial on a passing sweep
+    assert held == [True, False, False] * 6
 
 
 def _spy(monkeypatch, calls, name):
