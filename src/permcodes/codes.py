@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple
 
 from .permutations import (
     Perm,
-    Word,
     des,
     insert_one_at,
     inverse,

@@ -52,9 +52,6 @@ class LClass:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, p: Perm) -> bool:
-        return p in self.members
-
 
 def l_moves(u: Perm) -> set[Perm]:
     """All permutations L-adjacent to ``u`` (both exchange orientations)."""

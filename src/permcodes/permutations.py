@@ -151,18 +151,17 @@ def standardize(w: Sequence[int]) -> Perm:
     return tuple(out)
 
 
-def evaluation(w: Word, alphabet_size: int | None = None) -> tuple[int, ...]:
-    """Occurrence counts of each letter 0..alphabet_size-1 in ``w``.
-
-    By default a word of size n is read over the alphabet {0, ..., n}, so the
-    result has n+1 entries.
+def evaluation(w: Word) -> tuple[int, ...]:
+    """Occurrence counts of each letter of the alphabet {0, ..., n} in the
+    word ``w`` of size n, so the result has n+1 entries; a letter outside
+    that alphabet raises ``ValueError``.
 
     >>> evaluation((4, 5, 1, 4, 3, 2, 5, 1, 8, 1, 2))
     (0, 3, 2, 1, 2, 2, 0, 0, 1, 0, 0, 0)
     >>> evaluation((0, 0, 0))
     (3, 0, 0, 0)
     """
-    size = len(w) + 1 if alphabet_size is None else alphabet_size
+    size = len(w) + 1
     counts = [0] * size
     for letter in w:
         if not 0 <= letter < size:

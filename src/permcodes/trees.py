@@ -27,17 +27,12 @@ __all__ = [
     'canonical_tree',
     'tree_size',
     'tree_to_text',
-    'tree_from_text',
     'derive',
     'taylor_tree_series',
     'connes_moscovici',
     'increasing_labelings',
-    'labeled_shape',
     'labeled_size',
-    'format_labeled_tree',
     'tree_to_perm',
-    'perm_to_tree',
-    's_code_of_tree',
     'arity_monomial',
     'x_polynomial',
     'code_arity_monomial',
@@ -77,34 +72,6 @@ def tree_to_text(t: PlaneTree) -> str:
     '(()())'
     """
     return '(' + ''.join(tree_to_text(child) for child in t) + ')'
-
-
-def tree_from_text(text: str) -> PlaneTree:
-    """Inverse of ``tree_to_text`` (canonicalizing on the way in).
-
-    >>> tree_from_text('(()())')
-    ((), ())
-    """
-    text = text.strip()
-    pos = 0
-
-    def parse() -> PlaneTree:
-        nonlocal pos
-        if pos >= len(text) or text[pos] != '(':
-            raise ValueError(f'expected ( at position {pos} in {text!r}')
-        pos += 1
-        children = []
-        while pos < len(text) and text[pos] == '(':
-            children.append(parse())
-        if pos >= len(text) or text[pos] != ')':
-            raise ValueError(f'expected ) at position {pos} in {text!r}')
-        pos += 1
-        return tuple(children)
-
-    tree = parse()
-    if pos != len(text):
-        raise ValueError(f'trailing characters in {text!r}')
-    return canonical_tree(tree)
 
 
 def _attachments(t: PlaneTree):
@@ -203,28 +170,9 @@ def _ordered_splits(labels: tuple[int, ...], sizes: list[int]):
             yield (chosen,) + rest
 
 
-def labeled_shape(lt: LabeledTree) -> PlaneTree:
-    """Forget the labels."""
-    _, children = lt
-    return canonical_tree(tuple(labeled_shape(child) for child in children))
-
-
 def labeled_size(lt: LabeledTree) -> int:
     _, children = lt
     return 1 + sum(labeled_size(child) for child in children)
-
-
-def format_labeled_tree(lt: LabeledTree) -> str:
-    """Label:children rendering, e.g. ``1:(2,3:(4:(5,6)))``.
-
-    >>> format_labeled_tree((1, ((2, ()), (3, ((4, ((5, ()), (6, ()))),)))))
-    '1:(2,3:(4:(5,6)))'
-    """
-    label, children = lt
-    if not children:
-        return str(label)
-    inner = ','.join(format_labeled_tree(child) for child in children)
-    return f'{label}:({inner})'
 
 
 def tree_to_perm(lt: LabeledTree) -> Perm:
@@ -250,53 +198,6 @@ def tree_to_perm(lt: LabeledTree) -> Perm:
         return out
 
     return tuple(preorder(complement(lt))[1:])
-
-
-def perm_to_tree(p: Perm) -> LabeledTree:
-    """Inverse of ``tree_to_perm``: the parent of each letter in the word
-    n·p is its nearest greater letter to the left; labels are then
-    complemented back.
-
-    >>> format_labeled_tree(perm_to_tree((4, 3, 1, 2, 5)))
-    '1:(2,3:(4:(5,6)))'
-    """
-    n = len(p) + 1
-    word = (n,) + p
-    children: dict[int, list[int]] = {v: [] for v in word}
-    stack = [n]
-    for v in word[1:]:
-        while stack[-1] < v:
-            stack.pop()
-        children[stack[-1]].append(v)
-        stack.append(v)
-
-    def build(value: int) -> LabeledTree:
-        label = n + 1 - value
-        kids = tuple(sorted(build(child) for child in children[value]))
-        return (label, kids)
-
-    return build(n)
-
-
-def s_code_of_tree(lt: LabeledTree) -> Code:
-    """Father labels, minus one, of n, n−1, ..., 2 in an increasing tree.
-
-    Equals the saillance code of ``tree_to_perm(lt)``.
-
-    >>> s_code_of_tree(perm_to_tree((4, 3, 1, 2, 5)))
-    (3, 3, 2, 0, 0)
-    """
-    n = labeled_size(lt)
-    father: dict[int, int] = {}
-
-    def walk(node: LabeledTree) -> None:
-        label, children = node
-        for child in children:
-            father[child[0]] = label
-            walk(child)
-
-    walk(lt)
-    return tuple(father[v] - 1 for v in range(n, 1, -1))
 
 
 def arity_monomial(t: PlaneTree) -> IndexPolynomial:

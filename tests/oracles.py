@@ -14,6 +14,10 @@ byte.
 ``TuplePolynomial`` is the polynomial arithmetic with monomials keyed by
 sorted index tuples, which ``IndexPolynomial`` replaced by packed integer
 keys; the flagged ribbons' two recurrences run on it here.
+
+``s_code_of_tree`` is the paper's tree reading of the saillance code: the
+father labels of an increasing tree, which the tests compare with ``s_code``
+of the permutation ``tree_to_perm`` reads off the same tree.
 """
 
 import itertools
@@ -45,6 +49,7 @@ from permcodes.ribbons import (
     ribbon_determinant,
     ribbon_flagged,
 )
+from permcodes.trees import labeled_size
 from permcodes.verify import CheckItem, VerificationReport
 
 
@@ -172,6 +177,22 @@ def q_statistic(n: int, stat) -> QPolynomial:
     if isinstance(stat, str):
         stat = {'maj': maj, 'inv': inv, 'des': des}[stat]
     return dict(Counter(map(stat, iter_permutations(n))))
+
+
+def s_code_of_tree(lt):
+    """Father labels, minus one, of n, n−1, ..., 2 in an increasing tree of
+    size n."""
+    n = labeled_size(lt)
+    father = {}
+
+    def walk(node):
+        label, children = node
+        for child in children:
+            father[child[0]] = label
+            walk(child)
+
+    walk(lt)
+    return tuple(father[v] - 1 for v in range(n, 1, -1))
 
 
 def coarser_class(comp):

@@ -38,7 +38,6 @@ from permcodes.permutations import (
 from permcodes.ribbons import ribbon_determinant, ribbon_flagged
 from permcodes.trees import (
     increasing_labelings,
-    s_code_of_tree,
     taylor_tree_series,
     tree_to_perm,
     x_polynomial,
@@ -46,7 +45,7 @@ from permcodes.trees import (
 )
 from permcodes.verify import run_checks
 
-from oracles import q_factorial, q_statistic
+from oracles import q_factorial, q_statistic, s_code_of_tree
 from test_ribbons import TABLE_N3, TABLE_N4, TABLE_N5, parse_table
 from test_trees import CANONIK, X_EXPANSIONS
 from test_verify import (

@@ -1,10 +1,12 @@
 """Run the usage examples: the library docstrings, the README quickstart and
-the demos, and pin the package's top-level names to what those examples
-import."""
+the demos, pin the package's top-level names to what those examples import,
+and check that every name a submodule's ``__all__`` lists is defined."""
 
 import ast
 import doctest
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,7 @@ MODULES = [permutations, codes, polynomials, ribbons, trees, lequiv, verify]
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / 'README.md'
 DEMOS = sorted((ROOT / 'demos').glob('*.py'))
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(permcodes.__path__))
 
 
 @pytest.mark.parametrize('module', MODULES, ids=lambda m: m.__name__.split('.')[-1])
@@ -60,3 +63,10 @@ def test_package_exports_what_readme_and_demos_import():
     exported = {name for name, value in vars(permcodes).items()
                 if not name.startswith('_') and not isinstance(value, ModuleType)}
     assert exported == imported
+
+
+@pytest.mark.parametrize('name', SUBMODULES)
+def test_star_import_finds_every_listed_name(name):
+    module = importlib.import_module(f'permcodes.{name}')
+    # ``from permcodes.<name> import *`` fetches each listed name in turn
+    assert [listed for listed in module.__all__ if not hasattr(module, listed)] == []

@@ -103,9 +103,10 @@ def test_standardize_is_a_permutation_preserving_order(w):
 
 def test_evaluation():
     assert evaluation((0, 2, 0, 1)) == (2, 1, 1, 0, 0)
-    assert evaluation((0, 2, 0, 1), alphabet_size=3) == (2, 1, 1)
+    # a word of size 1 reads over {0, 1}
+    assert evaluation((1,)) == (0, 1)
     with pytest.raises(ValueError):
-        evaluation((5,), alphabet_size=3)
+        evaluation((5,))
 
 
 def test_shuffle_counts_and_members():
