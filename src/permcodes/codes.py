@@ -13,15 +13,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
-from operator import gt
+from operator import gt, le
 from typing import Callable, NamedTuple
 
 from .permutations import (
     Perm,
     des,
     insert_one_at,
-    inverse,
     iter_permutations,
     parse_integers,
     standardize,
@@ -70,9 +68,10 @@ def is_subdiagonal(c: Code) -> bool:
     True
     >>> is_subdiagonal((0, 3, 0, 0))
     False
+    >>> is_subdiagonal((0, -1))
+    False
     """
-    n = len(c)
-    return all(0 <= c[i] <= n - i - 1 for i in range(n))
+    return all(map(le, c, range(len(c) - 1, -1, -1))) and min(c, default=0) >= 0
 
 
 def check_code(c: Code) -> Code:
@@ -118,7 +117,7 @@ def lehmer_decode(c: Code) -> Perm:
     """
     check_code(c)
     available = list(range(1, len(c) + 1))
-    return tuple(available.pop(ci) for ci in c)
+    return tuple(map(available.pop, c))
 
 
 def inv_code(p: Perm) -> Code:
@@ -141,8 +140,18 @@ def inv_code(p: Perm) -> Code:
 
 
 def inv_decode(c: Code) -> Perm:
-    """Inverse of ``inv_code``."""
-    return inverse(lehmer_decode(c))
+    """Inverse of ``inv_code``: insert n, n−1, ..., 1 in turn, letter i at
+    index c_i of the word so far, which then holds only letters greater than
+    i, so exactly c_i of them stand to its left.
+
+    >>> inv_decode((1, 1, 1, 0))
+    (4, 1, 2, 3)
+    """
+    check_code(c)
+    word: list[int] = []
+    for i in range(len(c), 0, -1):
+        word.insert(c[i - 1], i)
+    return tuple(word)
 
 
 def maj_code(p: Perm) -> Code:
@@ -197,17 +206,26 @@ def maj_decode(c: Code) -> Perm:
     if n == 0:
         return ()
     word = [n]
+    descents = 0  # bit t set when slot t of word is a descent
     for i in range(n - 1, 0, -1):
-        descents = list(compress(range(1, len(word)), map(gt, word, word[1:])))
         a = c[i - 1]
-        if a < len(descents):
-            slot = descents[-1 - a]
+        d = descents.bit_count()
+        if a < d:
+            left = descents
+            for _ in range(a):  # clear the a highest descent slots
+                left ^= 1 << left.bit_length() - 1
+            slot = left.bit_length() - 1
         else:
-            slot = a - len(descents)
-            for t in descents:  # step over the descent slots up to the rise
-                if t > slot:
-                    break
-                slot += 1
+            rises = ((2 << len(word)) - 1) ^ descents
+            for _ in range(a - d):  # clear the a − d lowest rise slots
+                rises &= rises - 1
+            slot = (rises & -rises).bit_length() - 1
+        if slot:
+            # a descent before the new least letter and a rise after it
+            descents = (descents & (1 << slot) - 1 | (1 << slot)
+                        | descents >> slot + 1 << slot + 2)
+        else:
+            descents <<= 1
         word.insert(slot, i)
     return tuple(word)
 

@@ -35,7 +35,7 @@ from permcodes.permutations import (
     iter_permutations,
     parse_permutation,
 )
-from permcodes.ribbons import ribbon_determinant, ribbon_flagged
+from permcodes.ribbons import ribbon_flagged
 from permcodes.trees import (
     increasing_labelings,
     taylor_tree_series,

@@ -158,15 +158,26 @@ def test_encoders_match_their_definitions_on_long_permutations(p):
         assert ENCODE[name](p) == REFERENCE[name](p)
 
 
+def subdiagonal_codes(n):
+    return product(*(range(n - i) for i in range(n)))
+
+
 def test_maj_decode_agrees_with_the_tau_recursion():
     for n in range(8):
-        for c in product(*(range(n - i) for i in range(n))):
+        for c in subdiagonal_codes(n):
             assert maj_decode(c) == generic_decode(MAJCODE, c)
 
 
 def test_invcode_is_lehmer_of_inverse():
     for p in iter_permutations(5):
         assert inv_code(p) == lehmer_code(inverse(p))
+
+
+def test_inv_decode_is_inverse_of_lehmer_decode():
+    # the inverse code is the Lehmer code of the inverse, kept as a reference
+    for n in range(9):
+        for c in subdiagonal_codes(n):
+            assert inv_decode(c) == inverse(lehmer_decode(c))
 
 
 def test_code_sums_recover_statistics():
@@ -268,6 +279,24 @@ def test_parse_code_rejects_non_subdiagonal():
 def test_roundtrips_on_random_permutations(p):
     for name in ENCODE:
         assert DECODE[name](ENCODE[name](p)) == p
+
+
+# The decreasing word of 16 gives the major-code decoder all descent slots,
+# the increasing one none.
+@given(st.integers(min_value=9, max_value=16).flatmap(
+    lambda n: st.permutations(range(1, n + 1)).map(tuple)))
+@example(tuple(range(16, 0, -1)))
+@example(tuple(range(1, 17)))
+def test_roundtrips_on_long_permutations(p):
+    for name in ENCODE:
+        assert DECODE[name](ENCODE[name](p)) == p
+
+
+@pytest.mark.parametrize('name', sorted(DECODE))
+@pytest.mark.parametrize('c', [(1,), (0, 2, 0), (0, -1)])
+def test_decoders_reject_non_subdiagonal_codes(name, c):
+    with pytest.raises(ValueError):
+        DECODE[name](c)
 
 
 @given(st.integers(min_value=0, max_value=6).flatmap(
