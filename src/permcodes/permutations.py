@@ -9,6 +9,7 @@ positive parts; words are tuples of non-negative letters.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -133,8 +134,7 @@ def inv(p: Perm) -> int:
     >>> inv((5, 3, 1, 9, 6, 2, 4, 8, 7))
     14
     """
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+    return sum(itertools.starmap(operator.gt, itertools.combinations(p, 2)))
 
 
 def standardize(w: Sequence[int]) -> Perm:
@@ -302,9 +302,15 @@ def descent_class(comp: Composition) -> list[Perm]:
     """All permutations with descent composition ``comp``, sorted.
 
     Generated block by block: block a is an increasing choice of i_a of the
-    values left, taken in lexicographic order, so its first entry never
-    decreases and the loop stops once it exceeds the previous block's last
-    entry (that boundary would not be a descent).
+    values left, taken in lexicographic order.  For a sorted tuple R of
+    length m, the complement of the j-th k-combination of R in lexicographic
+    order is the j-th (m − k)-combination in reverse lexicographic order, so
+    each block comes paired with the values left after it and R is never
+    rescanned.  A block's first entry never decreases, so the loop stops
+    once it exceeds the previous block's last entry: that boundary would
+    not be a descent, for this block or any later one.  A block must also
+    end above the least value left, or the next block could not start with
+    a descent; the last block is all the values left.
 
     >>> [''.join(map(str, p)) for p in descent_class((2, 1))]
     ['132', '231']
@@ -312,17 +318,23 @@ def descent_class(comp: Composition) -> list[Perm]:
     n = sum(comp)
     if any(part < 1 for part in comp):
         return []
+    if len(comp) < 2:
+        return [identity(n)]
     out = []
+    last = len(comp) - 1
 
     def extend(prefix: Perm, remaining: tuple[int, ...], a: int) -> None:
-        if a == len(comp):
-            out.append(prefix)
-            return
-        for block in itertools.combinations(remaining, comp[a]):
+        k = comp[a]
+        rests = list(itertools.combinations(remaining, len(remaining) - k))
+        rests.reverse()
+        for block, rest in zip(itertools.combinations(remaining, k), rests):
             if prefix and block[0] > prefix[-1]:
                 break
-            rest = tuple(v for v in remaining if v not in block)
-            extend(prefix + block, rest, a + 1)
+            if rest[0] < block[-1]:
+                if a + 1 == last:
+                    out.append(prefix + block + rest)
+                else:
+                    extend(prefix + block, rest, a + 1)
 
     extend((), identity(n), 0)
     return out

@@ -15,6 +15,9 @@ byte.
 sorted index tuples, which ``IndexPolynomial`` replaced by packed integer
 keys; the flagged ribbons' two recurrences run on it here.
 
+``inversion_pairs`` counts inv σ over every pair of positions, the double
+loop that ``inv`` replaced by a count of pairwise comparisons.
+
 ``s_code_of_tree`` is the paper's tree reading of the saillance code: the
 father labels of an increasing tree, which the tests compare with ``s_code``
 of the permutation ``tree_to_perm`` reads off the same tree.
@@ -154,6 +157,12 @@ def _monomial(key):
 def _word(key):
     # digits while every letter is at most 9, else comma-separated
     return 'word ' + (',' if key and max(key) > 9 else '').join(map(str, key))
+
+
+def inversion_pairs(p):
+    """inv σ by testing every pair of positions, the reference for ``inv``."""
+    n = len(p)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
 def q_factorial(n: int) -> QPolynomial:

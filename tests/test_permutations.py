@@ -32,6 +32,8 @@ from permcodes.permutations import (
     standardize,
 )
 
+from oracles import inversion_pairs
+
 perms = st.integers(min_value=0, max_value=7).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
 )
@@ -67,6 +69,18 @@ def test_statistics_on_small_words():
     assert maj(p) == 4
     assert inv(p) == 3
     assert descent_composition(p) == (1, 2, 1)
+
+
+def test_inv_counts_the_inverted_pairs():
+    for n in range(9):
+        for p in iter_permutations(n):
+            assert inv(p) == inversion_pairs(p), p
+
+
+@given(st.integers(min_value=9, max_value=16).flatmap(
+    lambda n: st.permutations(range(1, n + 1)).map(tuple)))
+def test_inv_counts_the_inverted_pairs_past_eight(p):
+    assert inv(p) == inversion_pairs(p)
 
 
 @given(perms)
@@ -196,6 +210,41 @@ def test_descent_classes_partition_the_group():
         assert len(buckets) == len(compositions_of(n))
         for comp in compositions_of(n):
             assert descent_class(comp) == buckets[comp], comp
+
+
+def _class_size(comp):
+    # |D_I| by inclusion–exclusion over the cut sets S ⊆ Set(I): the
+    # permutations with every descent in S number the multinomial n! over
+    # the factorials of S's parts, signed by the cuts of Set(I) S leaves out
+    n = sum(comp)
+    cuts = list(itertools.accumulate(comp[:-1]))
+    total = 0
+    for k in range(len(cuts) + 1):
+        for subset in itertools.combinations(cuts, k):
+            bounds = (0, *subset, n)
+            count = factorial(n)
+            for lo, hi in zip(bounds, bounds[1:]):
+                count //= factorial(hi - lo)
+            total += (-1) ** (len(cuts) - k) * count
+    return total
+
+
+@pytest.mark.parametrize('comp', [
+    (9,), (8, 1), (1, 1, 7), (4, 5), (2, 3, 4), (3, 3, 3),
+    (1, 9), (5, 5), (3, 4, 3), (1, 2, 3, 4), (4, 3, 2, 1),
+    (2, 1, 1, 2, 2, 2), (1,) * 10,
+], ids=format_composition)
+def test_descent_classes_past_eight(comp):
+    members = descent_class(comp)
+    assert all(p < q for p, q in zip(members, members[1:]))
+    assert all(descent_composition(p) == comp for p in members)
+    assert len(members) == _class_size(comp)
+
+
+def test_descent_class_edge_cases():
+    assert descent_class(()) == [()]
+    assert descent_class((2, 0, 1)) == []
+    assert descent_class((3, -1)) == []
 
 
 def test_parse_format_permutation():
