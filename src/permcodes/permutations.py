@@ -361,6 +361,7 @@ def parse_integers(text: str, what: str) -> list[int]:
     (``2112``), comma-separated (``2,1,1,2``) or comma-separated in
     parentheses (``(2,1,1,2)``); ``what`` names the thing in the error.
     Parenthesized text is always split on commas, so ``(10)`` is one entry.
+    Each entry is ASCII digits, optionally after ``-`` and between spaces.
 
     >>> parse_integers('(10)', 'composition')
     [10]
@@ -375,12 +376,12 @@ def parse_integers(text: str, what: str) -> list[int]:
         tokens = body.split(',') if body.strip() else []
     else:
         tokens = body.split(',') if ',' in body else list(body)
-    try:
-        return [int(token) for token in tokens]
-    except ValueError:
+    # int() alone would also read '+1', '1_0' and non-ASCII digits
+    if not all(t.isascii() and t.strip().removeprefix('-').isdigit() for t in tokens):
         raise ValueError(
             f'malformed {what} {text!r}: write digits like 2112, or integers '
-            f'separated by commas like 2,1,1,2 or (2,1,1,2)') from None
+            f'separated by commas like 2,1,1,2 or (2,1,1,2)')
+    return [int(token) for token in tokens]
 
 
 def parse_permutation(text: str) -> Perm:

@@ -7,18 +7,21 @@ and determinant; and verifies the shuffle-product factorizations, the
 noncommutative inverse-code identity, the saillance step-alphabet lemma, and
 the Euler-Mahonian joint distributions.
 
-Every check but scstep reads one pass per size n.  The pass walks each
-descent class D_J of S_n once, inverts each member once, encodes each inverse
-once per family, and keeps per-class counts of what the selected checks read.
-theorem and fs compare a class's counts while it is walked; em sums them over
-all classes; coarse and ncinv sum them over the classes J with Set(J) ⊆ Set(I)
-by a subset-sum (zeta) transform over the n − 1 cut positions, and a failing
-unit's witness is read off those sums.  ncinv sorts the words the pass
-encoded for the invcode family, so no σ^{-1} is encoded twice.  scstep runs
+Every check but scstep reads one pass per size n.  ``CLASS_CHECKS`` gives each
+of them what it reads of a descent class beyond its members (sorted-code
+polynomials; counts of inv σ, maj σ^{-1} and code sums; or the invcode words
+alone), its value at one class, and its items from the values at every class.
+The pass walks each D_J of S_n once, inverts each member once, encodes each
+inverse once per family (invcode alone when only its words are read) and
+computes once each thing the selected checks read; only a class that fails
+theorem encodes its failing family again, to name the least σ.  theorem and fs
+compare at each class; em sums over all classes; coarse and ncinv sum over the
+classes J with Set(J) ⊆ Set(I) by a subset-sum (zeta) transform over the n − 1
+cut positions, and read a failing unit's witness off those sums.  scstep runs
 one unit per (m, k), which yields its item at every n ≥ m + k, and encodes
-with the scode family.  Units are pure functions of their arguments, so
-sweeps parallelize over them and reports merge deterministically: rendered
-output is byte-identical for any worker count.
+with the scode family.  Units are pure functions of their arguments, so sweeps
+parallelize over them and reports merge deterministically: rendered output is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import os
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 from .codes import CodeFamily, FAMILIES, sorted_code, tau_s
 from .permutations import (
@@ -213,40 +217,50 @@ def _exact_descent_words(comp: Composition) -> list[tuple[int, ...]]:
     return words
 
 
-def _theorem_witness(name: str, got, ribbon, members, codes) -> str:
-    """Word how one family's sorted-code polynomial over D_I differs from
-    the ribbon."""
-    mono, witness = _difference(_monomial, name, got.terms, 'ribbon', ribbon.terms)
-    # members are sorted, so the first code whose sorted form is the
-    # witness monomial belongs to the least contributing σ
-    sorted_codes = list(map(sorted_code, codes))
-    if mono in sorted_codes:
-        least = members[sorted_codes.index(mono)]
-        witness += f'; least contributing sigma: {format_permutation(least)}'
-    return witness
-
-
-def _fs_item(n: int, comp: Composition, names, q_inv, q_maj_inverse,
-             q_codes) -> CheckItem:
+def _theorem_item(n: int, names, cls) -> CheckItem:
+    ribbon = ribbon_flagged(cls.comp)
+    determinant = ribbon_determinant(cls.comp)
     witness = ''
-    if q_inv != q_maj_inverse:
-        witness = (f'inv distribution {format_q_polynomial(q_inv)} != '
-                   f'maj-of-inverse {format_q_polynomial(q_maj_inverse)}')
-    for name, q_code in zip(names, q_codes):
-        if witness:
-            break
+    if ribbon != determinant:
+        _, witness = _difference(_monomial, 'inclusion-exclusion', ribbon.terms,
+                                 'determinant', determinant.terms)
+    for name, got in zip(names, cls.polys):
+        if witness or got == ribbon:
+            continue
+        mono, witness = _difference(_monomial, name, got.terms, 'ribbon', ribbon.terms)
+        # the pass keeps no codes, so encode the class again; members are
+        # sorted, so the first code sorting to the witness is the least σ's
+        sorted_codes = [sorted_code(FAMILIES[name].encode(q)) for q in cls.inverses]
+        if mono in sorted_codes:
+            least = cls.members[sorted_codes.index(mono)]
+            witness += f'; least contributing sigma: {format_permutation(least)}'
+    return CheckItem('theorem', n, _subject(cls.comp), not witness, witness)
+
+
+def _fs_item(n: int, names, cls) -> CheckItem:
+    witness = ''
+    if cls.q_inv != cls.q_maj_inverse:
+        witness = (f'inv distribution {format_q_polynomial(cls.q_inv)} != '
+                   f'maj-of-inverse {format_q_polynomial(cls.q_maj_inverse)}')
+    for name, q_code in zip(names, cls.q_codes):
         # x_j -> q^j sends the monomial of a sorted code to q^(its entry sum)
-        if q_code != q_inv:
+        if not witness and q_code != cls.q_inv:
             witness = (f'{name} q-specialization {format_q_polynomial(q_code)} != '
-                       f'{format_q_polynomial(q_inv)}')
-    return CheckItem('fs', n, _subject(comp), not witness, witness)
+                       f'{format_q_polynomial(cls.q_inv)}')
+    return CheckItem('fs', n, _subject(cls.comp), not witness, witness)
 
 
-def _summed_em_items(n: int, names, code_pairs, maj_pairs, inv_pairs) -> list[CheckItem]:
+def _summed_em_items(n: int, names, by_comp) -> list[CheckItem]:
+    """em from the per-class counts of code sums, maj σ^{-1} and inv σ."""
+    pairs = [Counter() for _ in range(len(names) + 2)]
+    for comp, counts in by_comp.items():
+        for total, q in zip(pairs, counts):
+            # des σ = l(J) − 1 on D_J
+            total.update({(stat, len(comp) - 1): count for stat, count in q.items()})
     items = []
-    for name, code in zip(names, code_pairs):
+    for name, code in zip(names, pairs):
         witness = ''
-        for label, other in (('maj of inverse', maj_pairs), ('inv', inv_pairs)):
+        for label, other in (('maj of inverse', pairs[-2]), ('inv', pairs[-1])):
             _, witness = _difference(lambda key: f'pair (stat, des)={key}',
                                      'code sum', code, label, other)
             if witness:
@@ -255,16 +269,19 @@ def _summed_em_items(n: int, names, code_pairs, maj_pairs, inv_pairs) -> list[Ch
     return items
 
 
-def _zeta_coarse_items(n: int, names, by_family) -> list[CheckItem]:
-    """coarse from the first family's per-class sorted-code polynomials
-    ``by_family[0][J]`` and each later family's differences from them,
-    ``by_family[i][J]``: a family's polynomial over {σ : Des σ ⊆ Set(I)} is
-    the first family's subset sum plus the subset sum of its differences."""
-    sums = [_subset_sums(by_comp, operator.add) for by_comp in by_family]
+def _zeta_coarse_items(n: int, names, by_comp) -> list[CheckItem]:
+    """coarse from the first family's per-class sorted-code polynomials and
+    each later family's differences from them, ``by_comp[J]``: a family's
+    polynomial over {σ : Des σ ⊆ Set(I)} is the first family's subset sum
+    plus the subset sum of its differences."""
+    # one dict per family, so that the transform frees each polynomial it replaces
+    by_family = [dict(zip(by_comp, column)) for column in zip(*by_comp.values())]
+    by_comp.clear()
+    sums = [_subset_sums(polys, operator.add) for polys in by_family]
     items = []
     for comp in compositions_of(n):
         expected = h_product(comp)
-        first, *differences = [by_comp.pop(comp) for by_comp in sums]
+        first, *differences = [polys.pop(comp) for polys in sums]
         witness = ''
         for name, difference in zip(names, [IndexPolynomial.zero(), *differences]):
             got = first + difference if difference else first
@@ -290,7 +307,15 @@ def _in_concatenation_product(word, comp: Composition) -> bool:
     return True
 
 
-def _zeta_ncinv_items(n: int, differences) -> list[CheckItem]:
+def _ncinv_difference(n: int, names, cls) -> Counter:
+    """The invcode words of D_J's inverses minus E′(J); empty where they agree."""
+    expected = _exact_descent_words(cls.comp)
+    if cls.words == expected:
+        return Counter()
+    return _add_into(Counter(cls.words), dict.fromkeys(expected, -1))
+
+
+def _zeta_ncinv_items(n: int, names, differences) -> list[CheckItem]:
     """ncinv from the per-class signed differences between the invcode words
     of D_J's inverses and E′(J).  A word w lies in E(I) exactly when
     Des(w) ⊆ Set(I) and w lies in E(Des w), since merging blocks across a
@@ -312,76 +337,49 @@ def _zeta_ncinv_items(n: int, differences) -> list[CheckItem]:
     return items
 
 
+#: name -> (what the check reads of a class, its value at one class, its
+#: items from the values at every class of one size), in report order
+CLASS_CHECKS = {
+    'theorem': ('polys', _theorem_item, lambda n, names, items: list(items.values())),
+    # later families keep their difference from the first: zero where theorem holds
+    'coarse': ('polys', lambda n, names, cls: [cls.polys[0], *(
+        got - cls.polys[0] for got in cls.polys[1:])], _zeta_coarse_items),
+    'ncinv': ('words', _ncinv_difference, _zeta_ncinv_items),
+    'em': ('stats', lambda n, names, cls: [*cls.q_codes, cls.q_maj_inverse, cls.q_inv],
+           _summed_em_items),
+    'fs': ('stats', _fs_item, lambda n, names, items: list(items.values())),
+}
+
+
 def _class_items(n: int, checks, names) -> list[CheckItem]:
     """The items at size n of the selected ``checks`` among CLASS_CHECKS for
     the code families named ``names``, from one walk over the descent
-    classes of S_n that computes only what those checks read."""
-    families = [FAMILIES[name] for name in names]
-    want_codes = 'theorem' in checks or 'coarse' in checks
-    want_stats = 'em' in checks or 'fs' in checks
-    # with ncinv the only class check, only the invcode words are read
-    encoded = [family for family in families
-               if want_codes or want_stats or family.name == 'invcode']
-    items: list[CheckItem] = []
-    coarse_counts = [{} for _ in families]
-    code_pairs = [Counter() for _ in families]
-    maj_pairs: Counter = Counter()
-    inv_pairs: Counter = Counter()
-    differences = {}
+    classes of S_n that computes once each thing those checks read."""
+    reads = {CLASS_CHECKS[check][0] for check in checks}
+    # the invcode words alone, unless a check reads every family
+    encoded = names if reads - {'words'} else ('invcode',)
+    values = {check: {} for check in checks}
     for comp in compositions_of(n):
         members = descent_class(comp)
         inverses = list(map(inverse, members))
-        if 'theorem' in checks:
-            ribbon = ribbon_flagged(comp)
-            determinant = ribbon_determinant(comp)
-            witness = ''
-            if ribbon != determinant:
-                _, witness = _difference(_monomial, 'inclusion-exclusion', ribbon.terms,
-                                         'determinant', determinant.terms)
-        first = None
-        q_codes = []
-        for family, by_comp in zip(encoded, coarse_counts):
-            codes = list(map(family.encode, inverses))
-            if 'ncinv' in checks and family.name == 'invcode':
-                words = sorted(codes)
-            if want_codes:
-                got = IndexPolynomial.from_words(codes)
-                if 'theorem' in checks and not witness and got != ribbon:
-                    witness = _theorem_witness(family.name, got, ribbon, members, codes)
-                if 'coarse' in checks:
-                    # a later family keeps its difference from the first,
-                    # which is zero wherever the theorem holds
-                    first = first or got
-                    by_comp[comp] = got if got is first else got - first
-            if want_stats:
-                q_codes.append(Counter(map(sum, codes)))
-        if 'theorem' in checks:
-            items.append(CheckItem('theorem', n, _subject(comp), not witness, witness))
-        if want_stats:
-            q_inv = Counter(map(inv, members))
-            q_maj_inverse = Counter(map(maj, inverses))
-            if 'fs' in checks:
-                items.append(_fs_item(n, comp, names, q_inv, q_maj_inverse, q_codes))
-            des_sigma = len(comp) - 1
-            for pairs, q in [*zip(code_pairs, q_codes),
-                             (maj_pairs, q_maj_inverse), (inv_pairs, q_inv)]:
-                for stat, count in q.items():
-                    pairs[stat, des_sigma] += count
-        if 'ncinv' in checks:
-            expected = _exact_descent_words(comp)
-            difference = Counter()
-            if words != expected:
-                difference.update(words)
-                # E′(J) holds each word once
-                _add_into(difference, dict.fromkeys(expected, -1))
-            differences[comp] = difference
-    if 'coarse' in checks:
-        items.extend(_zeta_coarse_items(n, names, coarse_counts))
-    if 'em' in checks:
-        items.extend(_summed_em_items(n, names, code_pairs, maj_pairs, inv_pairs))
-    if 'ncinv' in checks:
-        items.extend(_zeta_ncinv_items(n, differences))
-    return items
+        cls = SimpleNamespace(comp=comp, members=members, inverses=inverses,
+                              polys=[], q_codes=[])
+        # each family's codes are read while still cached, and none is kept
+        for name in encoded:
+            codes = list(map(FAMILIES[name].encode, inverses))
+            if 'words' in reads and name == 'invcode':
+                cls.words = sorted(codes)
+            if 'polys' in reads:
+                cls.polys.append(IndexPolynomial.from_words(codes))
+            if 'stats' in reads:
+                cls.q_codes.append(Counter(map(sum, codes)))
+        if 'stats' in reads:
+            cls.q_inv = Counter(map(inv, members))
+            cls.q_maj_inverse = Counter(map(maj, inverses))
+        for check, by_comp in values.items():
+            by_comp[comp] = CLASS_CHECKS[check][1](n, names, cls)
+    return [item for check, by_comp in values.items()
+            for item in CLASS_CHECKS[check][2](n, names, by_comp)]
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +411,6 @@ def _scstep_items(m: int, k: int, n_max: int) -> list[CheckItem]:
 # sweep driver
 
 
-#: Checks read off the pass over the descent classes of each size.
-CLASS_CHECKS = ('theorem', 'coarse', 'ncinv', 'em', 'fs')
 CHECK_NAMES = ('theorem', 'coarse', 'ncinv', 'scstep', 'em', 'fs')
 
 

@@ -170,6 +170,12 @@ def test_ribbon_takes_a_single_part_above_nine(capsys):
     ('ribbon', '(2,1'),
     ('code', '3,1,,2'),
     ('decode', '--family', 'ic', '1,,0'),
+    # int() reads each of these, but none is written in ASCII digits alone
+    ('code', '١٢'),
+    ('ribbon', '1_0,2'),
+    ('code', '2,0_1'),
+    ('ribbon', '+1'),
+    ('ribbon', '(+1)'),
 ])
 def test_malformed_lists_quote_the_input_and_the_forms(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -177,6 +183,14 @@ def test_malformed_lists_quote_the_input_and_the_forms(capsys, argv):
     assert out == ''
     assert f"{argv[-1]!r}: write digits like 2112, or integers separated by " in err
     assert 'Traceback' not in err
+
+
+@pytest.mark.parametrize('argv, message', [
+    (('code', '2,-1'), 'error: not a permutation of 1..2: (2, -1)\n'),
+    (('ribbon', '( 2, -1 )'), 'error: composition parts must be positive: (2, -1)\n'),
+])
+def test_negative_entries_are_read_and_then_refused(capsys, argv, message):
+    assert run(capsys, *argv) == (2, '', message)
 
 
 def test_importing_the_cli_loads_no_process_pool():

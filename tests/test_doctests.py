@@ -1,12 +1,15 @@
 """Run the usage examples: the library docstrings, the README quickstart and
-the demos, pin the package's top-level names to what those examples import,
-and check that every name a submodule's ``__all__`` lists is defined."""
+command lines, and the demos; pin the package's top-level names to what those
+examples import, and check that every name a submodule's ``__all__`` lists is
+defined."""
 
 import ast
 import doctest
 import importlib
 import os
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +18,7 @@ from types import ModuleType
 import pytest
 
 import permcodes
-from permcodes import codes, lequiv, permutations, polynomials, ribbons, trees, verify
+from permcodes import cli, codes, lequiv, permutations, polynomials, ribbons, trees, verify
 
 MODULES = [permutations, codes, polynomials, ribbons, trees, lequiv, verify]
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +38,32 @@ def test_readme_quickstart_passes():
     result = doctest.testfile(str(README), module_relative=False, verbose=False)
     assert result.failed == 0
     assert result.attempted > 0
+
+
+# the README's "Command line" section: its list of commands, then its sample
+# session, each a ```text block
+COMMANDS, SESSION = re.findall(
+    r'```text\n(.*?)```',
+    README.read_text().split('## Command line', 1)[1].split('\n## ', 1)[0], re.S)
+
+
+@pytest.mark.parametrize('line', [line for line in COMMANDS.splitlines()
+                                  if line.startswith('permcodes ')],
+                         ids=lambda line: line.split('#')[0].strip())
+def test_readme_command_lines_exit_zero(line):
+    assert cli.main(shlex.split(line, comments=True)[1:]) == 0
+
+
+@pytest.mark.parametrize('command', SESSION.split('$ ')[1:],
+                         ids=lambda command: command.splitlines()[0])
+def test_readme_sample_session_prints_the_lines_shown(capsys, command):
+    line, *shown = command.strip().splitlines()
+    argv = shlex.split(line)[1:]
+    # `| tail -1` shows only the last line printed
+    last_only = argv[-3:] == ['|', 'tail', '-1']
+    assert cli.main(argv[:-3] if last_only else argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert (printed[-1:] if last_only else printed) == shown
 
 
 @pytest.mark.parametrize('demo', DEMOS, ids=lambda path: path.stem)

@@ -459,10 +459,23 @@ def test_a_theorem_sweep_takes_no_inv_or_maj(monkeypatch):
     calls = Counter()
     _spy(monkeypatch, calls, 'inv')
     _spy(monkeypatch, calls, 'maj')
-    assert run_checks(5, checks=('theorem',)).passed
-    assert calls == Counter()
-    assert run_checks(5, checks=('fs',)).passed
-    assert calls == Counter(inv=153, maj=153)
+    from_words = IndexPolynomial.from_words
+
+    def counted(words):
+        calls['from_words'] += 1
+        return from_words(words)
+
+    monkeypatch.setattr(IndexPolynomial, 'from_words', staticmethod(counted))
+    # theorem and coarse build sorted-code polynomials (so do the cached h
+    # slices of the ribbons, hence no exact count), and em and fs read inv σ
+    # and maj σ^{-1} once per σ: Σ_{k ≤ 5} k! = 153
+    for checks in [('theorem',), ('coarse',), ('em', 'fs'), ('fs',)]:
+        calls.clear()
+        assert run_checks(5, checks=checks).passed
+        if 'theorem' in checks or 'coarse' in checks:
+            assert set(calls) == {'from_words'}, checks
+        else:
+            assert calls == Counter(inv=153, maj=153), checks
 
 
 def test_each_family_encodes_each_inverse_once(monkeypatch):
@@ -522,3 +535,67 @@ def test_verify_n7_report_is_pinned(workers):
     assert len(report.items) == 613
     assert hashlib.sha256((report.render_text() + '\n').encode()).hexdigest() == (
         '535cf0cbc4277813011b71754f4b4e466dea2ee3f954904a91e7b19ead475f98')
+
+
+# The inputs a verdict reads besides the code families, each broken at
+# verify's binding.  The direct routes import the same functions from their
+# own modules, so they stay unbroken here and are not compared: each case
+# pins which checks fail and the first failing line.
+
+def raise_001_at_21(route):
+    """``route`` with the coefficient of x_0 x_0 x_1 raised by one at (2,1)."""
+    return lambda comp: (route(comp) + IndexPolynomial.monomial((0, 0, 1))
+                         if comp == (2, 1) else route(comp))
+
+
+def drop_last_at(comp):
+    """A function of compositions whose list at ``comp`` loses its last entry."""
+    return lambda listing: lambda c: listing(c)[:-1] if c == comp else listing(c)
+
+
+def one_more_on_2143(stat):
+    """``stat`` off by one on σ = 2143, which is its own inverse."""
+    return lambda p: stat(p) + (p == (2, 1, 4, 3))
+
+
+def swap_first_two(tau):
+    """``tau`` with the first two letters of every τ(β) swapped."""
+    def broken(beta):
+        t = tau(beta)
+        return t[1::-1] + t[2:]
+    return broken
+
+
+VERDICT_INPUTS = [
+    ('ribbon_determinant', raise_001_at_21, {'theorem'},
+     'theorem n=3 I=(2,1): FAIL '
+     '[monomial [001]: inclusion-exclusion has 1, determinant has 2]'),
+    ('ribbon_flagged', raise_001_at_21, {'theorem'},
+     'theorem n=3 I=(2,1): FAIL '
+     '[monomial [001]: inclusion-exclusion has 2, determinant has 1]'),
+    ('h_product', raise_001_at_21, {'coarse'},
+     'coarse n=3 I=(2,1): FAIL [monomial [001]: invcode has 1, h_product has 2]'),
+    ('descent_class', drop_last_at((2, 2)), {'theorem', 'coarse', 'ncinv', 'em', 'fs'},
+     'coarse n=4 I=(1,1,1,1): FAIL [monomial [0022]: invcode has 0, h_product has 1]'),
+    ('inv', one_more_on_2143, {'em', 'fs'},
+     'em n=4 family=invcode: FAIL [pair (stat, des)=(2, 2): code sum has 1, inv has 0]'),
+    ('maj', one_more_on_2143, {'em', 'fs'},
+     'em n=4 family=invcode: FAIL '
+     '[pair (stat, des)=(4, 2): code sum has 4, maj of inverse has 3]'),
+    ('_exact_descent_words', drop_last_at((2, 1)), {'ncinv'},
+     'ncinv n=3 I=(1,1,1): FAIL '
+     '[word 110: invcode words has 2, concatenation product has 1]'),
+    ('tau_s', swap_first_two, {'scstep'},
+     'scstep n=3 m=1 k=2: FAIL '
+     '[beta=1: word 01: prefixes has 1, tau_S-nondecreasing words has 0]'),
+]
+
+
+@pytest.mark.parametrize('name, mutate, failing, first', VERDICT_INPUTS,
+                         ids=[name for name, *_ in VERDICT_INPUTS])
+def test_each_verdict_input_can_fail_the_checks_that_read_it(
+        monkeypatch, name, mutate, failing, first):
+    monkeypatch.setattr(verify, name, mutate(getattr(verify, name)))
+    report = run_checks(4)
+    assert {item.check for item in report.failures} == failing
+    assert report.failures[0].render() == first
