@@ -218,12 +218,6 @@ def cmd_ribbon(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_cap(args.n, args.allow_large)
-    if args.checks.strip().lower() in ('all', ''):
-        selected = verify.CHECK_NAMES
-    else:
-        selected = tuple(
-            token.strip().lower() for token in args.checks.split(',') if token.strip()
-        )
     families = _resolve_families(args.families)
     for family in families:
         if family.tau is None:
@@ -232,6 +226,13 @@ def cmd_verify(args) -> int:
     if args.workers < 1:
         raise ValueError('--workers must be at least 1')
     names = tuple(family.name for family in families)
+    if args.checks.strip().lower() in ('all', ''):
+        # every check whose family is selected
+        selected = [check for check, (family, *_) in verify.CHECKS.items()
+                    if family in (None, *names)]
+    else:
+        selected = [token.strip().lower() for token in args.checks.split(',')
+                    if token.strip()]
     report = verify.run_checks(
         args.n, checks=selected, family_names=names, workers=args.workers
     )

@@ -7,21 +7,18 @@ and determinant; and verifies the shuffle-product factorizations, the
 noncommutative inverse-code identity, the saillance step-alphabet lemma, and
 the Euler-Mahonian joint distributions.
 
-Every check but scstep reads one pass per size n.  ``CLASS_CHECKS`` gives each
-of them what it reads of a descent class beyond its members (sorted-code
-polynomials; counts of inv σ, maj σ^{-1} and code sums; or the invcode words
-alone), its value at one class, and its items from the values at every class.
-The pass walks each D_J of S_n once, inverts each member once, encodes each
-inverse once per family (invcode alone when only its words are read) and
-computes once each thing the selected checks read; only a class that fails
-theorem encodes its failing family again, to name the least σ.  theorem and fs
-compare at each class; em sums over all classes; coarse and ncinv sum over the
-classes J with Set(J) ⊆ Set(I) by a subset-sum (zeta) transform over the n − 1
-cut positions, and read a failing unit's witness off those sums.  scstep runs
-one unit per (m, k), which yields its item at every n ≥ m + k, and encodes
-with the scode family.  Units are pure functions of their arguments, so sweeps
-parallelize over them and reports merge deterministically: rendered output is
-byte-identical for any worker count.
+``CHECKS`` gives each check the family it reads (ncinv invcode, scstep scode,
+the others every selected family), what it reads of a descent class, its
+value at one class, and its items from the values at every class.  Per size n,
+one class pass walks each D_J of S_n once, inverts each member once, encodes
+each inverse once per family and computes only what the selected checks read;
+a class that fails theorem encodes its failing family again, to name the
+least σ.  theorem and fs compare at each class; em sums over all classes;
+coarse and ncinv sum over the classes J with Set(J) ⊆ Set(I) by a subset-sum
+(zeta) transform over the n − 1 cut positions.  scstep runs apart, one task
+per size n, and reports each (m, k) with m + k = n at every size from n on.
+Tasks are pure, so sweeps parallelize over them and reports merge
+deterministically: rendered output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -156,7 +153,7 @@ def _subject(comp: Composition) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the class pass: every check but scstep, one size at a time
+# the checks read off the class pass, one size at a time
 
 
 def _cut_mask(comp: Composition) -> int:
@@ -310,9 +307,9 @@ def _in_concatenation_product(word, comp: Composition) -> bool:
 def _ncinv_difference(n: int, names, cls) -> Counter:
     """The invcode words of D_J's inverses minus E′(J); empty where they agree."""
     expected = _exact_descent_words(cls.comp)
-    if cls.words == expected:
+    if cls.words['invcode'] == expected:
         return Counter()
-    return _add_into(Counter(cls.words), dict.fromkeys(expected, -1))
+    return _add_into(Counter(cls.words['invcode']), dict.fromkeys(expected, -1))
 
 
 def _zeta_ncinv_items(n: int, names, differences) -> list[CheckItem]:
@@ -337,53 +334,8 @@ def _zeta_ncinv_items(n: int, names, differences) -> list[CheckItem]:
     return items
 
 
-#: name -> (what the check reads of a class, its value at one class, its
-#: items from the values at every class of one size), in report order
-CLASS_CHECKS = {
-    'theorem': ('polys', _theorem_item, lambda n, names, items: list(items.values())),
-    # later families keep their difference from the first: zero where theorem holds
-    'coarse': ('polys', lambda n, names, cls: [cls.polys[0], *(
-        got - cls.polys[0] for got in cls.polys[1:])], _zeta_coarse_items),
-    'ncinv': ('words', _ncinv_difference, _zeta_ncinv_items),
-    'em': ('stats', lambda n, names, cls: [*cls.q_codes, cls.q_maj_inverse, cls.q_inv],
-           _summed_em_items),
-    'fs': ('stats', _fs_item, lambda n, names, items: list(items.values())),
-}
-
-
-def _class_items(n: int, checks, names) -> list[CheckItem]:
-    """The items at size n of the selected ``checks`` among CLASS_CHECKS for
-    the code families named ``names``, from one walk over the descent
-    classes of S_n that computes once each thing those checks read."""
-    reads = {CLASS_CHECKS[check][0] for check in checks}
-    # the invcode words alone, unless a check reads every family
-    encoded = names if reads - {'words'} else ('invcode',)
-    values = {check: {} for check in checks}
-    for comp in compositions_of(n):
-        members = descent_class(comp)
-        inverses = list(map(inverse, members))
-        cls = SimpleNamespace(comp=comp, members=members, inverses=inverses,
-                              polys=[], q_codes=[])
-        # each family's codes are read while still cached, and none is kept
-        for name in encoded:
-            codes = list(map(FAMILIES[name].encode, inverses))
-            if 'words' in reads and name == 'invcode':
-                cls.words = sorted(codes)
-            if 'polys' in reads:
-                cls.polys.append(IndexPolynomial.from_words(codes))
-            if 'stats' in reads:
-                cls.q_codes.append(Counter(map(sum, codes)))
-        if 'stats' in reads:
-            cls.q_inv = Counter(map(inv, members))
-            cls.q_maj_inverse = Counter(map(maj, inverses))
-        for check, by_comp in values.items():
-            by_comp[comp] = CLASS_CHECKS[check][1](n, names, cls)
-    return [item for check, by_comp in values.items()
-            for item in CLASS_CHECKS[check][2](n, names, by_comp)]
-
-
 # ---------------------------------------------------------------------------
-# scstep, one (m, k) for every n at once
+# scstep, every (m, k) with m + k = n for every size from n on
 
 
 def _scstep_witness(m: int, k: int) -> str:
@@ -399,19 +351,67 @@ def _scstep_witness(m: int, k: int) -> str:
     return ''
 
 
-def _scstep_items(m: int, k: int, n_max: int) -> list[CheckItem]:
-    """The scstep items of (m, k) at every n from m + k to ``n_max``: the
-    witness depends on (m, k) alone, so it is computed once."""
-    witness = _scstep_witness(m, k)
-    return [CheckItem('scstep', n, f'm={m} k={k}', not witness, witness)
-            for n in range(m + k, n_max + 1)]
+def _scstep_items(n: int, n_max: int) -> list[CheckItem]:
+    """The scstep items of each (m, k) with m + k = n at every size from n
+    to ``n_max``: a witness depends on (m, k) alone, so it is computed once."""
+    witnesses = {m: _scstep_witness(m, n - m) for m in range(n)}
+    return [CheckItem('scstep', size, f'm={m} k={n - m}', not witness, witness)
+            for m, witness in witnesses.items() for size in range(n, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
-# sweep driver
+# the check table and the sweep driver
 
 
-CHECK_NAMES = ('theorem', 'coarse', 'ncinv', 'scstep', 'em', 'fs')
+#: name -> (its family, None for every selected one; what it reads of a class,
+#: None when run apart; its value at one class; its items from the values at
+#: every class of one size, or, run apart, its task per size), in report order
+CHECKS = {
+    'theorem': (None, 'polys', _theorem_item,
+                lambda n, names, items: list(items.values())),
+    # later families keep their difference from the first: zero where theorem holds
+    'coarse': (None, 'polys', lambda n, names, cls: [cls.polys[0], *(
+        got - cls.polys[0] for got in cls.polys[1:])], _zeta_coarse_items),
+    'ncinv': ('invcode', 'words', _ncinv_difference, _zeta_ncinv_items),
+    'scstep': ('scode', None, None, _scstep_items),
+    'em': (None, 'stats', lambda n, names, cls: [
+        *cls.q_codes, cls.q_maj_inverse, cls.q_inv], _summed_em_items),
+    'fs': (None, 'stats', _fs_item, lambda n, names, items: list(items.values())),
+}
+CHECK_NAMES = tuple(CHECKS)
+
+
+def _class_items(n: int, checks, names) -> list[CheckItem]:
+    """The items at size n of the selected ``checks`` that read a class, for
+    the code families named ``names``, from one walk over the descent
+    classes of S_n that computes once each thing those checks read."""
+    reads = {CHECKS[check][1] for check in checks}
+    word_families = {CHECKS[check][0] for check in checks
+                     if CHECKS[check][1] == 'words'}
+    # the words readers' families alone, unless a check reads every family
+    encoded = names if reads - {'words'} else word_families
+    values = {check: {} for check in checks}
+    for comp in compositions_of(n):
+        members = descent_class(comp)
+        inverses = list(map(inverse, members))
+        cls = SimpleNamespace(comp=comp, members=members, inverses=inverses,
+                              words={}, polys=[], q_codes=[])
+        # each family's codes are read while still cached, and none is kept
+        for name in encoded:
+            codes = list(map(FAMILIES[name].encode, inverses))
+            if name in word_families:
+                cls.words[name] = sorted(codes)
+            if 'polys' in reads:
+                cls.polys.append(IndexPolynomial.from_words(codes))
+            if 'stats' in reads:
+                cls.q_codes.append(Counter(map(sum, codes)))
+        if 'stats' in reads:
+            cls.q_inv = Counter(map(inv, members))
+            cls.q_maj_inverse = Counter(map(maj, inverses))
+        for check, by_comp in values.items():
+            by_comp[comp] = CHECKS[check][2](n, names, cls)
+    return [item for check, by_comp in values.items()
+            for item in CHECKS[check][3](n, names, by_comp)]
 
 
 def _run_task(task) -> list[CheckItem]:
@@ -420,34 +420,31 @@ def _run_task(task) -> list[CheckItem]:
 
 
 def _build_tasks(n_max: int, checks, family_names) -> list[tuple]:
-    """One class-pass task per size, when a class check is selected, and
-    one scstep task per (m, k) with m + k ≤ n_max.  ncinv needs invcode;
-    scstep needs scode."""
-    unknown = [check for check in checks if check not in CHECK_NAMES]
+    """Per size n, largest first: one class pass for the selected checks
+    that read a class, and the task of each other selected check.  A check
+    whose ``CHECKS`` row names a family needs that family selected."""
+    unknown = [check for check in checks if check not in CHECKS]
     if unknown:
         raise ValueError(f'unknown checks {unknown}; choose from {",".join(CHECK_NAMES)}')
-    names = tuple(family_names)
+    names = tuple(dict.fromkeys(family_names))
     unknown = [name for name in names if name not in FAMILIES]
     if unknown:
         raise ValueError(f'unknown family {unknown[0]!r}; choose from '
                          f'{", ".join(FAMILIES)}')
     if not names:
         raise ValueError('no code families selected')
-    class_checks = tuple(
-        check for check in CLASS_CHECKS
-        if check in checks and (check != 'ncinv' or 'invcode' in names)
-    )
-    scstep = 'scstep' in checks and 'scode' in names
-    tasks: list[tuple] = []
-    if class_checks:
-        tasks.extend((_class_items, n, class_checks, names)
-                     for n in range(1, n_max + 1))
-    if scstep:
-        tasks.extend((_scstep_items, m, k, n_max)
-                     for m in range(n_max) for k in range(1, n_max - m + 1))
+    for check in checks:
+        family = CHECKS[check][0]
+        if family not in (None, *names):
+            raise ValueError(f'check {check} needs code family {family!r}')
+    class_checks = tuple(check for check in CHECKS if check in checks and CHECKS[check][1])
+    per_size = [(_class_items, class_checks, names)] if class_checks else []
+    per_size += [(row[3], n_max) for check, row in CHECKS.items()
+                 if check in checks and not row[1]]
+    tasks = [(task, n, *args) for n in range(n_max, 0, -1) for task, *args in per_size]
     if not tasks:
-        raise ValueError('the selection runs no checks: n must be at least 1, '
-                         'ncinv needs family ic and scstep needs sc')
+        raise ValueError('the selection runs no checks: n must be at least 1 '
+                         'and at least one check named')
     return tasks
 
 
@@ -477,7 +474,7 @@ def run_checks(
 
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(_run_task, tasks, chunksize=4):
+                for result in pool.map(_run_task, tasks):
                     items.extend(result)
         except BrokenProcessPool as exc:
             raise ValueError(f'worker pool failed: {exc}') from exc

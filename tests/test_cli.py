@@ -260,8 +260,6 @@ def test_verify_rejects_unknown_check(capsys):
 
 @pytest.mark.parametrize('argv', [
     ('--n', '3', '--checks', ','),
-    ('--n', '3', '--checks', 'ncinv', '--families', 'mc'),
-    ('--n', '3', '--checks', 'scstep', '--families', 'ic'),
     ('--n', '0'),
 ])
 def test_verify_selection_without_checks_is_a_usage_error(capsys, argv):
@@ -270,6 +268,24 @@ def test_verify_selection_without_checks_is_a_usage_error(capsys, argv):
     assert out == ''
     assert err.startswith('error: the selection runs no checks')
     assert 'Traceback' not in err
+
+
+@pytest.mark.parametrize('argv, message', [
+    (('--checks', 'ncinv', '--families', 'mc'), "check ncinv needs code family 'invcode'"),
+    (('--checks', 'scstep', '--families', 'ic'), "check scstep needs code family 'scode'"),
+    (('--checks', 'theorem,ncinv', '--families', 'mc'),
+     "check ncinv needs code family 'invcode'"),
+], ids=['ncinv-mc', 'scstep-ic', 'theorem,ncinv-mc'])
+def test_verify_check_without_its_family_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, 'verify', '--n', '3', *argv)
+    assert (code, out, err) == (2, '', f'error: {message}\n')
+
+
+def test_verify_all_runs_the_checks_the_families_can_run(capsys):
+    code, out, _ = run(capsys, 'verify', '--n', '3', '--families', 'mc', '--json')
+    assert code == 0
+    checks = {item['check'] for item in json.loads(out)['report']['items']}
+    assert checks == {'theorem', 'coarse', 'em', 'fs'}
 
 
 def test_verify_broken_worker_pool_exits_two(capsys, monkeypatch):

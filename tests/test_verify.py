@@ -290,13 +290,49 @@ def test_run_checks_subset_selection():
 
 @pytest.mark.parametrize('n_max, checks, family_names', [
     (3, (), verify.DEFAULT_FAMILY_NAMES),
-    (3, ('ncinv',), ('majcode',)),
-    (3, ('scstep',), ('invcode',)),
     (0, CHECK_NAMES, verify.DEFAULT_FAMILY_NAMES),
 ])
 def test_run_checks_refuses_a_selection_without_checks(n_max, checks, family_names):
     with pytest.raises(ValueError, match='the selection runs no checks'):
         run_checks(n_max, checks=checks, family_names=family_names)
+
+
+@pytest.mark.parametrize('checks, family_names, message', [
+    (('ncinv',), ('majcode',), "check ncinv needs code family 'invcode'"),
+    (('scstep',), ('invcode',), "check scstep needs code family 'scode'"),
+    (('theorem', 'ncinv'), ('majcode',), "check ncinv needs code family 'invcode'"),
+    (CHECK_NAMES, ('scode',), "check ncinv needs code family 'invcode'"),
+], ids=['ncinv-majcode', 'scstep-invcode', 'theorem,ncinv-majcode', 'all-scode'])
+def test_run_checks_refuses_a_check_without_its_family(checks, family_names, message):
+    with pytest.raises(ValueError, match=f'^{message}$'):
+        run_checks(3, checks=checks, family_names=family_names)
+
+
+def test_run_checks_drops_repeated_families(monkeypatch):
+    calls = Counter()
+
+    def counted(p):
+        calls['invcode'] += 1
+        return inv_code(p)
+
+    monkeypatch.setitem(FAMILIES, 'invcode', dataclasses.replace(INVCODE, encode=counted))
+    report = run_checks(3, checks=('em',), family_names=('invcode', 'invcode'))
+    assert [item.render() for item in report.items] == [
+        f'em n={n} family=invcode: ok' for n in (1, 2, 3)]
+    # each inverse encoded once: 1! + 2! + 3!
+    assert calls == Counter(invcode=9)
+    # the first-seen order is kept: coarse sums the first family in full
+    tasks = verify._build_tasks(1, ('coarse',), ('scode', 'invcode', 'scode'))
+    assert tasks == [(verify._class_items, 1, ('coarse',), ('scode', 'invcode'))]
+
+
+def test_pool_tasks_run_two_per_size_largest_first():
+    # the n = 9 class pass, the longest task, starts first and no worker
+    # queues a second task behind it while another is idle
+    tasks = verify._build_tasks(9, CHECK_NAMES, verify.DEFAULT_FAMILY_NAMES)
+    assert [n for _, n, *_ in tasks] == [n for n in range(9, 0, -1) for _ in range(2)]
+    assert tasks[0] == (verify._class_items, 9, ('theorem', 'coarse', 'ncinv', 'em', 'fs'),
+                        verify.DEFAULT_FAMILY_NAMES)
 
 
 @pytest.mark.parametrize('family_names, message', [
@@ -492,7 +528,7 @@ def test_each_family_encodes_each_inverse_once(monkeypatch):
     assert run_checks(5, checks=('ncinv',)).passed
     assert calls == Counter(invcode=153)
     calls.clear()
-    assert run_checks(5, checks=verify.CLASS_CHECKS).passed
+    assert run_checks(5, checks=('theorem', 'coarse', 'ncinv', 'em', 'fs')).passed
     assert calls == Counter(invcode=153, scode=153, majcode=153)
     calls.clear()
     # scstep encodes the shuffles id_k ⧢ β with scode, apart from the pass
@@ -540,7 +576,9 @@ def test_verify_n7_report_is_pinned(workers):
 # The inputs a verdict reads besides the code families, each broken at
 # verify's binding.  The direct routes import the same functions from their
 # own modules, so they stay unbroken here and are not compared: each case
-# pins which checks fail and the first failing line.
+# pins which checks the broken input changes, all to FAIL, and the first
+# changed line.  On a passing sweep those are the failing checks and the
+# first failing line.
 
 def raise_001_at_21(route):
     """``route`` with the coefficient of x_0 x_0 x_1 raised by one at (2,1)."""
@@ -558,12 +596,22 @@ def one_more_on_2143(stat):
     return lambda p: stat(p) + (p == (2, 1, 4, 3))
 
 
-def swap_first_two(tau):
-    """``tau`` with the first two letters of every τ(β) swapped."""
-    def broken(beta):
-        t = tau(beta)
-        return t[1::-1] + t[2:]
+def swap_first_two(function, at=None):
+    """``function`` with the first two letters of its result swapped: of
+    every result, or of the result ``at`` alone."""
+    def broken(arg):
+        t = function(arg)
+        return t[1::-1] + t[2:] if at is None or t == at else t
     return broken
+
+
+def never(predicate):
+    """``predicate`` answering False to everything."""
+    return lambda *args: False
+
+
+#: inputs that only word witnesses, each broken under a family that fails
+UNDER_BROKEN_FAMILY = {'_in_concatenation_product': ('invcode', swap01)}
 
 
 VERDICT_INPUTS = [
@@ -588,6 +636,14 @@ VERDICT_INPUTS = [
     ('tau_s', swap_first_two, {'scstep'},
      'scstep n=3 m=1 k=2: FAIL '
      '[beta=1: word 01: prefixes has 1, tau_S-nondecreasing words has 0]'),
+    # 2143 is its own inverse; here its inverse reads 1243
+    ('inverse', lambda inverse: swap_first_two(inverse, at=(2, 1, 4, 3)),
+     {'theorem', 'coarse', 'ncinv', 'em', 'fs'},
+     'coarse n=4 I=(1,1,1,1): FAIL [monomial [0001]: invcode has 4, h_product has 3]'),
+    # a failing ncinv unit reads its word's membership in E(I) off this test
+    ('_in_concatenation_product', never, {'ncinv'},
+     'ncinv n=3 I=(2,1): FAIL '
+     '[word 010: invcode words has -1, concatenation product has 0]'),
 ]
 
 
@@ -595,7 +651,16 @@ VERDICT_INPUTS = [
                          ids=[name for name, *_ in VERDICT_INPUTS])
 def test_each_verdict_input_can_fail_the_checks_that_read_it(
         monkeypatch, name, mutate, failing, first):
+    if name in UNDER_BROKEN_FAMILY:
+        family, broken = UNDER_BROKEN_FAMILY[name]
+        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(
+            FAMILIES[family], encode=broken(FAMILIES[family].encode)))
+    before = set(run_checks(4).items)
     monkeypatch.setattr(verify, name, mutate(getattr(verify, name)))
     report = run_checks(4)
-    assert {item.check for item in report.failures} == failing
-    assert report.failures[0].render() == first
+    changed = [item for item in report.items if item not in before]
+    if name not in UNDER_BROKEN_FAMILY:
+        assert changed == list(report.failures)
+    assert {item.check for item in changed} == failing
+    assert not any(item.passed for item in changed)
+    assert changed[0].render() == first
