@@ -260,6 +260,8 @@ def test_verify_rejects_unknown_check(capsys):
 
 @pytest.mark.parametrize('argv', [
     ('--n', '3', '--checks', ','),
+    ('--n', '3', '--checks', ',', '--families', 'mc'),
+    ('--n', '0', '--checks', 'theorem'),
     ('--n', '0'),
 ])
 def test_verify_selection_without_checks_is_a_usage_error(capsys, argv):
