@@ -99,8 +99,6 @@ def code_table_lines(n: int, families=TABLE_FAMILIES) -> list[str]:
     groups = [comp for comp in compositions_of(n) if comp and comp[0] >= 2]
     if n == 1:
         groups = [(1,)]
-    elif n == 0:
-        groups = []
     for comp in groups:
         lines.append('')
         left = sorted(map(inverse, descent_class(comp)))
@@ -226,7 +224,7 @@ def cmd_verify(args) -> int:
     if args.workers < 1:
         raise ValueError('--workers must be at least 1')
     names = tuple(family.name for family in families)
-    if args.checks.strip().lower() in ('all', ''):
+    if args.checks.strip().lower() == 'all':
         # every check whose family is selected
         selected = [check for check, (family, *_) in verify.CHECKS.items()
                     if family in (None, *names)]
@@ -256,7 +254,7 @@ def cmd_trees(args) -> int:
         raise ValueError('n must be at least 1')
     series = trees.taylor_tree_series(n)
     x_poly = trees.x_polynomial(n)
-    c_poly = trees.c_polynomial(max(n - 1, 0))
+    c_poly = trees.c_polynomial(n - 1)
     eulerian = c_poly.q_by_factor_count()
     if args.json:
         print(json.dumps({
@@ -274,7 +272,7 @@ def cmd_trees(args) -> int:
     for t, coeff in sorted(series.items()):
         print(f'  {coeff} {trees.tree_to_text(t)}')
     print(f'x_{n} = {trees.format_v_polynomial(x_poly)}')
-    print(f'C_{max(n - 1, 0)} = {trees.format_v_polynomial(c_poly)}')
+    print(f'C_{n - 1} = {trees.format_v_polynomial(c_poly)}')
     print(f'eulerian = {format_q_polynomial(eulerian)}')
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .codes import Code, lehmer_code, lehmer_decode, sorted_code
@@ -55,34 +56,21 @@ class LClass:
 
 def l_moves(u: Perm) -> set[Perm]:
     """All permutations L-adjacent to ``u`` (both exchange orientations)."""
-    n = len(u)
     out: set[Perm] = set()
-    for p1 in range(n):
-        for p2 in range(p1 + 1, n):
-            for p3 in range(p2 + 1, n):
-                x, y, z = u[p1], u[p2], u[p3]
-                # u carries (a, c, b) at these positions; v gets (b, a, c).
-                if x < z < y:
-                    a, b, c = x, z, y
-                    if _sides_ok(u, p1, p2, p3, b, c):
-                        v = list(u)
-                        v[p1], v[p2], v[p3] = b, a, c
-                        out.add(tuple(v))
-                # u carries (b, a, c); v gets (a, c, b).
-                elif y < x < z:
-                    a, b, c = y, x, z
-                    if _sides_ok(u, p1, p2, p3, b, c):
-                        v = list(u)
-                        v[p1], v[p2], v[p3] = a, c, b
-                        out.add(tuple(v))
+    for p1, p2, p3 in combinations(range(len(u)), 3):
+        x, y, z = u[p1], u[p2], u[p3]
+        if x < z < y:  # u carries (a, c, b); v gets (b, a, c)
+            b, c, moved = z, y, (z, x, y)
+        elif y < x < z:  # u carries (b, a, c); v gets (a, c, b)
+            b, c, moved = x, z, (y, z, x)
+        else:
+            continue
+        if (all(t > b for t in u[p1 + 1:p2])
+                and all(t < b or t > c for t in u[p2 + 1:p3] + u[p3 + 1:])):
+            v = list(u)
+            v[p1], v[p2], v[p3] = moved
+            out.add(tuple(v))
     return out
-
-
-def _sides_ok(u: Perm, p1: int, p2: int, p3: int, b: int, c: int) -> bool:
-    if any(t <= b for t in u[p1 + 1:p2]):
-        return False
-    tail = u[p2 + 1:p3] + u[p3 + 1:]
-    return all(t < b or t > c for t in tail)
 
 
 def l_adjacent(u: Perm, v: Perm) -> bool:
@@ -184,10 +172,4 @@ def avoids_pattern(p: Perm, pattern: Perm) -> bool:
     """
     if len(pattern) != 3:
         raise ValueError('only length-3 patterns are supported')
-    n = len(p)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if standardize((p[i], p[j], p[k])) == pattern:
-                    return False
-    return True
+    return all(standardize(t) != pattern for t in combinations(p, 3))

@@ -181,12 +181,9 @@ def shuffle(u: Word, v: Word) -> list[Word]:
     """
     out = []
     for positions in itertools.combinations(range(len(u) + len(v)), len(u)):
-        w = [0] * (len(u) + len(v))
-        iu = iter(u)
-        iv = iter(v)
-        pos = set(positions)
-        for i in range(len(w)):
-            w[i] = next(iu) if i in pos else next(iv)
+        w = list(v)
+        for i, x in zip(positions, u):
+            w.insert(i, x)
         out.append(tuple(w))
     out.sort()
     return out

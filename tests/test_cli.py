@@ -263,6 +263,7 @@ def test_verify_rejects_unknown_check(capsys):
     ('--n', '3', '--checks', ',', '--families', 'mc'),
     ('--n', '0', '--checks', 'theorem'),
     ('--n', '0'),
+    ('--n', '3', '--checks', ''),
 ])
 def test_verify_selection_without_checks_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, 'verify', *argv)

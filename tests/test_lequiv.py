@@ -31,6 +31,31 @@ def test_single_move_example():
     assert l_adjacent(u, v)
 
 
+def _l_adjacent_by_definition(u, v):
+    """u and v differ in three positions p1 < p2 < p3, where one reads
+    (b, a, c) and the other (a, c, b) with a < b < c; the letters between p1
+    and p2 exceed b, and every letter after p2 other than c lies below b or
+    above c."""
+    diff = [p for p in range(len(u)) if u[p] != v[p]]
+    if len(diff) != 3:
+        return False
+    p1, p2, p3 = diff
+    for s, t in ((u, v), (v, u)):
+        b, a, c = s[p1], s[p2], s[p3]
+        if a < b < c and (t[p1], t[p2], t[p3]) == (a, c, b):
+            return (all(x > b for x in s[p1 + 1:p2])
+                    and all(x < b or x > c for x in s[p2 + 1:] if x != c))
+    return False
+
+
+def test_moves_match_the_definition():
+    for n in range(6):
+        perms = list(iter_permutations(n))
+        for u in perms:
+            expected = {v for v in perms if _l_adjacent_by_definition(u, v)}
+            assert l_moves(u) == expected, u
+
+
 def test_moves_are_symmetric_and_preserve_sorted_lehmer():
     for u in iter_permutations(5):
         key = sorted_code(lehmer_code(u))

@@ -133,6 +133,30 @@ def test_shuffle_counts_and_members():
         assert tuple(x for x in word if x in b) == b
 
 
+def _interleavings(m, n):
+    """The orderings of two words' letters, each tagged with its word and its
+    index, that list each word's letters in order: one per shuffled word."""
+    tagged = [(0, i) for i in range(m)] + [(1, j) for j in range(n)]
+    return [
+        order for order in itertools.permutations(tagged)
+        if [i for w, i in order if w == 0] == list(range(m))
+        and [j for w, j in order if w == 1] == list(range(n))
+    ]
+
+
+def test_shuffle_matches_its_definition_with_repeated_letters():
+    assert shuffle((1,), (1,)) == [(1, 1), (1, 1)]
+    for size in range(7):
+        for m in range(size + 1):
+            orders = _interleavings(m, size - m)
+            for u in itertools.product(range(3), repeat=m):
+                for v in itertools.product(range(3), repeat=size - m):
+                    words = (u, v)
+                    expected = sorted(tuple(words[w][i] for w, i in order)
+                                      for order in orders)
+                    assert shuffle(u, v) == expected, (u, v)
+
+
 def test_shifted_shuffle():
     assert shifted_word((1, 2), 2) == (3, 4)
     words = shifted_shuffle((1, 2), (2, 1))
