@@ -224,11 +224,8 @@ def cmd_verify(args) -> int:
     if args.workers < 1:
         raise ValueError('--workers must be at least 1')
     names = tuple(family.name for family in families)
-    if args.checks.strip().lower() == 'all':
-        # every check whose family is selected
-        selected = [check for check, (family, *_) in verify.CHECKS.items()
-                    if family in (None, *names)]
-    else:
+    selected = None
+    if args.checks.strip().lower() != 'all':
         selected = [token.strip().lower() for token in args.checks.split(',')
                     if token.strip()]
     report = verify.run_checks(
@@ -338,8 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
                     'exhaustive equidistribution verification.',
     )
     sub = parser.add_subparsers(dest='subcommand', required=True)
+    # every subcommand takes --json; all but decode enumerate, so take the cap
+    json_option = argparse.ArgumentParser(add_help=False)
+    json_option.add_argument('--json', action='store_true')
+    enumerating = argparse.ArgumentParser(add_help=False, parents=[json_option])
+    enumerating.add_argument('--allow-large', action='store_true')
 
-    p_code = sub.add_parser('code', help='codes of a permutation, or a full table')
+    p_code = sub.add_parser('code', parents=[enumerating],
+                            help='codes of a permutation, or a full table')
     p_code.add_argument('perm', nargs='?', help='permutation (digits or comma-separated)')
     p_code.add_argument('--families',
                         help='comma list among lc,ic,mc,sc (default all four; '
@@ -347,28 +350,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_code.add_argument('--table', type=int, metavar='N',
                         help='print the full S_N table (columns Ic, Mc, Sc '
                              'unless --families is given)')
-    p_code.add_argument('--json', action='store_true')
-    p_code.add_argument('--allow-large', action='store_true')
     p_code.set_defaults(handler=cmd_code)
 
-    p_dec = sub.add_parser('decode', help='invert a code back to a permutation')
+    p_dec = sub.add_parser('decode', parents=[json_option],
+                           help='invert a code back to a permutation')
     p_dec.add_argument('code', help='code (digits or comma-separated)')
     p_dec.add_argument('--family', required=True,
                        help='one of lc,ic,mc,sc')
-    p_dec.add_argument('--json', action='store_true')
     p_dec.set_defaults(handler=cmd_decode)
 
-    p_rib = sub.add_parser('ribbon', help='flagged ribbon of a composition')
+    p_rib = sub.add_parser('ribbon', parents=[enumerating],
+                           help='flagged ribbon of a composition')
     p_rib.add_argument('composition', nargs='?',
                        help='composition, e.g. "(2,1,1,2)" or "2112"')
     p_rib.add_argument('--mode', choices=tuple(RIBBON_MODES), default='ie')
     p_rib.add_argument('--all', type=int, metavar='N',
                        help='print the full table for compositions of N')
-    p_rib.add_argument('--json', action='store_true')
-    p_rib.add_argument('--allow-large', action='store_true')
     p_rib.set_defaults(handler=cmd_ribbon)
 
-    p_ver = sub.add_parser('verify', help='run the verification sweeps')
+    p_ver = sub.add_parser('verify', parents=[enumerating],
+                           help='run the verification sweeps')
     p_ver.add_argument('--n', type=int, default=7, help='verify sizes 1..N (default 7)')
     p_ver.add_argument('--checks', default='all',
                        help=f'comma list among {",".join(verify.CHECK_NAMES)} or "all"')
@@ -376,21 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f'comma list among {VERIFY_FAMILIES}')
     p_ver.add_argument('--workers', type=int, default=1,
                        help='parallel workers (default 1)')
-    p_ver.add_argument('--json', action='store_true')
-    p_ver.add_argument('--allow-large', action='store_true')
     p_ver.set_defaults(handler=cmd_verify)
 
-    p_tree = sub.add_parser('trees', help='tree series, x_n, C_{n-1}, Eulerian')
+    p_tree = sub.add_parser('trees', parents=[enumerating],
+                            help='tree series, x_n, C_{n-1}, Eulerian')
     p_tree.add_argument('n', type=int)
-    p_tree.add_argument('--json', action='store_true')
-    p_tree.add_argument('--allow-large', action='store_true')
     p_tree.set_defaults(handler=cmd_trees)
 
-    p_lcl = sub.add_parser('lclass', help='L-equivalence classes')
+    p_lcl = sub.add_parser('lclass', parents=[enumerating], help='L-equivalence classes')
     p_lcl.add_argument('--perm', help='one permutation')
     p_lcl.add_argument('--n', type=int, help='partition all of S_N')
-    p_lcl.add_argument('--json', action='store_true')
-    p_lcl.add_argument('--allow-large', action='store_true')
     p_lcl.set_defaults(handler=cmd_lclass)
 
     return parser

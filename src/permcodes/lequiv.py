@@ -151,13 +151,7 @@ def class_min(p: Perm) -> Perm:
     unused = sorted(lehmer_code(p))
     slots = [0] * n
     for i in range(n, 0, -1):
-        pick = bisect_right(unused, n - i) - 1
-        if pick < 0:
-            raise RuntimeError(
-                f'greedy construction failed at position {i} for code multiset '
-                f'{unused}; input was not a genuine Lehmer code multiset'
-            )
-        slots[i - 1] = unused.pop(pick)
+        slots[i - 1] = unused.pop(bisect_right(unused, n - i) - 1)
     return lehmer_decode(tuple(slots))
 
 

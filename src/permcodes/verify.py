@@ -9,13 +9,15 @@ the Euler-Mahonian joint distributions.
 
 ``CHECKS`` gives each check the family it reads (ncinv invcode, scstep scode,
 the others every selected family), what it reads of a descent class, its
-value at one class, and its items from the values at every class.  Per size n,
+value at one class, and its items from the values at every class; by default
+``run_checks`` runs every check whose family is selected.  Per size n,
 one class pass walks each D_J of S_n once, inverts each member once, encodes
 each inverse once per family and computes only what the selected checks read;
 a class that fails theorem encodes its failing family again, to name the
 least σ.  theorem and fs compare at each class; em sums over all classes;
 coarse and ncinv sum over the classes J with Set(J) ⊆ Set(I) by a subset-sum
-(zeta) transform over the n − 1 cut positions.  scstep runs apart, one task
+(zeta) transform over the n − 1 cut positions, and a failing ncinv unit counts
+its witness word in the same E′(J) lists.  scstep runs apart, one task
 per size n, and reports each (m, k) with m + k = n at every size from n on.
 Tasks are pure, so sweeps parallelize over them and reports merge
 deterministically: rendered output is byte-identical for any worker count.
@@ -34,6 +36,7 @@ from types import SimpleNamespace
 from .codes import CodeFamily, FAMILIES, sorted_code, tau_s
 from .permutations import (
     Composition,
+    coarser_compositions,
     composition_descent_set,
     compositions_of,
     descent_class,
@@ -290,20 +293,6 @@ def _zeta_coarse_items(n: int, names, by_comp) -> list[CheckItem]:
     return items
 
 
-def _in_concatenation_product(word, comp: Composition) -> bool:
-    """Whether ``word`` lies in E(comp): it has length |comp|, and each block
-    of comp's shape is nondecreasing within its alphabet from alphabet_flag."""
-    if len(word) != sum(comp):
-        return False
-    start = 0
-    for part, size in zip(comp, alphabet_flag(comp)):
-        chain = (0, *word[start:start + part], size)
-        if any(a > b for a, b in itertools.pairwise(chain)):
-            return False
-        start += part
-    return True
-
-
 def _ncinv_difference(n: int, names, cls) -> Counter:
     """The invcode words of D_J's inverses minus E′(J); empty where they agree."""
     expected = _exact_descent_words(cls.comp)
@@ -319,17 +308,19 @@ def _zeta_ncinv_items(n: int, names, differences) -> list[CheckItem]:
     non-descent keeps them nondecreasing and within the later, smaller
     alphabet; so E(I) is the disjoint union of E′(J) over Set(J) ⊆ Set(I), as
     the shuffle set of I is the union of the inverses of those D_J.  The
-    subset sum of I is therefore (invcode words of the shuffle set) − E(I),
-    each word of E(I) once: the least word with a nonzero sum is the witness,
-    and adding back its membership in E(I) gives both of its counts."""
+    subset sum of I is therefore (invcode words of the shuffle set) − E(I).
+    The least word with a nonzero sum is the witness: its concatenation
+    product count is its count in the E′(J) lists the sum subtracted, and its
+    invcode count is that plus its sum."""
     items = []
     for comp, total in _subset_sums(differences, _add_into).items():
         witness = ''
         if total:
             word = min(total)
-            member = int(_in_concatenation_product(word, comp))
-            _, witness = _difference(_word, 'invcode words', {word: total[word] + member},
-                                     'concatenation product', {word: member})
+            product = sum(_exact_descent_words(coarser).count(word)
+                          for coarser in coarser_compositions(comp))
+            _, witness = _difference(_word, 'invcode words', {word: total[word] + product},
+                                     'concatenation product', {word: product})
         items.append(CheckItem('ncinv', n, _subject(comp), not witness, witness))
     return items
 
@@ -422,8 +413,9 @@ def _run_task(task) -> list[CheckItem]:
 def _build_tasks(n_max: int, checks, family_names) -> list[tuple]:
     """Per size n, largest first: one class pass for the selected checks
     that read a class, and the task of each other selected check.  A check
-    whose ``CHECKS`` row names a family needs that family selected."""
-    unknown = [check for check in checks if check not in CHECKS]
+    whose ``CHECKS`` row names a family needs that family selected;
+    ``checks=None`` selects every check whose family is selected."""
+    unknown = [check for check in checks or () if check not in CHECKS]
     if unknown:
         raise ValueError(f'unknown checks {unknown}; choose from {",".join(CHECK_NAMES)}')
     names = tuple(dict.fromkeys(family_names))
@@ -433,6 +425,8 @@ def _build_tasks(n_max: int, checks, family_names) -> list[tuple]:
                          f'{", ".join(FAMILIES)}')
     if not names:
         raise ValueError('no code families selected')
+    if checks is None:
+        checks = [check for check, row in CHECKS.items() if row[0] in (None, *names)]
     for check in checks:
         family = CHECKS[check][0]
         if family not in (None, *names):
@@ -450,11 +444,12 @@ def _build_tasks(n_max: int, checks, family_names) -> list[tuple]:
 
 def run_checks(
     n_max: int,
-    checks=CHECK_NAMES,
+    checks=None,
     family_names=DEFAULT_FAMILY_NAMES,
     workers: int = 1,
 ) -> VerificationReport:
-    """Run the selected check suites for every size 1..n_max.
+    """Run the selected check suites for every size 1..n_max: by default
+    every check whose code family is among ``family_names``.
 
     The report is independent of ``workers``: tasks are pure and items are
     sorted before rendering.  ``workers`` is clamped to the CPU count and the

@@ -329,6 +329,22 @@ def test_workers_default_is_one():
     assert cli.build_parser().parse_args(['verify']).workers == 1
 
 
+@pytest.mark.parametrize('argv', [
+    ('code', '312'), ('decode', '010', '--family', 'ic'), ('ribbon', '21'),
+    ('verify',), ('trees', '3'), ('lclass', '--n', '3'),
+], ids=lambda argv: argv[0])
+def test_every_subcommand_takes_json_and_all_but_decode_the_cap(capsys, argv):
+    parser = cli.build_parser()
+    assert parser.parse_args([*argv, '--json']).json
+    if argv[0] == 'decode':
+        # decode enumerates nothing, so it has no cap to lift
+        with pytest.raises(SystemExit):
+            parser.parse_args([*argv, '--allow-large'])
+        assert 'unrecognized arguments: --allow-large' in capsys.readouterr().err
+    else:
+        assert parser.parse_args([*argv, '--allow-large']).allow_large
+
+
 def test_trees_output(capsys):
     code, out, _ = run(capsys, 'trees', '4')
     assert code == 0

@@ -308,6 +308,16 @@ def test_run_checks_refuses_a_check_without_its_family(checks, family_names, mes
         run_checks(3, checks=checks, family_names=family_names)
 
 
+def test_run_checks_runs_by_default_every_check_whose_family_is_selected():
+    report = run_checks(3, family_names=('scode',))
+    assert report.passed
+    assert {item.check for item in report.items} == {
+        'theorem', 'coarse', 'scstep', 'em', 'fs'}
+    assert report.render_text() == run_checks(
+        3, checks=('theorem', 'coarse', 'scstep', 'em', 'fs'),
+        family_names=('scode',)).render_text()
+
+
 def test_run_checks_drops_repeated_families(monkeypatch):
     calls = Counter()
 
@@ -396,19 +406,6 @@ def test_exact_descent_words_are_e_filtered_by_descent_set():
             expected = sorted(w for w in concatenation_product(comp)
                               if descent_set(w) == cuts)
             assert verify._exact_descent_words(comp) == expected, comp
-
-
-def test_concatenation_product_membership():
-    for n in range(1, 6):
-        for comp in compositions_of(n):
-            e_words = set(concatenation_product(comp))
-            for word in itertools.product(range(n + 1), repeat=n):
-                assert verify._in_concatenation_product(word, comp) == (word in e_words), (
-                    comp, word)
-            # one letter short or one too many: never in E(I)
-            for word in e_words:
-                assert not verify._in_concatenation_product(word[:-1], comp), (comp, word)
-                assert not verify._in_concatenation_product(word + (0,), comp), (comp, word)
 
 
 @pytest.mark.parametrize('name', ('invcode', 'scode', 'majcode'))
@@ -605,15 +602,6 @@ def swap_first_two(function, at=None):
     return broken
 
 
-def never(predicate):
-    """``predicate`` answering False to everything."""
-    return lambda *args: False
-
-
-#: inputs that only word witnesses, each broken under a family that fails
-UNDER_BROKEN_FAMILY = {'_in_concatenation_product': ('invcode', swap01)}
-
-
 VERDICT_INPUTS = [
     ('ribbon_determinant', raise_001_at_21, {'theorem'},
      'theorem n=3 I=(2,1): FAIL '
@@ -632,7 +620,7 @@ VERDICT_INPUTS = [
      '[pair (stat, des)=(4, 2): code sum has 4, maj of inverse has 3]'),
     ('_exact_descent_words', drop_last_at((2, 1)), {'ncinv'},
      'ncinv n=3 I=(1,1,1): FAIL '
-     '[word 110: invcode words has 2, concatenation product has 1]'),
+     '[word 110: invcode words has 1, concatenation product has 0]'),
     ('tau_s', swap_first_two, {'scstep'},
      'scstep n=3 m=1 k=2: FAIL '
      '[beta=1: word 01: prefixes has 1, tau_S-nondecreasing words has 0]'),
@@ -640,10 +628,6 @@ VERDICT_INPUTS = [
     ('inverse', lambda inverse: swap_first_two(inverse, at=(2, 1, 4, 3)),
      {'theorem', 'coarse', 'ncinv', 'em', 'fs'},
      'coarse n=4 I=(1,1,1,1): FAIL [monomial [0001]: invcode has 4, h_product has 3]'),
-    # a failing ncinv unit reads its word's membership in E(I) off this test
-    ('_in_concatenation_product', never, {'ncinv'},
-     'ncinv n=3 I=(2,1): FAIL '
-     '[word 010: invcode words has -1, concatenation product has 0]'),
 ]
 
 
@@ -651,16 +635,11 @@ VERDICT_INPUTS = [
                          ids=[name for name, *_ in VERDICT_INPUTS])
 def test_each_verdict_input_can_fail_the_checks_that_read_it(
         monkeypatch, name, mutate, failing, first):
-    if name in UNDER_BROKEN_FAMILY:
-        family, broken = UNDER_BROKEN_FAMILY[name]
-        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(
-            FAMILIES[family], encode=broken(FAMILIES[family].encode)))
     before = set(run_checks(4).items)
     monkeypatch.setattr(verify, name, mutate(getattr(verify, name)))
     report = run_checks(4)
     changed = [item for item in report.items if item not in before]
-    if name not in UNDER_BROKEN_FAMILY:
-        assert changed == list(report.failures)
+    assert changed == list(report.failures)
     assert {item.check for item in changed} == failing
     assert not any(item.passed for item in changed)
     assert changed[0].render() == first
