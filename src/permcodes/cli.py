@@ -27,7 +27,6 @@ from .polynomials import format_q_polynomial
 
 __all__ = ['main', 'build_parser', 'code_table_lines']
 
-VERIFY_FAMILIES = 'ic,sc,mc'
 #: The largest size a subcommand enumerates without --allow-large.
 SIZE_CAP = 9
 #: The text code table's columns when --families is not given.
@@ -216,14 +215,7 @@ def cmd_ribbon(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_cap(args.n, args.allow_large)
-    families = _resolve_families(args.families)
-    for family in families:
-        if family.tau is None:
-            raise ValueError(f'code family {family.name!r} has no tau map; '
-                             f'verify takes {VERIFY_FAMILIES}')
-    if args.workers < 1:
-        raise ValueError('--workers must be at least 1')
-    names = tuple(family.name for family in families)
+    names = tuple(family.name for family in _resolve_families(args.families))
     selected = None
     if args.checks.strip().lower() != 'all':
         selected = [token.strip().lower() for token in args.checks.split(',')
@@ -247,8 +239,6 @@ def cmd_verify(args) -> int:
 def cmd_trees(args) -> int:
     n = args.n
     _check_cap(n, args.allow_large)
-    if n < 1:
-        raise ValueError('n must be at least 1')
     series = trees.taylor_tree_series(n)
     x_poly = trees.x_polynomial(n)
     c_poly = trees.c_polynomial(n - 1)
@@ -373,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument('--n', type=int, default=7, help='verify sizes 1..N (default 7)')
     p_ver.add_argument('--checks', default='all',
                        help=f'comma list among {",".join(verify.CHECK_NAMES)} or "all"')
-    p_ver.add_argument('--families', default=VERIFY_FAMILIES,
-                       help=f'comma list among {VERIFY_FAMILIES}')
+    verify_families = ','.join(verify.DEFAULT_FAMILY_NAMES)
+    p_ver.add_argument('--families', default=verify_families,
+                       help=f'comma list among {verify_families} (default all)')
     p_ver.add_argument('--workers', type=int, default=1,
                        help='parallel workers (default 1)')
     p_ver.set_defaults(handler=cmd_verify)

@@ -20,7 +20,7 @@ names the same monomial.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ['Monomial', 'IndexPolynomial', 'QPolynomial', 'format_q_polynomial']
@@ -58,7 +58,8 @@ def _check_degree(degree: int) -> None:
 
 
 class _Terms(Mapping):
-    """Read-only view of a polynomial's terms as ``{index tuple: coeff}``."""
+    """Read-only view of a polynomial's terms as ``{index tuple: coeff}``;
+    ``items()`` is a one-pass iterator."""
 
     __slots__ = ('_packed',)
 
@@ -77,24 +78,14 @@ class _Terms(Mapping):
         except (TypeError, ValueError):
             raise KeyError(mono) from None
 
-    def items(self) -> _TermItems:
-        return _TermItems(self)
+    def items(self) -> Iterator[tuple[Monomial, int]]:
+        return zip(self, self._packed.values())
 
     def values(self):
         return self._packed.values()
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
-
-
-class _TermItems(ItemsView):
-    """The items of a ``_Terms`` view, each key unpacked once."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        for key, coeff in self._mapping._packed.items():
-            yield _unpack(key), coeff
 
 
 class IndexPolynomial:

@@ -31,6 +31,7 @@ import os
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import cache
 from types import SimpleNamespace
 
 from .codes import CodeFamily, FAMILIES, sorted_code, tau_s
@@ -135,10 +136,7 @@ def _difference(show, label_a: str, a, label_b: str, b):
     a witness naming it and both counts; ``(None, '')`` when they agree."""
     if a == b:
         return None, ''
-    keys = [key for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0)]
-    if not keys:
-        return None, ''
-    key = min(keys)
+    key = min(key for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0))
     return key, (f'{show(key)}: {label_a} has {a.get(key, 0)}, '
                  f'{label_b} has {b.get(key, 0)}')
 
@@ -312,12 +310,13 @@ def _zeta_ncinv_items(n: int, names, differences) -> list[CheckItem]:
     The least word with a nonzero sum is the witness: its concatenation
     product count is its count in the E′(J) lists the sum subtracted, and its
     invcode count is that plus its sum."""
+    exact_descent_words = cache(_exact_descent_words)
     items = []
     for comp, total in _subset_sums(differences, _add_into).items():
         witness = ''
         if total:
             word = min(total)
-            product = sum(_exact_descent_words(coarser).count(word)
+            product = sum(exact_descent_words(coarser).count(word)
                           for coarser in coarser_compositions(comp))
             _, witness = _difference(_word, 'invcode words', {word: total[word] + product},
                                      'concatenation product', {word: product})
@@ -356,7 +355,8 @@ def _scstep_items(n: int, n_max: int) -> list[CheckItem]:
 
 #: name -> (its family, None for every selected one; what it reads of a class,
 #: None when run apart; its value at one class; its items from the values at
-#: every class of one size, or, run apart, its task per size), in report order
+#: every class of one size, or, run apart, its task per size).  Row order fixes
+#: ``CHECK_NAMES`` and the run order; the report sorts items by check name.
 CHECKS = {
     'theorem': (None, 'polys', _theorem_item,
                 lambda n, names, items: list(items.values())),
@@ -452,11 +452,14 @@ def run_checks(
     every check whose code family is among ``family_names``.
 
     The report is independent of ``workers``: tasks are pure and items are
-    sorted before rendering.  ``workers`` is clamped to the CPU count and the
-    number of tasks; at one worker the tasks run in this process.  A worker
-    pool that breaks raises ``ValueError``.
+    sorted before rendering.  ``workers`` below 1 raises ``ValueError``;
+    otherwise it is clamped to the CPU count and the number of tasks, and at
+    one worker the tasks run in this process.  A worker pool that breaks
+    raises ``ValueError``.
     """
     tasks = _build_tasks(n_max, checks, family_names)
+    if workers < 1:
+        raise ValueError('workers must be at least 1')
     workers = min(workers, os.cpu_count() or 1, len(tasks))
     items: list[CheckItem] = []
     if workers <= 1:

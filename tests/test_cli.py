@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permcodes import cli, ribbons
-from permcodes.permutations import compositions_of
+from permcodes import cli, codes, ribbons
+from permcodes.permutations import compositions_of, parse_permutation
 from permcodes.verify import CheckItem, VerificationReport
 
 
@@ -61,6 +61,19 @@ def test_code_table_prints_the_selected_families(capsys):
     assert out.splitlines() == ['sigma Sc Lc   sigma Sc Lc', '', '12 00 00   21 10 10']
 
 
+def test_code_table_json_lists_every_family_in_lexicographic_order(capsys):
+    code, out, _ = run(capsys, 'code', '--table', '3', '--json')
+    assert code == 0
+    payload = json.loads(out)
+    perms = [parse_permutation(entry['perm']) for entry in payload]
+    assert perms == sorted(perms) and len(perms) == 6
+    families = (codes.LEHMER, *codes.FAMILIES.values())
+    for p, entry in zip(perms, payload):
+        assert set(entry) == {'perm', *(family.name for family in families)}
+        for family in families:
+            assert entry[family.name] == codes.format_code(family.encode(p))
+
+
 def test_decode_roundtrip(capsys):
     code, out, _ = run(capsys, 'decode', '501012010', '--family', 'mc')
     assert code == 0
@@ -85,7 +98,20 @@ def test_verify_rejects_a_family_without_tau(capsys):
     code, out, err = run(capsys, 'verify', '--n', '3', '--families', 'ic,lc')
     assert code == 2
     assert out == ''
-    assert "code family 'lehmer' has no tau map; verify takes ic,sc,mc" in err
+    assert err == f"error: unknown family 'lehmer'; choose from {', '.join(codes.FAMILIES)}\n"
+
+
+@pytest.mark.parametrize('argv, message', [
+    # the library's rules, which the CLI does not repeat
+    (('verify', '--n', '3', '--workers', '0'), 'workers must be at least 1'),
+    (('trees', '0'), 'tree series terms start at n=1'),
+    # the CLI's own
+    (('code',), 'a permutation argument or --table N is required'),
+    (('ribbon',), 'a composition argument or --all N is required'),
+    (('decode', '--family', 'ic,mc', '0'), '--family takes exactly one family'),
+], ids=['verify-workers-0', 'trees-0', 'code', 'ribbon', 'decode-two-families'])
+def test_usage_error_prints_its_message_alone(capsys, argv, message):
+    assert run(capsys, *argv) == (2, '', f'error: {message}\n')
 
 
 def test_ribbon_single_and_modes(capsys):
@@ -371,6 +397,16 @@ def test_lclass_single_permutation(capsys):
     assert '  24153' in out
     assert 'max 32415' in out
     assert 'min 13542' in out
+
+
+def test_lclass_single_permutation_json(capsys):
+    code, out, _ = run(capsys, 'lclass', '--perm', '31452', '--json')
+    assert code == 0
+    assert json.loads(out) == {
+        'perm': '31452', 'key': '00112', 'max': '32415', 'min': '13542',
+        'members': ['13542', '14352', '21543', '23514', '24153', '24315',
+                    '31452', '32154', '32415'],
+    }
 
 
 def test_lclass_whole_size_json(capsys):

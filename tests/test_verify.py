@@ -276,6 +276,12 @@ def test_workers_are_clamped_to_cpus_and_tasks(monkeypatch, requested, cpus, poo
     assert sizes == ([] if pool_size is None else [pool_size])
 
 
+@pytest.mark.parametrize('workers', (0, -1))
+def test_run_checks_refuses_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match='^workers must be at least 1$'):
+        run_checks(3, workers=workers)
+
+
 def test_run_checks_subset_selection():
     report = run_checks(4, checks=('theorem',), family_names=('scode',))
     assert report.passed
