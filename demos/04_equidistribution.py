@@ -6,8 +6,8 @@ sort each code into a multiset.  All three families produce the SAME multiset
 distribution, and that distribution is the flagged ribbon r_I.  The verifier
 re-derives this from scratch for every composition of every n up to a bound,
 alongside five companion checks (coarse products, a noncommutative refinement,
-the step-alphabet law, Euler-Mahonian specialization, and the fundamental
-quasisymmetric refinement).
+the step-alphabet law, Euler-Mahonian specialization, and the
+Foata-Schützenberger statement per class).
 """
 
 from permcodes import (

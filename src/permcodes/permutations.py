@@ -317,24 +317,27 @@ def descent_class(comp: Composition) -> list[Perm]:
         return []
     if len(comp) < 2:
         return [identity(n)]
-    out = []
-    last = len(comp) - 1
-
-    def extend(prefix: Perm, remaining: tuple[int, ...], a: int) -> None:
-        k = comp[a]
-        rests = list(itertools.combinations(remaining, len(remaining) - k))
-        rests.reverse()
-        for block, rest in zip(itertools.combinations(remaining, k), rests):
-            if prefix and block[0] > prefix[-1]:
-                break
-            if rest[0] < block[-1]:
-                if a + 1 == last:
-                    out.append(prefix + block + rest)
-                else:
-                    extend(prefix + block, rest, a + 1)
-
-    extend((), identity(n), 0)
+    out: list[Perm] = []
+    _extend_descent_class(out, comp, (), identity(n), 0)
     return out
+
+
+def _extend_descent_class(out: list[Perm], comp: Composition, prefix: Perm,
+                          remaining: tuple[int, ...], a: int) -> None:
+    """Append to ``out`` the members of D_comp that extend ``prefix``, the
+    blocks before block a, with the values ``remaining``; not a closure, so
+    ``descent_class`` leaves no reference cycle."""
+    k = comp[a]
+    rests = list(itertools.combinations(remaining, len(remaining) - k))
+    rests.reverse()
+    for block, rest in zip(itertools.combinations(remaining, k), rests):
+        if prefix and block[0] > prefix[-1]:
+            break
+        if rest[0] < block[-1]:
+            if a + 2 == len(comp):
+                out.append(prefix + block + rest)
+            else:
+                _extend_descent_class(out, comp, prefix + block, rest, a + 1)
 
 
 def identity_block_shuffle(comp: Composition) -> list[Perm]:

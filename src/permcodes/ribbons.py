@@ -80,18 +80,20 @@ def ribbon_flagged(comp: Composition) -> IndexPolynomial:
     >>> format_bracket(ribbon_flagged((2, 1)))
     '[001] + [011]'
     """
-    memo: dict[Composition, IndexPolynomial] = {}
+    return _ribbon_recurrence(tuple(comp), {}) if comp else IndexPolynomial.one()
 
-    def r(parts: Composition) -> IndexPolynomial:
-        if parts not in memo:
-            first, rest = parts[0], parts[1:]
-            out = h_flagged(first, sum(rest))
-            if rest:
-                out = out * r(rest) - r((first + rest[0],) + rest[1:])
-            memo[parts] = out
-        return memo[parts]
 
-    return r(tuple(comp)) if comp else IndexPolynomial.one()
+def _ribbon_recurrence(parts: Composition, memo: dict) -> IndexPolynomial:
+    """r_parts by the recurrence of ``ribbon_flagged``, memoised in ``memo``;
+    not a closure, so ``ribbon_flagged`` leaves no reference cycle."""
+    if parts not in memo:
+        first, rest = parts[0], parts[1:]
+        out = h_flagged(first, sum(rest))
+        if rest:
+            out = (out * _ribbon_recurrence(rest, memo)
+                   - _ribbon_recurrence((first + rest[0],) + rest[1:], memo))
+        memo[parts] = out
+    return memo[parts]
 
 
 def ribbon_determinant(comp: Composition) -> IndexPolynomial:

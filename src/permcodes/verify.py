@@ -7,18 +7,15 @@ and determinant; and verifies the shuffle-product factorizations, the
 noncommutative inverse-code identity, the saillance step-alphabet lemma, and
 the Euler-Mahonian joint distributions.
 
-``CHECKS`` gives each check the family it reads (ncinv invcode, scstep scode,
-the others every selected family), what it reads of a descent class, its
-value at one class, and its items from the values at every class; by default
-``run_checks`` runs every check whose family is selected.  Per size n,
-one class pass walks each D_J of S_n once, inverts each member once, encodes
-each inverse once per family and computes only what the selected checks read;
-a class that fails theorem encodes its failing family again, to name the
-least σ.  theorem and fs compare at each class; em sums over all classes;
-coarse and ncinv sum over the classes J with Set(J) ⊆ Set(I) by a subset-sum
-(zeta) transform over the n − 1 cut positions, and a failing ncinv unit counts
-its witness word in the same E′(J) lists.  scstep runs apart, one task
-per size n, and reports each (m, k) with m + k = n at every size from n on.
+``CHECKS`` gives each check a ``Check`` row; by default ``run_checks`` runs
+every check whose family is selected.  Per size n, one class pass walks each
+D_J of S_n once as a ``_Class`` record, which computes on first read, once,
+what a check reads of the class.  theorem and fs compare at each class; em
+sums over all classes; coarse and ncinv sum over the classes J with
+Set(J) ⊆ Set(I) by a subset-sum (zeta) transform over the n − 1 cut
+positions, and a failing ncinv unit counts its witness word in the same
+E′(J) lists.  scstep runs apart, one task per size n, and reports each
+(m, k) with m + k = n at every size from n on.
 Tasks are pure, so sweeps parallelize over them and reports merge
 deterministically: rendered output is byte-identical for any worker count.
 """
@@ -31,8 +28,8 @@ import os
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import cache
-from types import SimpleNamespace
+from functools import cache, cached_property
+from typing import Callable, NamedTuple
 
 from .codes import CodeFamily, FAMILIES, sorted_code, tau_s
 from .permutations import (
@@ -157,6 +154,36 @@ def _subject(comp: Composition) -> str:
 # the checks read off the class pass, one size at a time
 
 
+class _Class:
+    """One descent class D_I: its members, sorted, and their inverses; and,
+    each computed on first read and kept for the life of the record, the
+    codes of the inverses and what the checks sum from them."""
+
+    def __init__(self, comp: Composition, names) -> None:
+        self.comp = comp
+        self.names = names
+        self.members = descent_class(comp)
+        self.inverses = list(map(inverse, self.members))
+        self._codes: dict[str, list] = {}
+
+    def codes(self, name: str) -> list:
+        """The ``name`` codes of the inverses, in member order."""
+        if name not in self._codes:
+            self._codes[name] = list(map(FAMILIES[name].encode, self.inverses))
+        return self._codes[name]
+
+    @cached_property
+    def polys(self) -> list[IndexPolynomial]:
+        """Per family, the sorted-code polynomial of the class."""
+        return [IndexPolynomial.from_words(self.codes(name)) for name in self.names]
+
+    @cached_property
+    def q_stats(self) -> list[Counter]:
+        """The counts of each family's code sums, then of maj σ^{-1} and of inv σ."""
+        return [*(Counter(map(sum, self.codes(name))) for name in self.names),
+                Counter(map(maj, self.inverses)), Counter(map(inv, self.members))]
+
+
 def _cut_mask(comp: Composition) -> int:
     """Set(comp) as a bit mask: bit s − 1 stands for the proper partial sum s."""
     return sum(1 << (s - 1) for s in composition_descent_set(comp))
@@ -181,18 +208,16 @@ def _add_into(counts: Counter, other: dict) -> Counter:
     """``counts`` with ``other`` added in place: a key whose counts cancel is
     dropped, negative counts are kept."""
     for key, count in other.items():
-        total = counts[key] + count
-        if total:
-            counts[key] = total
-        else:
-            counts.pop(key, None)
+        counts[key] += count
+        if not counts[key]:
+            del counts[key]
     return counts
 
 
 def _exact_descent_words(comp: Composition) -> list[tuple[int, ...]]:
-    """E′(J), sorted: the words of the concatenation product E(J) of
-    nondecreasing blocks of sizes ``comp`` over its alphabet flag whose
-    descent set is exactly Set(J).
+    """E′(J) for a composition J of n ≥ 1, sorted: the words of the
+    concatenation product E(J) of nondecreasing blocks of sizes ``comp`` over
+    its alphabet flag whose descent set is exactly Set(J).
 
     Built from the last block, whose alphabet is {0}: an earlier block is
     kept only in front of the words whose first letter is below its last.
@@ -200,8 +225,6 @@ def _exact_descent_words(comp: Composition) -> list[tuple[int, ...]]:
     >>> [''.join(map(str, w)) for w in _exact_descent_words((2, 1))]
     ['010', '110']
     """
-    if not comp:
-        return [()]
     flag = alphabet_flag(comp)
     words = [(0,) * comp[-1]]
     for a in reversed(range(len(comp) - 1)):
@@ -215,36 +238,36 @@ def _exact_descent_words(comp: Composition) -> list[tuple[int, ...]]:
     return words
 
 
-def _theorem_item(n: int, names, cls) -> CheckItem:
+def _theorem_item(n: int, cls: _Class) -> CheckItem:
     ribbon = ribbon_flagged(cls.comp)
     determinant = ribbon_determinant(cls.comp)
     witness = ''
     if ribbon != determinant:
         _, witness = _difference(_monomial, 'inclusion-exclusion', ribbon.terms,
                                  'determinant', determinant.terms)
-    for name, got in zip(names, cls.polys):
+    for name, got in zip(cls.names, cls.polys):
         if witness or got == ribbon:
             continue
         mono, witness = _difference(_monomial, name, got.terms, 'ribbon', ribbon.terms)
-        # the pass keeps no codes, so encode the class again; members are
-        # sorted, so the first code sorting to the witness is the least σ's
-        sorted_codes = [sorted_code(FAMILIES[name].encode(q)) for q in cls.inverses]
+        # members are sorted, so the first code sorting to the witness is the least σ's
+        sorted_codes = list(map(sorted_code, cls.codes(name)))
         if mono in sorted_codes:
             least = cls.members[sorted_codes.index(mono)]
             witness += f'; least contributing sigma: {format_permutation(least)}'
     return CheckItem('theorem', n, _subject(cls.comp), not witness, witness)
 
 
-def _fs_item(n: int, names, cls) -> CheckItem:
+def _fs_item(n: int, cls: _Class) -> CheckItem:
+    *q_codes, q_maj_inverse, q_inv = cls.q_stats
     witness = ''
-    if cls.q_inv != cls.q_maj_inverse:
-        witness = (f'inv distribution {format_q_polynomial(cls.q_inv)} != '
-                   f'maj-of-inverse {format_q_polynomial(cls.q_maj_inverse)}')
-    for name, q_code in zip(names, cls.q_codes):
+    if q_inv != q_maj_inverse:
+        witness = (f'inv distribution {format_q_polynomial(q_inv)} != '
+                   f'maj-of-inverse {format_q_polynomial(q_maj_inverse)}')
+    for name, q_code in zip(cls.names, q_codes):
         # x_j -> q^j sends the monomial of a sorted code to q^(its entry sum)
-        if not witness and q_code != cls.q_inv:
+        if not witness and q_code != q_inv:
             witness = (f'{name} q-specialization {format_q_polynomial(q_code)} != '
-                       f'{format_q_polynomial(cls.q_inv)}')
+                       f'{format_q_polynomial(q_inv)}')
     return CheckItem('fs', n, _subject(cls.comp), not witness, witness)
 
 
@@ -257,7 +280,6 @@ def _summed_em_items(n: int, names, by_comp) -> list[CheckItem]:
             total.update({(stat, len(comp) - 1): count for stat, count in q.items()})
     items = []
     for name, code in zip(names, pairs):
-        witness = ''
         for label, other in (('maj of inverse', pairs[-2]), ('inv', pairs[-1])):
             _, witness = _difference(lambda key: f'pair (stat, des)={key}',
                                      'code sum', code, label, other)
@@ -291,12 +313,13 @@ def _zeta_coarse_items(n: int, names, by_comp) -> list[CheckItem]:
     return items
 
 
-def _ncinv_difference(n: int, names, cls) -> Counter:
+def _ncinv_difference(n: int, cls: _Class) -> Counter:
     """The invcode words of D_J's inverses minus E′(J); empty where they agree."""
+    words = sorted(cls.codes('invcode'))
     expected = _exact_descent_words(cls.comp)
-    if cls.words['invcode'] == expected:
+    if words == expected:
         return Counter()
-    return _add_into(Counter(cls.words['invcode']), dict.fromkeys(expected, -1))
+    return _add_into(Counter(words), dict.fromkeys(expected, -1))
 
 
 def _zeta_ncinv_items(n: int, names, differences) -> list[CheckItem]:
@@ -353,21 +376,33 @@ def _scstep_items(n: int, n_max: int) -> list[CheckItem]:
 # the check table and the sweep driver
 
 
-#: name -> (its family, None for every selected one; what it reads of a class,
-#: None when run apart; its value at one class; its items from the values at
-#: every class of one size, or, run apart, its task per size).  Row order fixes
-#: ``CHECK_NAMES`` and the run order; the report sorts items by check name.
+class Check(NamedTuple):
+    """A row of ``CHECKS``: the code family the check reads, None for every
+    selected one; for a check read off the class pass, its value at one
+    ``_Class`` and its items from the values at every class of one size; for
+    a check run apart, its task per size."""
+
+    family: str | None = None
+    per_class: Callable | None = None
+    finish: Callable | None = None
+    per_size: Callable | None = None
+
+
+def _listed(n: int, names, by_comp: dict) -> list[CheckItem]:
+    return list(by_comp.values())
+
+
+#: Row order fixes ``CHECK_NAMES`` and the run order; the report sorts items
+#: by check name.
 CHECKS = {
-    'theorem': (None, 'polys', _theorem_item,
-                lambda n, names, items: list(items.values())),
+    'theorem': Check(per_class=_theorem_item, finish=_listed),
     # later families keep their difference from the first: zero where theorem holds
-    'coarse': (None, 'polys', lambda n, names, cls: [cls.polys[0], *(
-        got - cls.polys[0] for got in cls.polys[1:])], _zeta_coarse_items),
-    'ncinv': ('invcode', 'words', _ncinv_difference, _zeta_ncinv_items),
-    'scstep': ('scode', None, None, _scstep_items),
-    'em': (None, 'stats', lambda n, names, cls: [
-        *cls.q_codes, cls.q_maj_inverse, cls.q_inv], _summed_em_items),
-    'fs': (None, 'stats', _fs_item, lambda n, names, items: list(items.values())),
+    'coarse': Check(per_class=lambda n, cls: [cls.polys[0], *(
+        got - cls.polys[0] for got in cls.polys[1:])], finish=_zeta_coarse_items),
+    'ncinv': Check('invcode', _ncinv_difference, _zeta_ncinv_items),
+    'scstep': Check('scode', per_size=_scstep_items),
+    'em': Check(per_class=lambda n, cls: cls.q_stats, finish=_summed_em_items),
+    'fs': Check(per_class=_fs_item, finish=_listed),
 }
 CHECK_NAMES = tuple(CHECKS)
 
@@ -375,39 +410,19 @@ CHECK_NAMES = tuple(CHECKS)
 def _class_items(n: int, checks, names) -> list[CheckItem]:
     """The items at size n of the selected ``checks`` that read a class, for
     the code families named ``names``, from one walk over the descent
-    classes of S_n that computes once each thing those checks read."""
-    reads = {CHECKS[check][1] for check in checks}
-    word_families = {CHECKS[check][0] for check in checks
-                     if CHECKS[check][1] == 'words'}
-    # the words readers' families alone, unless a check reads every family
-    encoded = names if reads - {'words'} else word_families
+    classes of S_n: each ``_Class`` record computes once what those checks
+    read of it, and is dropped before the next class."""
     values = {check: {} for check in checks}
     for comp in compositions_of(n):
-        members = descent_class(comp)
-        inverses = list(map(inverse, members))
-        cls = SimpleNamespace(comp=comp, members=members, inverses=inverses,
-                              words={}, polys=[], q_codes=[])
-        # each family's codes are read while still cached, and none is kept
-        for name in encoded:
-            codes = list(map(FAMILIES[name].encode, inverses))
-            if name in word_families:
-                cls.words[name] = sorted(codes)
-            if 'polys' in reads:
-                cls.polys.append(IndexPolynomial.from_words(codes))
-            if 'stats' in reads:
-                cls.q_codes.append(Counter(map(sum, codes)))
-        if 'stats' in reads:
-            cls.q_inv = Counter(map(inv, members))
-            cls.q_maj_inverse = Counter(map(maj, inverses))
+        cls = _Class(comp, names)
         for check, by_comp in values.items():
-            by_comp[comp] = CHECKS[check][2](n, names, cls)
+            by_comp[comp] = CHECKS[check].per_class(n, cls)
     return [item for check, by_comp in values.items()
-            for item in CHECKS[check][3](n, names, by_comp)]
+            for item in CHECKS[check].finish(n, names, by_comp)]
 
 
 def _run_task(task) -> list[CheckItem]:
-    function, *args = task
-    return function(*args)
+    return task[0](*task[1:])
 
 
 def _build_tasks(n_max: int, checks, family_names) -> list[tuple]:
@@ -426,15 +441,14 @@ def _build_tasks(n_max: int, checks, family_names) -> list[tuple]:
     if not names:
         raise ValueError('no code families selected')
     if checks is None:
-        checks = [check for check, row in CHECKS.items() if row[0] in (None, *names)]
+        checks = [check for check, row in CHECKS.items() if row.family in (None, *names)]
     for check in checks:
-        family = CHECKS[check][0]
-        if family not in (None, *names):
-            raise ValueError(f'check {check} needs code family {family!r}')
-    class_checks = tuple(check for check in CHECKS if check in checks and CHECKS[check][1])
+        if CHECKS[check].family not in (None, *names):
+            raise ValueError(f'check {check} needs code family {CHECKS[check].family!r}')
+    rows = {check: row for check, row in CHECKS.items() if check in checks}
+    class_checks = tuple(check for check, row in rows.items() if row.per_class)
     per_size = [(_class_items, class_checks, names)] if class_checks else []
-    per_size += [(row[3], n_max) for check, row in CHECKS.items()
-                 if check in checks and not row[1]]
+    per_size += [(row.per_size, n_max) for row in rows.values() if row.per_size]
     tasks = [(task, n, *args) for n in range(n_max, 0, -1) for task, *args in per_size]
     if not tasks:
         raise ValueError('the selection runs no checks: n must be at least 1 '

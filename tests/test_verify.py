@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import operator
@@ -539,6 +540,37 @@ def test_each_family_encodes_each_inverse_once(monkeypatch):
     assert calls['invcode'] == calls['majcode'] == 153
 
 
+def test_a_failing_class_encodes_each_inverse_once_per_family(monkeypatch):
+    calls = Counter()
+
+    def counted(p):
+        calls['invcode'] += 1
+        return lehmer_code(p)
+
+    # the Lehmer code fails theorem at (2,1) and (1,2); the least σ is named
+    # from the codes the class pass already holds: 1! + 2! + 3!
+    monkeypatch.setitem(FAMILIES, 'invcode', CodeFamily('invcode', counted, tau_i,
+                                                        lehmer_decode))
+    report = run_checks(3, checks=('theorem',), family_names=('invcode',))
+    assert len(report.failures) == 2
+    assert calls == Counter(invcode=9)
+
+
+def test_a_sweep_leaves_no_reference_cycles():
+    # the class records, the descent-class walk and the ribbon memo are
+    # freed by reference counting alone, so a sweep leaves nothing for the
+    # cyclic collector
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_checks(6).passed
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_scstep_computes_each_pair_once(monkeypatch):
     calls = Counter()
     _spy(monkeypatch, calls, '_scstep_witness')
@@ -574,6 +606,13 @@ def test_verify_n7_report_is_pinned(workers):
     assert len(report.items) == 613
     assert hashlib.sha256((report.render_text() + '\n').encode()).hexdigest() == (
         '535cf0cbc4277813011b71754f4b4e466dea2ee3f954904a91e7b19ead475f98')
+
+
+def test_verify_n8_report_is_pinned():
+    report = run_checks(8)
+    assert len(report.items) == 1164
+    assert hashlib.sha256((report.render_text() + '\n').encode()).hexdigest() == (
+        '21d972ce5aa1fd15052bdcb64c239dd9d437d24123b19e05fd74094f24adaefc')
 
 
 # The inputs a verdict reads besides the code families, each broken at
