@@ -196,6 +196,13 @@ def maj_decode(c: Code) -> Perm:
     rise slot number c_i − d, counted from 0, where slot 0 and the slot
     after the last letter are rises.
 
+    Each slot is named by the letter on its right, and the slot after the
+    last letter by 0; ``descs`` and ``rises`` hold the names of the descent
+    and rise slots in word order.  Inserting the new least letter i at
+    position s splits slot s in two: the slot before i, named i, is a
+    descent unless s = 0, and the slot after i keeps the old name and is a
+    rise.
+
     >>> maj_decode((5, 0, 1, 0, 1, 2, 0, 1, 0))
     (9, 3, 5, 7, 2, 1, 4, 6, 8)
     >>> maj_decode(())
@@ -206,27 +213,26 @@ def maj_decode(c: Code) -> Perm:
     if n == 0:
         return ()
     word = [n]
-    descents = 0  # bit t set when slot t of word is a descent
+    descs: list[int] = []
+    rises = [n, 0]
     for i in range(n - 1, 0, -1):
         a = c[i - 1]
-        d = descents.bit_count()
+        d = len(descs)
         if a < d:
-            left = descents
-            for _ in range(a):  # clear the a highest descent slots
-                left ^= 1 << left.bit_length() - 1
-            slot = left.bit_length() - 1
+            j = d - 1 - a
+            x = descs[j]
+            s = word.index(x)
+            descs[j] = i
+            rises.insert(s - j, x)
         else:
-            rises = ((2 << len(word)) - 1) ^ descents
-            for _ in range(a - d):  # clear the a − d lowest rise slots
-                rises &= rises - 1
-            slot = (rises & -rises).bit_length() - 1
-        if slot:
-            # a descent before the new least letter and a rise after it
-            descents = (descents & (1 << slot) - 1 | (1 << slot)
-                        | descents >> slot + 1 << slot + 2)
-        else:
-            descents <<= 1
-        word.insert(slot, i)
+            r = a - d
+            x = rises[r]
+            s = word.index(x) if x else len(word)
+            if s:
+                descs.insert(s - r, i)
+            else:
+                rises.insert(0, i)
+        word.insert(s, i)
     return tuple(word)
 
 

@@ -78,6 +78,10 @@ def test_decode_roundtrip(capsys):
     code, out, _ = run(capsys, 'decode', '501012010', '--family', 'mc')
     assert code == 0
     assert out.strip() == '935721468'
+    # past 10 letters codes and permutations are printed comma-separated
+    code, out, _ = run(capsys, 'decode', '--family', 'mc', '9,9,2,6,4,4,1,2,2,2,1,0')
+    assert code == 0
+    assert out.strip() == '8,5,9,6,3,4,1,12,7,2,11,10'
     code, out, _ = run(capsys, 'decode', '0110', '--family', 'sc', '--json')
     assert json.loads(out)['perm'] == '1423'
 

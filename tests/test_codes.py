@@ -168,6 +168,11 @@ def test_maj_decode_agrees_with_the_tau_recursion():
             assert maj_decode(c) == generic_decode(MAJCODE, c)
 
 
+def test_maj_decode_inverts_the_definitional_code_on_s8():
+    for p in iter_permutations(8):
+        assert maj_decode(maj_code_reference(p)) == p
+
+
 def test_invcode_is_lehmer_of_inverse():
     for p in iter_permutations(5):
         assert inv_code(p) == lehmer_code(inverse(p))
@@ -282,11 +287,15 @@ def test_roundtrips_on_random_permutations(p):
 
 
 # The decreasing word of 16 gives the major-code decoder all descent slots,
-# the increasing one none.
+# the increasing one none.  The zigzag 16 1 15 2 ... 9 8 first builds
+# 16 15 ... 8, with eight descent slots, then puts each of 7, ..., 1 into one
+# of them, adding a rise each time, so its last insertions index long lists
+# of both kinds.
 @given(st.integers(min_value=9, max_value=16).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)))
 @example(tuple(range(16, 0, -1)))
 @example(tuple(range(1, 17)))
+@example(tuple(v for k in range(8) for v in (16 - k, 1 + k)))
 def test_roundtrips_on_long_permutations(p):
     for name in ENCODE:
         assert DECODE[name](ENCODE[name](p)) == p
