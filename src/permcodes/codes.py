@@ -22,7 +22,6 @@ from .permutations import (
     insert_one_at,
     iter_permutations,
     parse_integers,
-    standardize,
 )
 
 __all__ = [
@@ -190,18 +189,18 @@ def maj_code(p: Perm) -> Code:
 
 
 def maj_decode(c: Code) -> Perm:
-    """Inverse of ``maj_code``, τ_M read backwards: start from the letter n
-    and insert n−1, ..., 1 in turn.  When the word has d descents, letter i
-    goes into the (d − c_i)-th descent slot if c_i < d, and otherwise into
-    rise slot number c_i − d, counted from 0, where slot 0 and the slot
-    after the last letter are rises.
+    """Inverse of ``maj_code``, τ_M read backwards: insert n, n−1, ..., 1 in
+    turn into the empty word.  When the word has d descents, letter i goes
+    into the (d − c_i)-th descent slot if c_i < d, and otherwise into rise
+    slot number c_i − d, counted from 0, where slot 0 and the slot after the
+    last letter are rises.
 
     Each slot is named by the letter on its right, and the slot after the
     last letter by 0; ``descs`` and ``rises`` hold the names of the descent
-    and rise slots in word order.  Inserting the new least letter i at
-    position s splits slot s in two: the slot before i, named i, is a
-    descent unless s = 0, and the slot after i keeps the old name and is a
-    rise.
+    and rise slots in word order.  The empty word has the one slot 0, a
+    rise.  Inserting the new least letter i at position s splits slot s in
+    two: the slot before i, named i, is a descent unless s = 0, and the slot
+    after i keeps the old name and is a rise.
 
     >>> maj_decode((5, 0, 1, 0, 1, 2, 0, 1, 0))
     (9, 3, 5, 7, 2, 1, 4, 6, 8)
@@ -209,13 +208,10 @@ def maj_decode(c: Code) -> Perm:
     ()
     """
     check_code(c)
-    n = len(c)
-    if n == 0:
-        return ()
-    word = [n]
+    word: list[int] = []
     descs: list[int] = []
-    rises = [n, 0]
-    for i in range(n - 1, 0, -1):
+    rises = [0]
+    for i in range(len(c), 0, -1):
         a = c[i - 1]
         d = len(descs)
         if a < d:
@@ -262,8 +258,9 @@ def s_code(p: Perm) -> Code:
 
 
 def s_decode(c: Code) -> Perm:
-    """Inverse of ``s_code``: start from the letter n and insert n−1, ..., 1 in
-    turn, letter i going immediately after letter n+1−a_i (first if a_i = 0).
+    """Inverse of ``s_code``: insert n, n−1, ..., 1 in turn into the empty
+    word, letter i going immediately after letter n+1−a_i, or first if
+    a_i = 0.  The last entry a_n is 0, so n goes in first.
 
     >>> s_decode((3, 3, 2, 0, 0))
     (4, 3, 1, 2, 5)
@@ -272,10 +269,8 @@ def s_decode(c: Code) -> Perm:
     """
     check_code(c)
     n = len(c)
-    if n == 0:
-        return ()
-    word = [n]
-    for i in range(n - 1, 0, -1):
+    word: list[int] = []
+    for i in range(n, 0, -1):
         a = c[i - 1]
         if a == 0:
             word.insert(0, i)
@@ -348,35 +343,37 @@ FAMILIES: dict[str, CodeFamily] = {f.name: f for f in (SCODE, INVCODE, MAJCODE)}
 
 
 def generic_encode(family: CodeFamily, p: Perm) -> Code:
-    """Encode through the τ recursion alone: strip the letter 1, standardize
-    the rest to β, and prepend τ(β)(slot of the stripped letter).
+    """Encode through the τ insertion alone: delete the letter 1, at slot i,
+    and shift the other letters down by one to get β; the next entry is
+    τ(β)(i), and β is encoded in turn until the word is empty.
 
     Agrees with ``family.encode`` for the three built-in families.
 
     >>> generic_encode(SCODE, (4, 3, 1, 2, 5))
     (3, 3, 2, 0, 0)
     """
-    if len(p) == 0:
-        return ()
-    i = p.index(1)
-    beta = standardize(p[:i] + p[i + 1:])
-    return (family.tau(beta)[i],) + generic_encode(family, beta)
+    out = []
+    while p:
+        i = p.index(1)
+        p = tuple(x - 1 for x in p[:i] + p[i + 1:])
+        out.append(family.tau(p)[i])
+    return tuple(out)
 
 
 def generic_decode(family: CodeFamily, c: Code) -> Perm:
-    """Invert the τ recursion: find the slot i with τ(β)(i) = c_1 and insert.
+    """Invert ``generic_encode``: read the code from its last entry to its
+    first, inserting into β (from the empty word) the letter 1 at the slot i
+    with τ(β)(i) equal to the entry.
 
     τ(β) is a bijection of {0, ..., n}, so exactly one slot matches.
 
     >>> generic_decode(MAJCODE, (5, 0, 1, 0, 1, 2, 0, 1, 0))
     (9, 3, 5, 7, 2, 1, 4, 6, 8)
     """
-    check_code(c)
-    if len(c) == 0:
-        return ()
-    beta = generic_decode(family, c[1:])
-    i = family.tau(beta).index(c[0])
-    return insert_one_at(beta, i)
+    beta: Perm = ()
+    for entry in reversed(check_code(c)):
+        beta = insert_one_at(beta, family.tau(beta).index(entry))
+    return beta
 
 
 class AcceptabilityResult(NamedTuple):

@@ -43,15 +43,13 @@ def alphabet_flag(comp: Composition) -> tuple[int, ...]:
 
 @cache
 def h_flagged(k: int, m: int) -> IndexPolynomial:
-    """Complete homogeneous h_k over the alphabet X_m = {x_0, ..., x_m}: the
-    sum of all nondecreasing words 0 ≤ j_1 ≤ ... ≤ j_k ≤ m, with C(m+k, k)
-    monomials.
+    """Complete homogeneous h_k over the alphabet X_m = {x_0, ..., x_m}, for
+    k, m ≥ 0: the sum of all nondecreasing words 0 ≤ j_1 ≤ ... ≤ j_k ≤ m,
+    with C(m+k, k) monomials.
 
     >>> sorted(h_flagged(2, 1).terms)
     [(0, 0), (0, 1), (1, 1)]
     """
-    if k < 0 or m < 0:
-        return IndexPolynomial.zero()
     return IndexPolynomial.from_words(
         itertools.combinations_with_replacement(range(m + 1), k))
 

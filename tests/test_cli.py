@@ -51,6 +51,20 @@ def test_code_table(capsys):
                                '4321', '3210', '3210', '3210']
 
 
+def test_code_table_of_one_letter(capsys):
+    assert run(capsys, 'code', '--table', '1') == (0, 'sigma Ic Mc Sc\n\n1 0 0 0\n', '')
+
+
+def test_code_past_ten_letters_prints_codes_comma_separated(capsys):
+    code, out, _ = run(capsys, 'code', '12,11,10,9,8,7,6,5,4,3,2,1')
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == 'sigma: 12,11,10,9,8,7,6,5,4,3,2,1'
+    assert lines[1:] == [
+        f'{name} 11,10,9,8,7,6,5,4,3,2,1,0  sorted 0,1,2,3,4,5,6,7,8,9,10,11'
+        for name in ('Lc', 'Ic', 'Mc', 'Sc')]
+
+
 def test_code_table_prints_the_selected_families(capsys):
     code, out, _ = run(capsys, 'code', '--table', '3', '--families', 'mc')
     assert code == 0
@@ -113,7 +127,13 @@ def test_verify_rejects_a_family_without_tau(capsys):
     (('code',), 'a permutation argument or --table N is required'),
     (('ribbon',), 'a composition argument or --all N is required'),
     (('decode', '--family', 'ic,mc', '0'), '--family takes exactly one family'),
-], ids=['verify-workers-0', 'trees-0', 'code', 'ribbon', 'decode-two-families'])
+    (('code', '--families', ',', '312'), 'no code families selected'),
+    (('code', '--table', '-1'), 'n must be non-negative'),
+    (('ribbon', '--all', '-1'), 'n must be non-negative'),
+    (('lclass', '--n', '-1'), 'n must be non-negative'),
+], ids=['verify-workers-0', 'trees-0', 'code', 'ribbon', 'decode-two-families',
+        'code-no-families', 'code-table-negative', 'ribbon-all-negative',
+        'lclass-negative'])
 def test_usage_error_prints_its_message_alone(capsys, argv, message):
     assert run(capsys, *argv) == (2, '', f'error: {message}\n')
 

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from math import factorial
 
@@ -260,6 +261,16 @@ def test_generic_encode_decode_agree_with_direct(name):
             assert generic_decode(family, c) == p
 
 
+# Far past the interpreter's recursion limit: both run as loops.
+@pytest.mark.parametrize('name', ('majcode', 'scode'))
+def test_generic_encode_decode_on_a_1200_letter_permutation(name):
+    family = FAMILIES[name]
+    p = tuple(random.Random(1200).sample(range(1, 1201), 1200))
+    c = family.encode(p)
+    assert generic_encode(family, p) == c
+    assert generic_decode(family, c) == p
+
+
 @pytest.mark.parametrize('name', ('invcode', 'majcode', 'scode'))
 def test_families_are_acceptable(name):
     result = is_acceptable(FAMILIES[name], 5)
@@ -270,8 +281,12 @@ def test_families_are_acceptable(name):
 
 def test_scode_decode_builds_by_insertion():
     assert s_decode((0, 1, 1, 0)) == (1, 4, 2, 3)
-    assert s_decode(()) == ()
-    assert s_decode((0,)) == (1,)
+
+
+@pytest.mark.parametrize('name', sorted(DECODE))
+def test_decoders_start_from_the_empty_word(name):
+    assert DECODE[name](()) == ()
+    assert DECODE[name]((0,)) == (1,)
 
 
 def test_parse_code_rejects_non_subdiagonal():
@@ -306,6 +321,13 @@ def test_roundtrips_on_long_permutations(p):
 def test_decoders_reject_non_subdiagonal_codes(name, c):
     with pytest.raises(ValueError):
         DECODE[name](c)
+
+
+@pytest.mark.parametrize('name', ('invcode', 'majcode', 'scode'))
+@pytest.mark.parametrize('c', [(1,), (0, 2, 0), (0, -1)])
+def test_generic_decode_rejects_non_subdiagonal_codes(name, c):
+    with pytest.raises(ValueError):
+        generic_decode(FAMILIES[name], c)
 
 
 @given(st.integers(min_value=0, max_value=6).flatmap(
