@@ -10,17 +10,23 @@ Inside, a monomial is one packed integer, Σ_j e_j·2^(W·j) with W = 32, where
 e_j is the exponent of x_j, so the product of two monomials is the sum of
 their keys and a key hashes as one int.  The format is private to this
 module.  Every polynomial carries an upper bound on its degree, and the
-constructors and ``*`` raise ``ValueError`` before any exponent could reach
-2^W, where a carry would turn x_j^(2^W) into x_{j+1}.  ``terms`` is a
-read-only mapping view that reads and writes index tuples: iteration unpacks
-each key once, and a looked-up tuple is packed, so any order of its indices
-names the same monomial.
+constructors and the products raise ``ValueError`` before any exponent could
+reach 2^W, where a carry would turn x_j^(2^W) into x_{j+1}.
+
+``IndexPolynomial.sum_of_products`` is the one product loop: it adds Σ ±a·b
+into a single dict and drops zero coefficients once, and ``*`` is its
+one-product case.  ``terms`` is a read-only mapping view that reads and
+writes index tuples: iteration unpacks each key through a cache bounded at
+2^15 monomials, so a monomial read again is not unpacked again, and a
+looked-up tuple is packed, so any order of its indices names the same
+monomial.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ['Monomial', 'IndexPolynomial', 'QPolynomial', 'format_q_polynomial']
@@ -41,7 +47,13 @@ def _pack(mono: Iterable[int]) -> int:
     return key
 
 
+@lru_cache(maxsize=1 << 15)
 def _unpack(key: int) -> Monomial:
+    """The index tuple of a packed key.  Cached, least recently used first
+    out, at most 2^15 = 32,768 monomials: more than the Catalan(10) =
+    16,796 sorted codes of length 10, so up to n = 10 each monomial is
+    unpacked once per process however often it is read, and for any input
+    the cache holds no more than the bound."""
     mono: Monomial = ()
     index = 0
     while key:
@@ -179,15 +191,35 @@ class IndexPolynomial:
         if isinstance(other, int):
             return IndexPolynomial._packed(
                 {k: v * other for k, v in self._terms.items()}, self._degree)
-        degree = self._degree + other._degree
+        return IndexPolynomial.sum_of_products([(self, other, False)])
+
+    @staticmethod
+    def sum_of_products(
+        triples: Iterable[tuple[IndexPolynomial, IndexPolynomial, bool]],
+    ) -> IndexPolynomial:
+        """Σ ±a·b over ``(a, b, negate)`` triples, a·b subtracted where
+        ``negate`` is true.  Every product's degree is checked before any
+        term is added; then all products go into one fresh dict, whose zero
+        coefficients are dropped once at the end.  The inputs are not
+        modified.
+
+        >>> x0, x1 = IndexPolynomial.monomial((0,)), IndexPolynomial.monomial((1,))
+        >>> IndexPolynomial.sum_of_products([(x0, x1, False), (x1, x0, True)])
+        IndexPolynomial(0)
+        """
+        triples = list(triples)
+        degree = max((a._degree + b._degree for a, b, _ in triples), default=0)
         _check_degree(degree)
         out: dict[int, int] = {}
         get = out.get
-        b = other._terms.items()
-        for ka, va in self._terms.items():
-            for kb, vb in b:
-                key = ka + kb
-                out[key] = get(key, 0) + va * vb
+        for a, b, negate in triples:
+            b_items = b._terms.items()
+            for ka, va in a._terms.items():
+                if negate:
+                    va = -va
+                for kb, vb in b_items:
+                    key = ka + kb
+                    out[key] = get(key, 0) + va * vb
         return IndexPolynomial._packed(out, degree)
 
     def total_mass(self) -> int:

@@ -103,7 +103,9 @@ def ribbon_determinant(comp: Composition) -> IndexPolynomial:
     k, a unitriangular block times the trailing minor of the suffix
     (i_{k+1}, ...), whose flags are its own:
     r_I = Σ_k (−1)^{k−1} h_{i_1+...+i_k}(X_{n−i_1−...−i_k})·r_{(i_{k+1},...)}.
-    Memoised per call over the r + 1 suffixes.
+    Memoised per call over the r + 1 suffixes; each suffix's minor is one
+    ``IndexPolynomial.sum_of_products`` call, its products added into a
+    single accumulator.
 
     >>> ribbon_determinant((1, 2)) == ribbon_flagged((1, 2))
     True
@@ -113,11 +115,9 @@ def ribbon_determinant(comp: Composition) -> IndexPolynomial:
     tail = list(itertools.accumulate(reversed(comp), initial=0))[::-1]
     minors = [IndexPolynomial.zero()] * r + [IndexPolynomial.one()]
     for a in reversed(range(r)):
-        out = IndexPolynomial.zero()
-        for k in range(a + 1, r + 1):
-            term = h_flagged(tail[a] - tail[k], tail[k]) * minors[k]
-            out = out - term if (k - a) % 2 == 0 else out + term
-        minors[a] = out
+        minors[a] = IndexPolynomial.sum_of_products(
+            (h_flagged(tail[a] - tail[k], tail[k]), minors[k], (k - a) % 2 == 0)
+            for k in range(a + 1, r + 1))
     return minors[0]
 
 

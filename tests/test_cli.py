@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import io
 import json
@@ -182,6 +183,22 @@ def test_ribbon_all_follows_the_mode(capsys, monkeypatch, extra):
     assert code == 0
     assert called == compositions_of(4)
     assert out == run(capsys, 'ribbon', '--all', '4', *extra)[1]
+
+
+#: sha256 of the whole `ribbon --all 8` output per mode; both routes print
+#: the same r_I table.
+RIBBON_ALL_8_SHA256 = {
+    'ie': '4679af86135d3378b42d3fa1a29ecad048ec008e93a2e8bcf39a746497f3285c',
+    'det': '4679af86135d3378b42d3fa1a29ecad048ec008e93a2e8bcf39a746497f3285c',
+    'product': 'a8d0b41a52c6d2766dcb358e81fdb2ec17701a3907d30cb34112109235d56121',
+}
+
+
+@pytest.mark.parametrize('mode', sorted(RIBBON_ALL_8_SHA256))
+def test_ribbon_all_8_is_pinned(capsys, mode):
+    code, out, _ = run(capsys, 'ribbon', '--all', '8', '--mode', mode)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RIBBON_ALL_8_SHA256[mode]
 
 
 def test_ribbon_all_product_mode_prints_h_products(capsys):

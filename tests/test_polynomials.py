@@ -1,14 +1,20 @@
+import itertools
+from math import comb
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import TuplePolynomial
-from permcodes.polynomials import IndexPolynomial
+from permcodes.polynomials import IndexPolynomial, _pack, _unpack
+from permcodes.ribbons import h_flagged
 
 #: Few small indices, so that random sums often cancel, and indices past one
 #: machine word of packed exponents.
 INDICES = st.one_of(st.integers(0, 3), st.sampled_from((10, 11, 64, 65, 70)))
 MONOMIALS = st.lists(INDICES, max_size=4).map(lambda indices: tuple(sorted(indices)))
 POLYNOMIALS = st.dictionaries(MONOMIALS, st.integers(-3, 3), max_size=6)
+#: (a, b, negate) triples for ``sum_of_products``.
+TRIPLES = st.lists(st.tuples(POLYNOMIALS, POLYNOMIALS, st.booleans()), max_size=4)
 
 
 @settings(max_examples=300, deadline=None)
@@ -74,3 +80,64 @@ def test_degree_guard_raises_before_an_exponent_carries():
     assert poly.total_mass() == 1
     with pytest.raises(ValueError, match='degree 4294967296'):
         poly * poly
+
+
+@settings(max_examples=200, deadline=None)
+@given(TRIPLES)
+@example([])
+def test_sum_of_products_agrees_with_the_tuple_keyed_oracle(triples):
+    want = TuplePolynomial()
+    for a, b, negate in triples:
+        product = TuplePolynomial(a) * TuplePolynomial(b)
+        want = want - product if negate else want + product
+    polys = [(IndexPolynomial(a), IndexPolynomial(b), negate) for a, b, negate in triples]
+    before = [(dict(a.terms), dict(b.terms)) for a, b, _ in polys]
+    got = IndexPolynomial.sum_of_products(polys)
+    assert got.terms == want.terms
+    assert bool(got) == bool(want.terms)
+    assert got == IndexPolynomial.sum_of_products(iter(polys))
+    # each product cancelled by its own negation, with the factors swapped
+    cancelled = polys + [(b, a, not negate) for a, b, negate in polys]
+    assert IndexPolynomial.sum_of_products(cancelled).terms == {}
+    assert [(dict(a.terms), dict(b.terms)) for a, b, _ in polys] == before
+
+
+def test_sum_of_products_never_writes_into_a_cached_polynomial():
+    h = h_flagged(2, 1)
+    before = dict(h.terms)
+    one = IndexPolynomial.one()
+    twice = IndexPolynomial.sum_of_products([(h, one, False), (one, h, False)])
+    assert twice == h * 2
+    assert not IndexPolynomial.sum_of_products([(h, one, False), (h, one, True)])
+    assert h_flagged(2, 1) is h
+    assert dict(h.terms) == before
+
+
+def test_sum_of_products_checks_every_degree_before_it_adds():
+    class Unread:
+        """A sign that is read only once a product is being added."""
+
+        def __bool__(self):
+            raise AssertionError('a product was added before the degree check')
+
+    x0 = IndexPolynomial.monomial((0,))
+    poly = x0
+    for _ in range(31):
+        poly = poly * poly
+    with pytest.raises(ValueError, match='degree 4294967296'):
+        IndexPolynomial.sum_of_products([(x0, x0, Unread()), (poly, poly, False)])
+
+
+def test_unpack_cache_is_bounded_and_returns_what_unpacking_returns():
+    maxsize = _unpack.cache_info().maxsize
+    # at least every sorted code of length 10, Catalan(10) of them
+    assert maxsize is not None and maxsize >= 16796
+    # every monomial of one degree in x_0..x_7, more of them than the cache holds
+    degree = next(d for d in itertools.count() if comb(d + 7, 7) > maxsize)
+    words = list(itertools.combinations_with_replacement(range(8), degree))
+    poly = IndexPolynomial.from_words(words)
+    assert sorted(poly.terms) == words
+    assert _unpack.cache_info().currsize <= maxsize
+    for word in words[:100] + words[-100:]:
+        key = _pack(word)
+        assert _unpack(key) == _unpack(key) == _unpack.__wrapped__(key) == word
