@@ -73,10 +73,14 @@ def is_subdiagonal(c: Code) -> bool:
     return all(map(le, c, range(len(c) - 1, -1, -1))) and min(c, default=0) >= 0
 
 
+def _bad_code(c: Code) -> ValueError:
+    return ValueError(f'not a sub-diagonal code: {tuple(c)}')
+
+
 def check_code(c: Code) -> Code:
     c = tuple(c)
     if not is_subdiagonal(c):
-        raise ValueError(f'not a sub-diagonal code: {c}')
+        raise _bad_code(c)
     return c
 
 
@@ -111,12 +115,20 @@ def lehmer_code(p: Perm) -> Code:
 def lehmer_decode(c: Code) -> Perm:
     """Inverse of ``lehmer_code``: pick the (c_i+1)-st smallest unused value.
 
+    A bad code is rejected by the picks themselves: an entry above n−i pops
+    past the end of the n−i+1 unused values.  ``list.pop`` takes a negative
+    index, so negative entries are rejected before any pick.
+
     >>> lehmer_decode((4, 2, 0, 5, 2, 0, 0, 1, 0))
     (5, 3, 1, 9, 6, 2, 4, 8, 7)
     """
-    check_code(c)
+    if c and min(c) < 0:
+        raise _bad_code(c)
     available = list(range(1, len(c) + 1))
-    return tuple(map(available.pop, c))
+    try:
+        return tuple(map(available.pop, c))
+    except IndexError:
+        raise _bad_code(c) from None
 
 
 def inv_code(p: Perm) -> Code:
@@ -143,13 +155,20 @@ def inv_decode(c: Code) -> Perm:
     index c_i of the word so far, which then holds only letters greater than
     i, so exactly c_i of them stand to its left.
 
+    ``list.insert`` clamps an index out of range instead of raising, so each
+    entry is checked against 0..n−i as it is read, and a bad code is
+    rejected there, with no pass over the code before the inserts.
+
     >>> inv_decode((1, 1, 1, 0))
     (4, 1, 2, 3)
     """
-    check_code(c)
+    n = len(c)
     word: list[int] = []
-    for i in range(len(c), 0, -1):
-        word.insert(c[i - 1], i)
+    for i in range(n, 0, -1):
+        a = c[i - 1]
+        if not 0 <= a <= n - i:
+            raise _bad_code(c)
+        word.insert(a, i)
     return tuple(word)
 
 
@@ -202,33 +221,40 @@ def maj_decode(c: Code) -> Perm:
     two: the slot before i, named i, is a descent unless s = 0, and the slot
     after i keeps the old name and is a rise.
 
+    A bad code is rejected by the slot lookups themselves.  A negative entry
+    asks for descent slot d − c_i > d, past the end of ``descs``; an entry
+    above n−i asks for rise slot c_i − d ≥ n−i+1−d, past the end of
+    ``rises``.
+
     >>> maj_decode((5, 0, 1, 0, 1, 2, 0, 1, 0))
     (9, 3, 5, 7, 2, 1, 4, 6, 8)
     >>> maj_decode(())
     ()
     """
-    check_code(c)
     word: list[int] = []
     descs: list[int] = []
     rises = [0]
-    for i in range(len(c), 0, -1):
-        a = c[i - 1]
-        d = len(descs)
-        if a < d:
-            j = d - 1 - a
-            x = descs[j]
-            s = word.index(x)
-            descs[j] = i
-            rises.insert(s - j, x)
-        else:
-            r = a - d
-            x = rises[r]
-            s = word.index(x) if x else len(word)
-            if s:
-                descs.insert(s - r, i)
+    try:
+        for i in range(len(c), 0, -1):
+            a = c[i - 1]
+            d = len(descs)
+            if a < d:
+                j = d - 1 - a
+                x = descs[j]
+                s = word.index(x)
+                descs[j] = i
+                rises.insert(s - j, x)
             else:
-                rises.insert(0, i)
-        word.insert(s, i)
+                r = a - d
+                x = rises[r]
+                s = word.index(x) if x else len(word)
+                if s:
+                    descs.insert(s - r, i)
+                else:
+                    rises.insert(0, i)
+            word.insert(s, i)
+    except IndexError:
+        raise _bad_code(c) from None
     return tuple(word)
 
 
@@ -262,20 +288,26 @@ def s_decode(c: Code) -> Perm:
     word, letter i going immediately after letter n+1−a_i, or first if
     a_i = 0.  The last entry a_n is 0, so n goes in first.
 
+    A bad code is rejected by the letter lookup itself: when i is inserted
+    the word holds exactly the letters i+1, ..., n, and an entry a_i outside
+    0..n−i names a letter ≤ i or > n, which is not there yet.
+
     >>> s_decode((3, 3, 2, 0, 0))
     (4, 3, 1, 2, 5)
     >>> s_decode((1, 1, 1, 0))
     (4, 1, 2, 3)
     """
-    check_code(c)
     n = len(c)
     word: list[int] = []
-    for i in range(n, 0, -1):
-        a = c[i - 1]
-        if a == 0:
-            word.insert(0, i)
-        else:
-            word.insert(word.index(n + 1 - a) + 1, i)
+    try:
+        for i in range(n, 0, -1):
+            a = c[i - 1]
+            if a == 0:
+                word.insert(0, i)
+            else:
+                word.insert(word.index(n + 1 - a) + 1, i)
+    except ValueError:
+        raise _bad_code(c) from None
     return tuple(word)
 
 

@@ -57,12 +57,15 @@ def h_flagged(k: int, m: int) -> IndexPolynomial:
 def h_product(comp: Composition) -> IndexPolynomial:
     """The flagged product h_{i_1}(X_{i_2+...+i_r}) ... h_{i_r}(X_0).
 
+    Multiplied from the last part, whose alphabet is the smallest, so each
+    partial product is over the fewest letters that it can be.
+
     >>> sorted(h_product((2, 1)).terms)
     [(0, 0, 0), (0, 0, 1), (0, 1, 1)]
     """
     out = IndexPolynomial.one()
-    for part, size in zip(comp, alphabet_flag(comp)):
-        out = out * h_flagged(part, size)
+    for part, size in reversed(tuple(zip(comp, alphabet_flag(comp)))):
+        out = h_flagged(part, size) * out
     return out
 
 

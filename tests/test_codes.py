@@ -323,6 +323,25 @@ def test_decoders_reject_non_subdiagonal_codes(name, c):
         DECODE[name](c)
 
 
+# The decoders run no validation pass before decoding: each must reject a
+# bad code while it decodes, with the message that check_code gives, and
+# decode every good one.  Entries run from -2 to n+1, and below n = 5 also
+# take two far-out values; a list must be read like the tuple.
+@pytest.mark.parametrize('name', sorted(DECODE))
+def test_decoders_reject_exactly_the_non_subdiagonal_codes(name):
+    encode, decode = ENCODE[name], DECODE[name]
+    for n in range(6):
+        far = (-n - 3, 10**6) if n < 5 else ()
+        for c in product((*far, *range(-2, n + 2)), repeat=n):
+            want = c if is_subdiagonal(c) else f'not a sub-diagonal code: {c}'
+            for arg in (c, list(c)):
+                try:
+                    got = encode(decode(arg))
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == want
+
+
 @pytest.mark.parametrize('name', ('invcode', 'majcode', 'scode'))
 @pytest.mark.parametrize('c', [(1,), (0, 2, 0), (0, -1)])
 def test_generic_decode_rejects_non_subdiagonal_codes(name, c):
