@@ -70,7 +70,7 @@ def is_subdiagonal(c: Code) -> bool:
     >>> is_subdiagonal((0, -1))
     False
     """
-    return all(map(le, c, range(len(c) - 1, -1, -1))) and min(c, default=0) >= 0
+    return all(map(le, c, range(len(c) - 1, -1, -1))) and (not c or min(c) >= 0)
 
 
 def _bad_code(c: Code) -> ValueError:

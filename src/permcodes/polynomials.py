@@ -15,11 +15,10 @@ reach 2^W, where a carry would turn x_j^(2^W) into x_{j+1}.
 
 ``IndexPolynomial.sum_of_products`` is the one product loop: it adds Σ ±a·b
 into a single dict and drops zero coefficients once, and ``*`` is its
-one-product case.  ``terms`` is a read-only mapping view that reads and
-writes index tuples: iteration unpacks each key through a cache bounded at
-2^15 monomials, so a monomial read again is not unpacked again, and a
-looked-up tuple is packed, so any order of its indices names the same
-monomial.
+one-product case.  ``terms`` builds a new ``{index tuple: coeff}`` dict on
+each read, not a view, so writing into it leaves the polynomial as it was;
+its keys are unpacked through a cache bounded at 2^15 monomials, so a
+monomial read again is not unpacked again.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = ['Monomial', 'IndexPolynomial', 'QPolynomial', 'format_q_polynomial']
 
@@ -67,37 +66,6 @@ def _check_degree(degree: int) -> None:
     if degree >> W:
         raise ValueError(f'degree {degree} reaches 2^{W}, the largest '
                          f'exponent a monomial can hold')
-
-
-class _Terms(Mapping):
-    """Read-only view of a polynomial's terms as ``{index tuple: coeff}``;
-    ``items()`` is a one-pass iterator."""
-
-    __slots__ = ('_packed',)
-
-    def __init__(self, packed: dict[int, int]):
-        self._packed = packed
-
-    def __len__(self) -> int:
-        return len(self._packed)
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return map(_unpack, self._packed)
-
-    def __getitem__(self, mono: Iterable[int]) -> int:
-        try:
-            return self._packed[_pack(mono)]
-        except (TypeError, ValueError):
-            raise KeyError(mono) from None
-
-    def items(self) -> Iterator[tuple[Monomial, int]]:
-        return zip(self, self._packed.values())
-
-    def values(self):
-        return self._packed.values()
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
 
 
 class IndexPolynomial:
@@ -156,8 +124,8 @@ class IndexPolynomial:
         return cls._packed(dict(Counter(map(_pack, words))), degree)
 
     @property
-    def terms(self) -> Mapping[Monomial, int]:
-        return _Terms(self._terms)
+    def terms(self) -> dict[Monomial, int]:
+        return dict(zip(map(_unpack, self._terms), self._terms.values()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -76,25 +76,22 @@ def ribbon_flagged(comp: Composition) -> IndexPolynomial:
     Splitting the sum by whether J keeps the first cut of I gives the
     recurrence r_I = h_{i_1}(X_{n−i_1})·r_{(i_2,...)} − r_{(i_1+i_2,i_3,...)},
     with r_{(n)} = h_n(X_0); a part's flag depends only on the parts after it,
-    so r_{(i_2,...)} keeps its own flag.  Memoised per call.
+    so r_{(i_2,...)} keeps its own flag.  Every composition it reaches is
+    (i_{b+1}+...+i_a, i_{a+1}, ..., i_r) for some b < a, so the ribbons are
+    filled one row per cut a, from the last cut down.
 
     >>> format_bracket(ribbon_flagged((2, 1)))
     '[001] + [011]'
     """
-    return _ribbon_recurrence(tuple(comp), {}) if comp else IndexPolynomial.one()
-
-
-def _ribbon_recurrence(parts: Composition, memo: dict) -> IndexPolynomial:
-    """r_parts by the recurrence of ``ribbon_flagged``, memoised in ``memo``;
-    not a closure, so ``ribbon_flagged`` leaves no reference cycle."""
-    if parts not in memo:
-        first, rest = parts[0], parts[1:]
-        out = h_flagged(first, sum(rest))
-        if rest:
-            out = (out * _ribbon_recurrence(rest, memo)
-                   - _ribbon_recurrence((first + rest[0],) + rest[1:], memo))
-        memo[parts] = out
-    return memo[parts]
+    r = len(comp)
+    if not r:
+        return IndexPolynomial.one()
+    # tail[a] = sum(comp[a:]); row[b] is the ribbon of (sum(comp[b:a]), *comp[a:]).
+    tail = (sum(comp), *alphabet_flag(comp))
+    row = [h_flagged(tail[b], 0) for b in range(r)]
+    for a in reversed(range(1, r)):
+        row = [h_flagged(tail[b] - tail[a], tail[a]) * row[a] - row[b] for b in range(a)]
+    return row[0]
 
 
 def ribbon_determinant(comp: Composition) -> IndexPolynomial:
@@ -115,7 +112,7 @@ def ribbon_determinant(comp: Composition) -> IndexPolynomial:
     """
     r = len(comp)
     # tail[a] = sum(comp[a:]); minors[a] is the ribbon of the suffix comp[a:].
-    tail = list(itertools.accumulate(reversed(comp), initial=0))[::-1]
+    tail = (sum(comp), *alphabet_flag(comp))
     minors = [IndexPolynomial.zero()] * r + [IndexPolynomial.one()]
     for a in reversed(range(r)):
         minors[a] = IndexPolynomial.sum_of_products(

@@ -261,8 +261,7 @@ def format_v_polynomial(poly: IndexPolynomial) -> str:
     if not poly:
         return '0'
     terms = []
-    for key in sorted(poly.terms, key=lambda k: tuple(reversed(k)), reverse=True):
-        coeff = poly.terms[key]
+    for key, coeff in sorted(poly.terms.items(), key=lambda kv: kv[0][::-1], reverse=True):
         factors = []
         for sub, group in itertools.groupby(sorted(key, reverse=True)):
             power = sum(1 for _ in group)

@@ -316,13 +316,6 @@ def test_roundtrips_on_long_permutations(p):
         assert DECODE[name](ENCODE[name](p)) == p
 
 
-@pytest.mark.parametrize('name', sorted(DECODE))
-@pytest.mark.parametrize('c', [(1,), (0, 2, 0), (0, -1)])
-def test_decoders_reject_non_subdiagonal_codes(name, c):
-    with pytest.raises(ValueError):
-        DECODE[name](c)
-
-
 # The decoders run no validation pass before decoding: each must reject a
 # bad code while it decodes, with the message that check_code gives, and
 # decode every good one.  Entries run from -2 to n+1, and below n = 5 also
