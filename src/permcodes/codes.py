@@ -78,6 +78,11 @@ def _bad_code(c: Code) -> ValueError:
 
 
 def check_code(c: Code) -> Code:
+    """``c`` as a tuple, or the ``ValueError`` for a code that is not
+    sub-diagonal.  The four decoders raise the same error from inside their
+    own loops, where a bad entry makes a lookup or an insert fail, so they
+    read a good code once and do not call this.
+    """
     c = tuple(c)
     if not is_subdiagonal(c):
         raise _bad_code(c)
@@ -115,9 +120,8 @@ def lehmer_code(p: Perm) -> Code:
 def lehmer_decode(c: Code) -> Perm:
     """Inverse of ``lehmer_code``: pick the (c_i+1)-st smallest unused value.
 
-    A bad code is rejected by the picks themselves: an entry above n−i pops
-    past the end of the n−i+1 unused values.  ``list.pop`` takes a negative
-    index, so negative entries are rejected before any pick.
+    An entry above n−i pops past the end of the unused values, and a
+    negative one, which ``list.pop`` would take, is refused before any pick.
 
     >>> lehmer_decode((4, 2, 0, 5, 2, 0, 0, 1, 0))
     (5, 3, 1, 9, 6, 2, 4, 8, 7)
@@ -155,9 +159,8 @@ def inv_decode(c: Code) -> Perm:
     index c_i of the word so far, which then holds only letters greater than
     i, so exactly c_i of them stand to its left.
 
-    ``list.insert`` clamps an index out of range instead of raising, so each
-    entry is checked against 0..n−i as it is read, and a bad code is
-    rejected there, with no pass over the code before the inserts.
+    ``list.insert`` clamps an index out of range, so each entry is checked
+    against 0..n−i as it is read.
 
     >>> inv_decode((1, 1, 1, 0))
     (4, 1, 2, 3)
@@ -221,10 +224,8 @@ def maj_decode(c: Code) -> Perm:
     two: the slot before i, named i, is a descent unless s = 0, and the slot
     after i keeps the old name and is a rise.
 
-    A bad code is rejected by the slot lookups themselves.  A negative entry
-    asks for descent slot d − c_i > d, past the end of ``descs``; an entry
-    above n−i asks for rise slot c_i − d ≥ n−i+1−d, past the end of
-    ``rises``.
+    A negative entry asks for a slot past the end of ``descs``, and one above
+    n−i for a slot past the end of ``rises``.
 
     >>> maj_decode((5, 0, 1, 0, 1, 2, 0, 1, 0))
     (9, 3, 5, 7, 2, 1, 4, 6, 8)
@@ -288,9 +289,8 @@ def s_decode(c: Code) -> Perm:
     word, letter i going immediately after letter n+1−a_i, or first if
     a_i = 0.  The last entry a_n is 0, so n goes in first.
 
-    A bad code is rejected by the letter lookup itself: when i is inserted
-    the word holds exactly the letters i+1, ..., n, and an entry a_i outside
-    0..n−i names a letter ≤ i or > n, which is not there yet.
+    An entry a_i outside 0..n−i names a letter that the word, holding
+    exactly i+1, ..., n, does not have.
 
     >>> s_decode((3, 3, 2, 0, 0))
     (4, 3, 1, 2, 5)

@@ -155,10 +155,7 @@ class IndexPolynomial:
             out[k] = get(k, 0) - v
         return IndexPolynomial._packed(out, max(self._degree, other._degree))
 
-    def __mul__(self, other: IndexPolynomial | int) -> IndexPolynomial:
-        if isinstance(other, int):
-            return IndexPolynomial._packed(
-                {k: v * other for k, v in self._terms.items()}, self._degree)
+    def __mul__(self, other: IndexPolynomial) -> IndexPolynomial:
         return IndexPolynomial.sum_of_products([(self, other, False)])
 
     @staticmethod
@@ -193,14 +190,6 @@ class IndexPolynomial:
     def total_mass(self) -> int:
         """Sum of all coefficients (the value at every variable = 1)."""
         return sum(self._terms.values())
-
-    def substitute_one(self, index: int) -> IndexPolynomial:
-        """Set the variable with the given index to 1 (drop it from keys)."""
-        out: dict[Monomial, int] = {}
-        for k, v in self.terms.items():
-            key = tuple(i for i in k if i != index)
-            out[key] = out.get(key, 0) + v
-        return IndexPolynomial(out)
 
     def q_by_factor_count(self) -> QPolynomial:
         """Substitute every variable -> q; the degree is the factor count."""

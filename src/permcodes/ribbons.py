@@ -103,9 +103,9 @@ def ribbon_determinant(comp: Composition) -> IndexPolynomial:
     k, a unitriangular block times the trailing minor of the suffix
     (i_{k+1}, ...), whose flags are its own:
     r_I = Σ_k (−1)^{k−1} h_{i_1+...+i_k}(X_{n−i_1−...−i_k})·r_{(i_{k+1},...)}.
-    Memoised per call over the r + 1 suffixes; each suffix's minor is one
-    ``IndexPolynomial.sum_of_products`` call, its products added into a
-    single accumulator.
+    The minors are filled from the last suffix to the first, so each is
+    built once; each is one ``IndexPolynomial.sum_of_products`` call, its
+    products added into a single accumulator.
 
     >>> ribbon_determinant((1, 2)) == ribbon_flagged((1, 2))
     True

@@ -12,12 +12,13 @@ counted by the Connes-Moscovici coefficients and biject with permutations.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cache
 from math import factorial
 
 from .codes import Code
 from .permutations import Perm, evaluation
-from .polynomials import IndexPolynomial
+from .polynomials import IndexPolynomial, Monomial
 
 __all__ = [
     'PlaneTree',
@@ -31,7 +32,6 @@ __all__ = [
     'taylor_tree_series',
     'connes_moscovici',
     'increasing_labelings',
-    'labeled_size',
     'tree_to_perm',
     'arity_monomial',
     'x_polynomial',
@@ -138,41 +138,30 @@ def increasing_labelings(t: PlaneTree) -> list[LabeledTree]:
     >>> len(increasing_labelings(((), (((), ()),))))
     5
     """
-
-    def assign(shape: PlaneTree, labels: tuple[int, ...]) -> set[LabeledTree]:
-        root, rest = labels[0], labels[1:]
-        if not shape:
-            return {(root, ())}
-        results: set[LabeledTree] = set()
-        sizes = [tree_size(child) for child in shape]
-        for split in _ordered_splits(rest, sizes):
-            child_sets = [
-                assign(child, part) for child, part in zip(shape, split)
-            ]
-            for combo in itertools.product(*child_sets):
-                results.add((root, tuple(sorted(combo))))
-        return results
-
     n = tree_size(t)
-    return sorted(assign(canonical_tree(t), tuple(range(1, n + 1))))
+    forests = _forest_labelings(canonical_tree(t), tuple(range(2, n + 1)))
+    return sorted((1, children) for children in forests)
 
 
-def _ordered_splits(labels: tuple[int, ...], sizes: list[int]):
-    """Partitions of ``labels`` into consecutive blocks of the given sizes
-    (as subsets, order inside a block kept sorted)."""
-    if not sizes:
+def _forest_labelings(forest: tuple[PlaneTree, ...], labels: tuple[int, ...]):
+    """Each increasing labeling of the trees of ``forest`` by the sorted
+    ``labels`` once, as a tuple of labeled trees in increasing order of their
+    roots.  The smallest label is the root of the first tree: each distinct
+    shape in turn takes it with every subset of the other labels that fills
+    the shape, and the rest of the forest takes the labels left over."""
+    if not forest:
         yield ()
         return
-    head, *tail = sizes
-    for chosen in itertools.combinations(labels, head):
-        remaining = tuple(x for x in labels if x not in chosen)
-        for rest in _ordered_splits(remaining, tail):
-            yield (chosen,) + rest
-
-
-def labeled_size(lt: LabeledTree) -> int:
-    _, children = lt
-    return 1 + sum(labeled_size(child) for child in children)
+    low, higher = labels[0], labels[1:]
+    for i, first in enumerate(forest):
+        if first in forest[:i]:
+            continue
+        rest = forest[:i] + forest[i + 1:]
+        for chosen in itertools.combinations(higher, tree_size(first) - 1):
+            remaining = tuple(x for x in higher if x not in chosen)
+            for children, others in itertools.product(
+                    _forest_labelings(first, chosen), _forest_labelings(rest, remaining)):
+                yield ((low, children), *others)
 
 
 def tree_to_perm(lt: LabeledTree) -> Perm:
@@ -180,24 +169,33 @@ def tree_to_perm(lt: LabeledTree) -> Perm:
     replace each label l by n+1−l, order children increasingly, read the
     prefix (preorder) word, and drop the root.
 
+    One stack reads the word: children are stored by increasing label, so
+    pushed in that order they pop by increasing complement.
+
     >>> lt = increasing_labelings(((), (((), ()),)))[0]
     >>> tree_to_perm(lt)
     (4, 3, 1, 2, 5)
     """
-    n = labeled_size(lt)
+    word = []
+    stack = [lt]
+    while stack:
+        label, children = stack.pop()
+        word.append(label)
+        stack.extend(children)
+    n = len(word)
+    return tuple(n + 1 - label for label in word[1:])
 
-    def complement(node: LabeledTree) -> LabeledTree:
-        label, children = node
-        return (n + 1 - label, tuple(sorted(complement(c) for c in children)))
 
-    def preorder(node: LabeledTree) -> list[int]:
-        label, children = node
-        out = [label]
-        for child in children:
-            out.extend(preorder(child))
-        return out
-
-    return tuple(preorder(complement(lt))[1:])
+def _arities(t: PlaneTree) -> Monomial:
+    """The arity of every node of ``t``, in a preorder that visits children
+    last to first; a shape's word determines it."""
+    out = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        out.append(len(node))
+        stack.extend(node)
+    return tuple(out)
 
 
 def arity_monomial(t: PlaneTree) -> IndexPolynomial:
@@ -206,27 +204,18 @@ def arity_monomial(t: PlaneTree) -> IndexPolynomial:
     >>> arity_monomial(((), (), ())).terms
     {(0, 0, 0, 3): 1}
     """
-
-    def arities(node: PlaneTree) -> list[int]:
-        out = [len(node)]
-        for child in node:
-            out.extend(arities(child))
-        return out
-
-    return IndexPolynomial.monomial(arities(t))
+    return IndexPolynomial.monomial(_arities(t))
 
 
 def x_polynomial(n: int) -> IndexPolynomial:
     """The n-th term of the expansion as a polynomial in V_0, V_1, ...:
-    Σ over shapes of size n of connes_moscovici(T) · ∏ V_{arity}.
+    Σ over shapes of size n of connes_moscovici(T) · ∏ V_{arity}.  Distinct
+    shapes have distinct arity words, so each shape is one key.
 
     >>> format_v_polynomial(x_polynomial(4))
     'V3*V0^3 + 4*V2*V1*V0^2 + V1^3*V0'
     """
-    out = IndexPolynomial.zero()
-    for tree, coeff in taylor_tree_series(n).items():
-        out = out + arity_monomial(tree) * coeff
-    return out
+    return IndexPolynomial({_arities(t): c for t, c in taylor_tree_series(n).items()})
 
 
 def code_arity_monomial(c: Code) -> IndexPolynomial:
@@ -243,12 +232,17 @@ def code_arity_monomial(c: Code) -> IndexPolynomial:
 
 
 def c_polynomial(n: int) -> IndexPolynomial:
-    """C_n = x_{n+1} with V_0 set to 1.
+    """C_n = x_{n+1} with V_0 set to 1: each shape of size n+1 with its
+    leaves dropped from its arity word.  Shapes that differ only in where
+    their leaves hang share a word, so their coefficients are added.
 
     >>> format_v_polynomial(c_polynomial(3))
     'V3 + 4*V2*V1 + V1^3'
     """
-    return x_polynomial(n + 1).substitute_one(0)
+    counts: Counter[Monomial] = Counter()
+    for t, c in taylor_tree_series(n + 1).items():
+        counts[tuple(a for a in _arities(t) if a)] += c
+    return IndexPolynomial(counts)
 
 
 def format_v_polynomial(poly: IndexPolynomial) -> str:

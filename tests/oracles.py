@@ -52,7 +52,6 @@ from permcodes.ribbons import (
     ribbon_determinant,
     ribbon_flagged,
 )
-from permcodes.trees import labeled_size
 from permcodes.verify import CheckItem, VerificationReport
 
 
@@ -80,8 +79,6 @@ class TuplePolynomial:
         return TuplePolynomial(out)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return TuplePolynomial({k: v * other for k, v in self.terms.items()})
         out = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
@@ -91,13 +88,6 @@ class TuplePolynomial:
 
     def total_mass(self):
         return sum(self.terms.values())
-
-    def substitute_one(self, index):
-        out = {}
-        for k, v in self.terms.items():
-            key = tuple(i for i in k if i != index)
-            out[key] = out.get(key, 0) + v
-        return TuplePolynomial(out)
 
     def q_by_factor_count(self):
         out = {}
@@ -191,7 +181,6 @@ def q_statistic(n: int, stat) -> QPolynomial:
 def s_code_of_tree(lt):
     """Father labels, minus one, of n, n−1, ..., 2 in an increasing tree of
     size n."""
-    n = labeled_size(lt)
     father = {}
 
     def walk(node):
@@ -201,7 +190,7 @@ def s_code_of_tree(lt):
             walk(child)
 
     walk(lt)
-    return tuple(father[v] - 1 for v in range(n, 1, -1))
+    return tuple(father[v] - 1 for v in range(len(father) + 1, 1, -1))
 
 
 def coarser_class(comp):

@@ -431,6 +431,21 @@ def test_trees_json(capsys):
     assert payload['x'] == 'V2*V0^2 + V1^2*V0'
 
 
+#: sha256 of the whole `trees 8` output, text and JSON; tier-1 checks the
+#: smaller sizes by content.
+TREES_8_SHA256 = {
+    (): 'bad6b2c83aeac50cf39d318203dac0bf298167628bb601232a2aff94b4a2cdab',
+    ('--json',): 'ff0db9ea55d96c07b24f5c12588d5164ad63a28e61adeeea547b7f3bbd9796ea',
+}
+
+
+@pytest.mark.parametrize('extra', sorted(TREES_8_SHA256), ids=['text', 'json'])
+def test_trees_8_is_pinned(capsys, extra):
+    code, out, _ = run(capsys, 'trees', '8', *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TREES_8_SHA256[extra]
+
+
 def test_lclass_single_permutation(capsys):
     code, out, _ = run(capsys, 'lclass', '--perm', '31452')
     assert code == 0

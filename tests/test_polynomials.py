@@ -18,8 +18,8 @@ TRIPLES = st.lists(st.tuples(POLYNOMIALS, POLYNOMIALS, st.booleans()), max_size=
 
 
 @settings(max_examples=300, deadline=None)
-@given(POLYNOMIALS, POLYNOMIALS, st.integers(-2, 2), INDICES)
-def test_arithmetic_agrees_with_the_tuple_keyed_oracle(a, b, scalar, index):
+@given(POLYNOMIALS, POLYNOMIALS)
+def test_arithmetic_agrees_with_the_tuple_keyed_oracle(a, b):
     pa, pb = IndexPolynomial(a), IndexPolynomial(b)
     ta, tb = TuplePolynomial(a), TuplePolynomial(b)
     pairs = [
@@ -27,10 +27,8 @@ def test_arithmetic_agrees_with_the_tuple_keyed_oracle(a, b, scalar, index):
         (pa + pb, ta + tb),
         (pa - pb, ta - tb),
         (pa * pb, ta * tb),
-        (pa * scalar, ta * scalar),
-        (pa + pa * -1, ta + ta * -1),
+        (pa - pa, ta - ta),
         (pa * pb - pb * pa, ta * tb - tb * ta),
-        (pa.substitute_one(index), ta.substitute_one(index)),
     ]
     for got, want in pairs:
         assert got.terms == want.terms
@@ -112,7 +110,7 @@ def test_sum_of_products_never_writes_into_a_cached_polynomial():
     before = dict(h.terms)
     one = IndexPolynomial.one()
     twice = IndexPolynomial.sum_of_products([(h, one, False), (one, h, False)])
-    assert twice == h * 2
+    assert twice == h + h
     assert not IndexPolynomial.sum_of_products([(h, one, False), (h, one, True)])
     assert h_flagged(2, 1) is h
     assert dict(h.terms) == before

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from permcodes.codes import inv_code, s_code
-from permcodes.permutations import iter_permutations
+from permcodes.permutations import evaluation, iter_permutations
 from permcodes.polynomials import IndexPolynomial, format_q_polynomial
 from permcodes.trees import (
     arity_monomial,
@@ -114,6 +114,7 @@ def test_increasing_labelings_are_increasing_and_of_right_shape():
 
             def walk(node):
                 label, children = node
+                assert list(children) == sorted(children)
                 for child in children:
                     assert child[0] > label
                     walk(child)
@@ -178,6 +179,15 @@ def test_x_polynomial_equals_code_evaluation_sums():
             by_invcode = by_invcode + code_arity_monomial(inv_code(p))
         assert by_scode == x_polynomial(n)
         assert by_invcode == x_polynomial(n)
+
+
+def test_c_polynomial_equals_code_evaluation_sums_without_zero_letters():
+    # C_n  ==  Σ_{σ ∈ S_n} monomial of the nonzero scode evaluation entries
+    #      ==  the same over the invcode evaluation
+    for n in range(8):
+        for encode in (s_code, inv_code):
+            words = [[e for e in evaluation(encode(p)) if e] for p in iter_permutations(n)]
+            assert IndexPolynomial.from_words(words) == c_polynomial(n), (n, encode)
 
 
 def test_arity_monomial_total_degree():
