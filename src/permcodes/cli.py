@@ -2,6 +2,10 @@
 
 Subcommands: code, decode, ribbon, verify, trees, lclass.  Exit status 0 on
 success, 1 when a verification sweep finds a failure, 2 on usage errors.
+
+Each ``cmd_*`` handler returns ``(output, status)``: the JSON payload under
+``--json``, the text otherwise, and the exit status.  ``main`` writes the
+output to stdout once.
 """
 
 from __future__ import annotations
@@ -110,110 +114,96 @@ def code_table_lines(n: int, families=TABLE_FAMILIES) -> list[str]:
     return lines
 
 
-def cmd_code(args) -> int:
+def _one_of(given, whole, what: str, flag: str) -> None:
+    """Refuse both or neither of a single argument and its whole-table flag."""
+    if given is not None and whole is not None:
+        raise ValueError(f'give a {what} or {flag} N, not both')
+    if given is None and whole is None:
+        raise ValueError(f'a {what} argument or {flag} N is required')
+
+
+def cmd_code(args) -> tuple[object, int]:
     if args.families is not None:
         families = _resolve_families(args.families)
     elif args.table is not None and not args.json:
         families = TABLE_FAMILIES
     else:
         families = (codes.LEHMER, *TABLE_FAMILIES)
+    _one_of(args.perm, args.table, 'permutation', '--table')
     if args.table is not None:
-        if args.perm is not None:
-            raise ValueError('give a permutation or --table N, not both')
         _check_cap(args.table, args.allow_large)
         if args.json:
-            payload = []
-            for p in iter_permutations(args.table):
-                entry = {'perm': format_permutation(p)}
-                for family in families:
-                    entry[family.name] = codes.format_code(family.encode(p))
-                payload.append(entry)
-            print(json.dumps(payload, indent=2))
-        else:
-            print('\n'.join(code_table_lines(args.table, families)))
-        return 0
-    if args.perm is None:
-        raise ValueError('a permutation argument or --table N is required')
+            return [{'perm': format_permutation(p),
+                     **{family.name: codes.format_code(family.encode(p))
+                        for family in families}}
+                    for p in iter_permutations(args.table)], 0
+        return '\n'.join(code_table_lines(args.table, families)), 0
     p = parse_permutation(args.perm)
+    encoded = [(family, family.encode(p)) for family in families]
     if args.json:
-        payload = {'perm': format_permutation(p), 'codes': {}}
-        for family in families:
-            c = family.encode(p)
-            payload['codes'][family.name] = {
-                'code': codes.format_code(c),
-                'sorted': codes.format_code(codes.sorted_code(c)),
-            }
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f'sigma: {format_permutation(p)}')
-    for family in families:
-        c = family.encode(p)
-        print(f'{_label(family)} {codes.format_code(c)}  '
-              f'sorted {codes.format_code(codes.sorted_code(c))}')
-    return 0
+        return {'perm': format_permutation(p), 'codes': {
+            family.name: {'code': codes.format_code(c),
+                          'sorted': codes.format_code(codes.sorted_code(c))}
+            for family, c in encoded
+        }}, 0
+    return '\n'.join([f'sigma: {format_permutation(p)}', *(
+        f'{_label(family)} {codes.format_code(c)}  '
+        f'sorted {codes.format_code(codes.sorted_code(c))}'
+        for family, c in encoded
+    )]), 0
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> tuple[object, int]:
     families = _resolve_families(args.family)
     if len(families) != 1:
         raise ValueError('--family takes exactly one family')
     c = codes.parse_code(args.code)
     p = families[0].decode(c)
     if args.json:
-        print(json.dumps({
+        return {
             'code': codes.format_code(c),
             'family': families[0].name,
             'perm': format_permutation(p),
-        }, indent=2))
-    else:
-        print(format_permutation(p))
-    return 0
+        }, 0
+    return format_permutation(p), 0
 
 
 # ---------------------------------------------------------------------------
 # ribbon
 
 
-def cmd_ribbon(args) -> int:
+def cmd_ribbon(args) -> tuple[object, int]:
     route = RIBBON_MODES[args.mode]
+    _one_of(args.composition, args.all, 'composition', '--all')
     if args.all is not None:
-        if args.composition is not None:
-            raise ValueError('give a composition or --all N, not both')
         _check_cap(args.all, args.allow_large)
         if args.json:
-            payload = [
+            return [
                 {
                     'composition': format_composition(comp),
                     'terms': ribbons.poly_to_json(route(comp)),
                 }
                 for comp in compositions_of(args.all)
-            ]
-            print(json.dumps(payload, indent=2))
-        else:
-            symbol = 'h' if args.mode == 'product' else 'r'
-            print('\n'.join(ribbons.ribbon_table_lines(args.all, route, symbol)))
-        return 0
-    if args.composition is None:
-        raise ValueError('a composition argument or --all N is required')
+            ], 0
+        symbol = 'h' if args.mode == 'product' else 'r'
+        return '\n'.join(ribbons.ribbon_table_lines(args.all, route, symbol)), 0
     comp = parse_composition(args.composition)
     _check_cap(sum(comp), args.allow_large)
     poly = route(comp)
     if args.json:
-        print(json.dumps({
+        return {
             'composition': format_composition(comp),
             'mode': args.mode,
             'terms': ribbons.poly_to_json(poly),
-        }, indent=2))
-    else:
-        print(ribbons.format_bracket(poly))
-    return 0
+        }, 0
+    return ribbons.format_bracket(poly), 0
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[object, int]:
     _check_cap(args.n, args.allow_large)
     names = tuple(family.name for family in _resolve_families(args.families))
     selected = None
@@ -223,45 +213,44 @@ def cmd_verify(args) -> int:
     report = verify.run_checks(
         args.n, checks=selected, family_names=names, workers=args.workers
     )
+    status = 0 if report.passed else 1
     if args.json:
         config = {'subcommand': 'verify', 'n': args.n, 'families': names,
                   'output': 'json', 'workers': args.workers}
-        print(json.dumps({'config': config, 'report': report.to_json()}, indent=2))
-    else:
-        print(report.render_text())
-    return 0 if report.passed else 1
+        return {'config': config, 'report': report.to_json()}, status
+    return report.render_text(), status
 
 
 # ---------------------------------------------------------------------------
 # trees
 
 
-def cmd_trees(args) -> int:
+def cmd_trees(args) -> tuple[object, int]:
     n = args.n
     _check_cap(n, args.allow_large)
-    series = trees.taylor_tree_series(n)
-    x_poly = trees.x_polynomial(n)
+    series = sorted(trees.taylor_tree_series(n).items())
+    x_text = trees.format_v_polynomial(trees.x_polynomial(n))
     c_poly = trees.c_polynomial(n - 1)
-    eulerian = c_poly.q_by_factor_count()
+    c_text = trees.format_v_polynomial(c_poly)
+    eulerian = format_q_polynomial(c_poly.q_by_factor_count())
     if args.json:
-        print(json.dumps({
+        return {
             'n': n,
             'series': [
                 {'tree': trees.tree_to_text(t), 'coeff': coeff}
-                for t, coeff in sorted(series.items())
+                for t, coeff in series
             ],
-            'x': trees.format_v_polynomial(x_poly),
-            'c': trees.format_v_polynomial(c_poly),
-            'eulerian': format_q_polynomial(eulerian),
-        }, indent=2))
-        return 0
-    print(f'tree series, {len(series)} shapes:')
-    for t, coeff in sorted(series.items()):
-        print(f'  {coeff} {trees.tree_to_text(t)}')
-    print(f'x_{n} = {trees.format_v_polynomial(x_poly)}')
-    print(f'C_{n - 1} = {trees.format_v_polynomial(c_poly)}')
-    print(f'eulerian = {format_q_polynomial(eulerian)}')
-    return 0
+            'x': x_text,
+            'c': c_text,
+            'eulerian': eulerian,
+        }, 0
+    return '\n'.join([
+        f'tree series, {len(series)} shapes:',
+        *(f'  {coeff} {trees.tree_to_text(t)}' for t, coeff in series),
+        f'x_{n} = {x_text}',
+        f'C_{n - 1} = {c_text}',
+        f'eulerian = {eulerian}',
+    ]), 0
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +267,7 @@ def _class_json(cls: lequiv.LClass) -> dict:
     }
 
 
-def cmd_lclass(args) -> int:
+def cmd_lclass(args) -> tuple[object, int]:
     if (args.perm is None) == (args.n is None):
         raise ValueError('exactly one of --perm or --n is required')
     if args.perm is not None:
@@ -286,32 +275,28 @@ def cmd_lclass(args) -> int:
         _check_cap(len(p), args.allow_large)
         cls = lequiv.l_class(p)
         if args.json:
-            print(json.dumps({'perm': format_permutation(p), **_class_json(cls)},
-                             indent=2))
-        else:
-            print(f'class of {format_permutation(p)} '
-                  f'(sorted Lcode {codes.format_code(cls.key)}, '
-                  f'{len(cls)} members)')
-            for q in cls.members:
-                print(f'  {format_permutation(q)}')
-            print(f'max {format_permutation(cls.max_member)}')
-            print(f'min {format_permutation(cls.min_member)}')
-        return 0
+            return {'perm': format_permutation(p), **_class_json(cls)}, 0
+        return '\n'.join([
+            f'class of {format_permutation(p)} '
+            f'(sorted Lcode {codes.format_code(cls.key)}, {len(cls)} members)',
+            *(f'  {format_permutation(q)}' for q in cls.members),
+            f'max {format_permutation(cls.max_member)}',
+            f'min {format_permutation(cls.min_member)}',
+        ]), 0
     _check_cap(args.n, args.allow_large)
     classes = lequiv.l_classes(args.n)
     if args.json:
-        print(json.dumps({
+        return {
             'n': args.n,
             'count': len(classes),
             'classes': [_class_json(cls) for cls in classes],
-        }, indent=2))
-    else:
-        print(f'{len(classes)} classes of S_{args.n}')
-        for cls in classes:
-            print(f'key {codes.format_code(cls.key)} size {len(cls)} '
-                  f'min {format_permutation(cls.min_member)} '
-                  f'max {format_permutation(cls.max_member)}')
-    return 0
+        }, 0
+    return '\n'.join([f'{len(classes)} classes of S_{args.n}', *(
+        f'key {codes.format_code(cls.key)} size {len(cls)} '
+        f'min {format_permutation(cls.min_member)} '
+        f'max {format_permutation(cls.max_member)}'
+        for cls in classes
+    )]), 0
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +372,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        output, status = args.handler(args)
+        print(json.dumps(output, indent=2) if args.json else output)
     except ValueError as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 2
@@ -396,6 +382,7 @@ def main(argv=None) -> int:
         # the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    return status
 
 
 if __name__ == '__main__':

@@ -273,16 +273,17 @@ def coarser_compositions(comp: Composition) -> list[Composition]:
     """All compositions coarser than ``comp``, i.e. with descent set contained
     in Des(comp); sorted in descending lexicographic order.
 
+    Built from the last part: each coarsening of the parts after ``part``
+    either adds ``part`` to its first part or takes it as a new first part.
+    The merged ones have the larger first part, so they come first and the
+    list stays in descending order.
+
     >>> coarser_compositions((2, 1))
     [(3,), (2, 1)]
     """
-    n = sum(comp)
-    descents = sorted(composition_descent_set(comp))
-    out = []
-    for r in range(len(descents) + 1):
-        for subset in itertools.combinations(descents, r):
-            out.append(composition_from_descent_set(subset, n))
-    out.sort(reverse=True)
+    out = [()]
+    for part in reversed(comp):
+        out = [(part + c[0], *c[1:]) for c in out if c] + [(part, *c) for c in out]
     return out
 
 

@@ -33,7 +33,6 @@ __all__ = [
     'connes_moscovici',
     'increasing_labelings',
     'tree_to_perm',
-    'arity_monomial',
     'x_polynomial',
     'code_arity_monomial',
     'c_polynomial',
@@ -198,19 +197,11 @@ def _arities(t: PlaneTree) -> Monomial:
     return tuple(out)
 
 
-def arity_monomial(t: PlaneTree) -> IndexPolynomial:
-    """The monomial ∏ V_{arity(o)} over the nodes o of ``t``.
-
-    >>> arity_monomial(((), (), ())).terms
-    {(0, 0, 0, 3): 1}
-    """
-    return IndexPolynomial.monomial(_arities(t))
-
-
 def x_polynomial(n: int) -> IndexPolynomial:
     """The n-th term of the expansion as a polynomial in V_0, V_1, ...:
-    Σ over shapes of size n of connes_moscovici(T) · ∏ V_{arity}.  Distinct
-    shapes have distinct arity words, so each shape is one key.
+    Σ over shapes of size n of connes_moscovici(T) · ∏ V_{arity}.  Each
+    shape gives one arity word, and the constructor adds the words that pack
+    to the same monomial: x_4's 4*V2*V1*V0^2 is two shapes, weighted 3 and 1.
 
     >>> format_v_polynomial(x_polynomial(4))
     'V3*V0^3 + 4*V2*V1*V0^2 + V1^3*V0'

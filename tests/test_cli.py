@@ -132,9 +132,15 @@ def test_verify_rejects_a_family_without_tau(capsys):
     (('code', '--table', '-1'), 'n must be non-negative'),
     (('ribbon', '--all', '-1'), 'n must be non-negative'),
     (('lclass', '--n', '-1'), 'n must be non-negative'),
+    # each handler's checks run in order: the families before the argument,
+    # "not both" before the cap
+    (('code', '--families', 'zz'), "unknown code family 'zz'"),
+    (('code', '312', '--table', '10'), 'give a permutation or --table N, not both'),
+    (('ribbon', '21', '--all', '10'), 'give a composition or --all N, not both'),
 ], ids=['verify-workers-0', 'trees-0', 'code', 'ribbon', 'decode-two-families',
         'code-no-families', 'code-table-negative', 'ribbon-all-negative',
-        'lclass-negative'])
+        'lclass-negative', 'code-families-before-argument', 'code-both-before-cap',
+        'ribbon-both-before-cap'])
 def test_usage_error_prints_its_message_alone(capsys, argv, message):
     assert run(capsys, *argv) == (2, '', f'error: {message}\n')
 
@@ -444,6 +450,37 @@ def test_trees_8_is_pinned(capsys, extra):
     code, out, _ = run(capsys, 'trees', '8', *extra)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TREES_8_SHA256[extra]
+
+
+#: sha256 of the whole output of the larger code, decode, ribbon and lclass
+#: commands, text and JSON.
+OUTPUT_SHA256 = {
+    ('code', '--table', '6'):
+        '7ad6b48816b8ec4119a9ddfcc6c8e17590e2bfc4b3174bbe6e5c4efc5d916165',
+    ('code', '--table', '5', '--json'):
+        'c48842e9dfef5be4df6d147aef75c85e020bb4d8e66b9c936a4b8e856637b4e8',
+    ('code', '12,11,10,9,8,7,6,5,4,3,2,1', '--json'):
+        '9b74db063f8ebeae72c36fbe47605776670837c5bc134775bccb990fd820afdd',
+    ('lclass', '--n', '6'):
+        'fe072caa249c87a8a43510fae8aed029b4fb521f761d1ffe8ce5f566f0c7e4e8',
+    ('lclass', '--n', '5', '--json'):
+        'a2f793dc6c73782e97825634f83609663ad771d046c2001c409842f8792709e2',
+    ('lclass', '--perm', '682547193'):
+        '4abadcb2f8ccef6116f08585e23ea01572dd407c4f5937ab9515a78ae9894738',
+    ('lclass', '--perm', '682547193', '--json'):
+        '6ad3d48ce71d94c1978858b0387648c545a0f24daf7d84fe1d7a88b4f9e37a8c',
+    ('decode', '--family', 'mc', '501012010', '--json'):
+        'ed73e7040b06e80c0b2abb07098862d89aef5e4e59d8a1092d546219b4af8d2d',
+    ('ribbon', '2112', '--mode', 'product', '--json'):
+        '991c7e54eb942ff62e7df91afa7c7bdf107ad63ea47523a8ff4bdea25a656ff2',
+}
+
+
+@pytest.mark.parametrize('argv', OUTPUT_SHA256, ids=' '.join)
+def test_output_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[argv]
 
 
 def test_lclass_single_permutation(capsys):

@@ -7,7 +7,6 @@ from permcodes.codes import inv_code, s_code
 from permcodes.permutations import evaluation, iter_permutations
 from permcodes.polynomials import IndexPolynomial, format_q_polynomial
 from permcodes.trees import (
-    arity_monomial,
     c_polynomial,
     canonical_tree,
     code_arity_monomial,
@@ -190,11 +189,11 @@ def test_c_polynomial_equals_code_evaluation_sums_without_zero_letters():
             assert IndexPolynomial.from_words(words) == c_polynomial(n), (n, encode)
 
 
-def test_arity_monomial_total_degree():
-    for t in sorted(taylor_tree_series(5)):
-        (key,) = arity_monomial(t).terms
-        assert len(key) == 5          # one V factor per node
-        assert sum(key) == 4          # arities sum to the edge count
+def test_x_polynomial_monomials_have_one_factor_per_node():
+    for n in range(1, 10):
+        for key in x_polynomial(n).terms:
+            assert len(key) == n          # one V factor per node
+            assert sum(key) == n - 1      # arities sum to the edge count
 
 
 def test_c_polynomial_eulerian_specialization():
