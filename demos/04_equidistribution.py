@@ -13,19 +13,21 @@ Foata-Schützenberger statement per class).
 from permcodes import (
     FAMILIES,
     class_distribution,
-    descent_class,
     format_bracket,
-    inverse,
     ribbon_flagged,
     run_checks,
     sorted_code,
 )
-from permcodes.permutations import format_composition, format_permutation
+from permcodes.permutations import (
+    format_composition,
+    format_permutation,
+    inverse_descent_class,
+)
 
 
 def main() -> None:
     comp = (2, 1, 1, 2)
-    members = sorted(inverse(p) for p in descent_class(comp))
+    members = sorted(inverse_descent_class(comp))
     print(f'I = {format_composition(comp)}: {len(members)} permutations whose'
           ' inverses have that descent composition')
     print(f'{"sigma":>8} {"Ic sorted":>10} {"Sc sorted":>10} {"Mc sorted":>10}')

@@ -19,10 +19,9 @@ from . import codes, lequiv, ribbons, trees, verify
 from .permutations import (
     compositions_of,
     conjugate_composition,
-    descent_class,
     format_composition,
     format_permutation,
-    inverse,
+    inverse_descent_class,
     iter_permutations,
     parse_composition,
     parse_permutation,
@@ -89,7 +88,8 @@ def code_table_lines(n: int, families=TABLE_FAMILIES) -> list[str]:
     """The S_n code table: permutations grouped by inverse descent class,
     each class paired with its conjugate in a second column, classes in
     descending lexicographic order of composition, rows lexicographic; one
-    code column per family in ``families``."""
+    code column per family in ``families``.  Below n = 2 there is one class
+    and one column."""
 
     def row(p) -> str:
         return ' '.join((
@@ -99,14 +99,11 @@ def code_table_lines(n: int, families=TABLE_FAMILIES) -> list[str]:
 
     header = ' '.join(('sigma', *map(_label, families)))
     lines = [header + (f'   {header}' if n >= 2 else '')]
-    groups = [comp for comp in compositions_of(n) if comp and comp[0] >= 2]
-    if n == 1:
-        groups = [(1,)]
-    for comp in groups:
+    for comp in [comp for comp in compositions_of(n) if n < 2 or comp[0] >= 2]:
         lines.append('')
-        left = sorted(map(inverse, descent_class(comp)))
+        left = sorted(inverse_descent_class(comp))
         if n >= 2:
-            right = sorted(map(inverse, descent_class(conjugate_composition(comp))))
+            right = sorted(inverse_descent_class(conjugate_composition(comp)))
             for lp, rp in zip(left, right):
                 lines.append(f'{row(lp)}   {row(rp)}')
         else:

@@ -39,6 +39,7 @@ __all__ = [
     'coarser_compositions',
     'compositions_of',
     'descent_class',
+    'inverse_descent_class',
     'identity_block_shuffle',
     'parse_integers',
     'parse_permutation',
@@ -296,49 +297,71 @@ def compositions_of(n: int) -> list[Composition]:
     return coarser_compositions((1,) * n)
 
 
-def descent_class(comp: Composition) -> list[Perm]:
-    """All permutations with descent composition ``comp``, sorted.
+def _merge_getters(k: int, m: int) -> list[list[operator.itemgetter]]:
+    """One ``itemgetter`` per interleaving of a k-letter word u with an
+    m-letter word v, which reads the interleaving off u + v.  Group j holds
+    those with j letters of u before v's first letter (all k when m = 0), in
+    lexicographic order of the positions v takes.  A word of one letter is
+    read by a slice, as a one-index ``itemgetter`` returns a letter.
 
-    Generated block by block: block a is an increasing choice of i_a of the
-    values left, taken in lexicographic order.  For a sorted tuple R of
-    length m, the complement of the j-th k-combination of R in lexicographic
-    order is the j-th (m − k)-combination in reverse lexicographic order, so
-    each block comes paired with the values left after it and R is never
-    rescanned.  A block's first entry never decreases, so the loop stops
-    once it exceeds the previous block's last entry: that boundary would
-    not be a descent, for this block or any later one.  A block must also
-    end above the least value left, or the next block could not start with
-    a descent; the last block is all the values left.
+    >>> [[g('ab' + 'c') for g in group] for group in _merge_getters(2, 1)]
+    [[('c', 'a', 'b')], [('a', 'c', 'b')], [('a', 'b', 'c')]]
+    """
+    n = k + m
+    groups: list[list[operator.itemgetter]] = [[] for _ in range(k + 1)]
+    for slots in itertools.combinations(range(n), m):
+        firsts, seconds = iter(range(k)), iter(range(k, n))
+        order = [next(seconds) if i in slots else next(firsts) for i in range(n)]
+        groups[slots[0] if m else k].append(
+            operator.itemgetter(*order) if n > 1 else operator.itemgetter(slice(None)))
+    return groups
+
+
+def inverse_descent_class(comp: Composition) -> list[Perm]:
+    """The inverses of the permutations with descent composition ``comp``,
+    each once: the shuffles of the runs (1..i_1), (i_1+1..i_1+i_2), ... in
+    which each run's first letter comes before the previous run's last, as
+    σ rises inside each block and descends at a cut s exactly when s + 1
+    comes before s in σ⁻¹.
+
+    Built one run at a time, unsorted: each word of the runs so far, in
+    turn, is followed by its merges with the next run that keep that
+    descent, in lexicographic order of the positions the run takes, each
+    read by one ``_merge_getters`` getter.
+
+    >>> [''.join(map(str, p)) for p in inverse_descent_class((2, 1))]
+    ['312', '132']
+    >>> inverse_descent_class(())
+    [()]
+    """
+    if any(part < 1 for part in comp):
+        return []
+    if not comp:
+        return [()]
+    k = comp[0]
+    words = [identity(k)]
+    for m in comp[1:]:
+        run = tuple(range(k + 1, k + m + 1))
+        # prefixes[j]: groups 0..j joined, the merges that put the run's
+        # first letter before the letter k at index j of w
+        prefixes = list(itertools.accumulate(_merge_getters(k, m)))
+        out: list[Perm] = []
+        for w in words:
+            word = w + run
+            out += [getter(word) for getter in prefixes[w.index(k)]]
+        words = out
+        k += m
+    return words
+
+
+def descent_class(comp: Composition) -> list[Perm]:
+    """All permutations with descent composition ``comp``, sorted: the
+    inverses of ``inverse_descent_class(comp)``.
 
     >>> [''.join(map(str, p)) for p in descent_class((2, 1))]
     ['132', '231']
     """
-    n = sum(comp)
-    if any(part < 1 for part in comp):
-        return []
-    if len(comp) < 2:
-        return [identity(n)]
-    out: list[Perm] = []
-    _extend_descent_class(out, comp, (), identity(n), 0)
-    return out
-
-
-def _extend_descent_class(out: list[Perm], comp: Composition, prefix: Perm,
-                          remaining: tuple[int, ...], a: int) -> None:
-    """Append to ``out`` the members of D_comp that extend ``prefix``, the
-    blocks before block a, with the values ``remaining``; not a closure, so
-    ``descent_class`` leaves no reference cycle."""
-    k = comp[a]
-    rests = list(itertools.combinations(remaining, len(remaining) - k))
-    rests.reverse()
-    for block, rest in zip(itertools.combinations(remaining, k), rests):
-        if prefix and block[0] > prefix[-1]:
-            break
-        if rest[0] < block[-1]:
-            if a + 2 == len(comp):
-                out.append(prefix + block + rest)
-            else:
-                _extend_descent_class(out, comp, prefix + block, rest, a + 1)
+    return sorted(map(inverse, inverse_descent_class(comp)))
 
 
 def identity_block_shuffle(comp: Composition) -> list[Perm]:

@@ -9,13 +9,16 @@ the Euler-Mahonian joint distributions.
 
 ``CHECKS`` gives each check a ``Check`` row; by default ``run_checks`` runs
 every check whose family is selected.  Per size n, one class pass walks each
-D_J of S_n once as a ``_Class`` record, which computes on first read, once,
-what a check reads of the class.  theorem and fs compare at each class; em
-sums over all classes; coarse and ncinv sum over the classes J with
-Set(J) ⊆ Set(I) by a subset-sum (zeta) transform over the n − 1 cut
-positions, and a failing ncinv unit counts its witness word in the same
-E′(J) lists.  scstep runs apart, one task per size n, and reports each
-(m, k) with m + k = n at every size from n on.
+D_J of S_n once as a ``_Class`` record, which holds the inverses of D_J as
+``inverse_descent_class`` builds them, unsorted, and computes on first read,
+once, what a check reads of the class.  theorem and fs compare at each
+class; a failing theorem unit inverts the inverses whose sorted code is the
+witness monomial and names the least.  em sums over all classes; coarse and
+ncinv sum over the classes J with Set(J) ⊆ Set(I) by a subset-sum (zeta)
+transform over the n − 1 cut positions, and a failing ncinv unit counts its
+witness word in the same E′(J) lists.  scstep runs apart, one task per size
+n, and reports each (m, k) with m + k = n at every size from n on; it reads
+each element of id_k ⧢ β off one merge table per (m, k).
 Tasks are pure, so sweeps parallelize over them and reports merge
 deterministically: rendered output is byte-identical for any worker count.
 """
@@ -34,18 +37,19 @@ from typing import Callable, NamedTuple
 from .codes import CodeFamily, FAMILIES, sorted_code, tau_s
 from .permutations import (
     Composition,
+    _merge_getters,
     coarser_compositions,
     composition_descent_set,
     compositions_of,
-    descent_class,
     format_composition,
     format_permutation,
+    identity,
     inv,
     inverse,
+    inverse_descent_class,
     iter_permutations,
     maj,
-    shifted_shuffle,
-    identity,
+    shifted_word,
 )
 from .polynomials import IndexPolynomial, format_q_polynomial
 from .ribbons import (
@@ -124,8 +128,7 @@ def class_distribution(comp: Composition, family: CodeFamily) -> IndexPolynomial
     >>> sorted(class_distribution((2, 1), INVCODE).terms)
     [(0, 0, 1), (0, 1, 1)]
     """
-    return IndexPolynomial.from_words(
-        family.encode(inverse(p)) for p in descent_class(comp))
+    return IndexPolynomial.from_words(map(family.encode, inverse_descent_class(comp)))
 
 
 def _difference(show, label_a: str, a, label_b: str, b):
@@ -155,19 +158,19 @@ def _subject(comp: Composition) -> str:
 
 
 class _Class:
-    """One descent class D_I: its members, sorted, and their inverses; and,
-    each computed on first read and kept for the life of the record, the
-    codes of the inverses and what the checks sum from them."""
+    """One descent class D_I: the inverses of its members, in the generation
+    order of ``inverse_descent_class``, not sorted; and, each computed on
+    first read and kept for the life of the record, the codes of the
+    inverses and what the checks sum from them."""
 
     def __init__(self, comp: Composition, names) -> None:
         self.comp = comp
         self.names = names
-        self.members = descent_class(comp)
-        self.inverses = list(map(inverse, self.members))
+        self.inverses = inverse_descent_class(comp)
         self._codes: dict[str, list] = {}
 
     def codes(self, name: str) -> list:
-        """The ``name`` codes of the inverses, in member order."""
+        """The ``name`` codes of the inverses, in the order of ``inverses``."""
         if name not in self._codes:
             self._codes[name] = list(map(FAMILIES[name].encode, self.inverses))
         return self._codes[name]
@@ -179,9 +182,10 @@ class _Class:
 
     @cached_property
     def q_stats(self) -> list[Counter]:
-        """The counts of each family's code sums, then of maj σ^{-1} and of inv σ."""
+        """The counts of each family's code sums, then of maj σ^{-1} and of
+        inv σ, counted as inv σ^{-1}, which is equal."""
         return [*(Counter(map(sum, self.codes(name))) for name in self.names),
-                Counter(map(maj, self.inverses)), Counter(map(inv, self.members))]
+                Counter(map(maj, self.inverses)), Counter(map(inv, self.inverses))]
 
 
 def _cut_mask(comp: Composition) -> int:
@@ -249,10 +253,10 @@ def _theorem_item(n: int, cls: _Class) -> CheckItem:
         if witness or got == ribbon:
             continue
         mono, witness = _difference(_monomial, name, got.terms, 'ribbon', ribbon.terms)
-        # members are sorted, so the first code sorting to the witness is the least σ's
-        sorted_codes = list(map(sorted_code, cls.codes(name)))
-        if mono in sorted_codes:
-            least = cls.members[sorted_codes.index(mono)]
+        contributing = [p for p, code in zip(cls.inverses, cls.codes(name))
+                        if sorted_code(code) == mono]
+        if contributing:
+            least = min(map(inverse, contributing))
             witness += f'; least contributing sigma: {format_permutation(least)}'
     return CheckItem('theorem', n, _subject(cls.comp), not witness, witness)
 
@@ -353,10 +357,13 @@ def _zeta_ncinv_items(n: int, names, differences) -> list[CheckItem]:
 
 def _scstep_witness(m: int, k: int) -> str:
     encode = FAMILIES['scode'].encode
+    # each element of id_k ⧢ β, read off identity(k) + β shifted by k
+    getters = list(itertools.chain.from_iterable(_merge_getters(k, m)))
     for beta in iter_permutations(m):
         # the words nondecreasing in the order τ_S(β), each once
         expected = Counter(itertools.combinations_with_replacement(tau_s(beta), k))
-        got = Counter(encode(p)[:k] for p in shifted_shuffle(identity(k), beta))
+        word = identity(k) + shifted_word(beta, k)
+        got = Counter(encode(getter(word))[:k] for getter in getters)
         _, detail = _difference(_word, 'prefixes', got,
                                 'tau_S-nondecreasing words', expected)
         if detail:

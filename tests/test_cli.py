@@ -56,6 +56,11 @@ def test_code_table_of_one_letter(capsys):
     assert run(capsys, 'code', '--table', '1') == (0, 'sigma Ic Mc Sc\n\n1 0 0 0\n', '')
 
 
+def test_code_table_of_no_letters_lists_the_empty_permutation(capsys):
+    # one row, as in the JSON table: the empty permutation and its empty codes
+    assert run(capsys, 'code', '--table', '0') == (0, 'sigma Ic Mc Sc\n\n   \n', '')
+
+
 def test_code_past_ten_letters_prints_codes_comma_separated(capsys):
     code, out, _ = run(capsys, 'code', '12,11,10,9,8,7,6,5,4,3,2,1')
     assert code == 0

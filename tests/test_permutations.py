@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from math import comb, factorial
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permcodes.permutations import (
+    _merge_getters,
     composition_from_descent_set,
     compositions_of,
     conjugate_composition,
@@ -21,6 +23,7 @@ from permcodes.permutations import (
     insert_one_at,
     inv,
     inverse,
+    inverse_descent_class,
     is_permutation,
     iter_permutations,
     maj,
@@ -226,7 +229,7 @@ def test_coarsening():
 
 
 def test_descent_classes_partition_the_group():
-    # one lexicographic pass over S_n per n is the oracle for the generator
+    # one lexicographic pass over S_n per n is the oracle for the generators
     for n in range(9):
         buckets = {}
         for p in iter_permutations(n):
@@ -234,6 +237,34 @@ def test_descent_classes_partition_the_group():
         assert len(buckets) == len(compositions_of(n))
         for comp in compositions_of(n):
             assert descent_class(comp) == buckets[comp], comp
+            words = inverse_descent_class(comp)
+            assert len(set(words)) == len(words), comp
+            assert sorted(words) == sorted(map(inverse, buckets[comp])), comp
+
+
+def test_descent_classes_keep_their_bytes():
+    # sha256 of every class of n <= 8 (46,234 permutations) as the
+    # combination walk that came before the merge tables listed them
+    classes = [descent_class(comp) for n in range(9) for comp in compositions_of(n)]
+    assert hashlib.sha256(repr(classes).encode()).hexdigest() == (
+        '9cbbdcc34617798383022c2f5d5bda4505cd473ca7cf9666ec02cf3a684e57ef')
+
+
+def test_merge_table_reads_each_interleaving_once():
+    for n in range(8):
+        for m in range(n + 1):
+            k = n - m
+            u, v = identity(k), shifted_word(identity(m), k)
+            groups = _merge_getters(k, m)
+            assert len(groups) == k + 1
+            read = []
+            for slot, group in enumerate(groups):
+                for getter in group:
+                    word = getter(u + v)
+                    # the letters of u before v's first letter; all k without v
+                    assert (word.index(v[0]) if m else k) == slot, (k, m, word)
+                    read.append(word)
+            assert sorted(read) == shuffle(u, v), (k, m)
 
 
 def _class_size(comp):
@@ -269,6 +300,11 @@ def test_descent_class_edge_cases():
     assert descent_class(()) == [()]
     assert descent_class((2, 0, 1)) == []
     assert descent_class((3, -1)) == []
+    assert inverse_descent_class(()) == [()]
+    assert inverse_descent_class((2, 0, 1)) == []
+    assert inverse_descent_class((3, -1)) == []
+    for n in range(1, 6):
+        assert inverse_descent_class((n,)) == [identity(n)]
 
 
 def test_parse_format_permutation():
