@@ -12,12 +12,12 @@ smallest letter is inserted into a word.
 
 from permcodes import (
     FAMILIES,
+    acceptability_witness,
     format_code,
     format_permutation,
     insert_one_at,
     inv,
     inverse,
-    is_acceptable,
     lehmer_code,
     lehmer_decode,
     maj,
@@ -68,8 +68,8 @@ def main() -> None:
     # A family whose tau respects prefix sets under insertion is "acceptable":
     # its code letters can be built one insertion at a time in any order.
     for name in ('invcode', 'scode', 'majcode'):
-        result = is_acceptable(FAMILIES[name], 5)
-        print(f'  {name} acceptable through n=5: {bool(result)}')
+        acceptable = acceptability_witness(FAMILIES[name], 5) is None
+        print(f'  {name} acceptable through n=5: {acceptable}')
 
 
 if __name__ == '__main__':

@@ -11,9 +11,9 @@ else is imported from its submodule.
 
 from .codes import (
     FAMILIES,
+    acceptability_witness,
     format_code,
     inv_code,
-    is_acceptable,
     lehmer_code,
     lehmer_decode,
     s_code,

@@ -182,8 +182,7 @@ def cmd_ribbon(args) -> tuple[object, int]:
                 }
                 for comp in compositions_of(args.all)
             ], 0
-        symbol = 'h' if args.mode == 'product' else 'r'
-        return '\n'.join(ribbons.ribbon_table_lines(args.all, route, symbol)), 0
+        return '\n'.join(ribbons.ribbon_table_lines(args.all, route)), 0
     comp = parse_composition(args.composition)
     _check_cap(sum(comp), args.allow_large)
     poly = route(comp)

@@ -14,11 +14,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import gt, le
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .permutations import (
     Perm,
-    des,
     insert_one_at,
     iter_permutations,
     parse_integers,
@@ -49,8 +48,7 @@ __all__ = [
     'FAMILIES',
     'generic_encode',
     'generic_decode',
-    'AcceptabilityResult',
-    'is_acceptable',
+    'acceptability_witness',
     'parse_code',
     'format_code',
 ]
@@ -336,17 +334,13 @@ def tau_m(b: Perm) -> TauPerm:
     '324516078'
     """
     n = len(b)
-    d = des(b)
+    descents = [0 < i < n and b[i - 1] > b[i] for i in range(n + 1)]
+    d = sum(descents)
     out = []
-    descents_seen = 0
-    rises_seen = 0
-    for i in range(n + 1):
-        if 0 < i < n and b[i - 1] > b[i]:
-            descents_seen += 1
-            out.append(d - descents_seen)
-        else:
-            rises_seen += 1
-            out.append(d + rises_seen - 1)
+    seen = 0
+    for i, descent in enumerate(descents):
+        seen += descent
+        out.append(d - seen if descent else d + i - seen)
     return tuple(out)
 
 
@@ -408,22 +402,13 @@ def generic_decode(family: CodeFamily, c: Code) -> Perm:
     return beta
 
 
-class AcceptabilityResult(NamedTuple):
-    ok: bool
-    #: On failure, the lexicographically least (β, k) whose τ prefix sets
-    #: disagree after inserting 1 at slot k.
-    witness: tuple[Perm, int] | None
+def acceptability_witness(family: CodeFamily, n: int) -> tuple[Perm, int] | None:
+    """The first (β, k), by size m < n, then β in lexicographic order, then
+    slot k, at which the sets {τ(β')(i) : i ≤ k} and {τ(β)(i) : i ≤ k}
+    differ, where β' = insert_one_at(β, k); ``None`` when the family is
+    acceptable up to size ``n``.
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_acceptable(family: CodeFamily, n: int) -> AcceptabilityResult:
-    """Check the acceptable-code condition up to size ``n``: for every β of
-    size m < n and every slot k, the sets {τ(β')(i) : i ≤ k} and
-    {τ(β)(i) : i ≤ k} agree, where β' = insert_one_at(β, k).
-
-    >>> is_acceptable(INVCODE, 4).ok
+    >>> acceptability_witness(INVCODE, 4) is None
     True
     """
     for m in range(n):
@@ -432,8 +417,8 @@ def is_acceptable(family: CodeFamily, n: int) -> AcceptabilityResult:
             for k in range(m + 1):
                 tau_prime = family.tau(insert_one_at(beta, k))
                 if set(tau_prime[:k + 1]) != set(tau_beta[:k + 1]):
-                    return AcceptabilityResult(False, (beta, k))
-    return AcceptabilityResult(True, None)
+                    return beta, k
+    return None
 
 
 def parse_code(text: str) -> Code:

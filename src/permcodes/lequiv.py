@@ -109,8 +109,8 @@ def l_class(p: Perm) -> LClass:
     return LClass(
         members=members,
         key=sorted_code(lehmer_code(p)),
-        max_member=class_max(p),
-        min_member=class_min(p),
+        max_member=members[-1],
+        min_member=members[0],
     )
 
 

@@ -161,12 +161,12 @@ def poly_to_json(poly: IndexPolynomial) -> list[dict[str, object]]:
 def ribbon_table_lines(
     n: int,
     route: Callable[[Composition], IndexPolynomial] = ribbon_flagged,
-    symbol: str = 'r',
 ) -> list[str]:
     """The table of ``route`` over all compositions of n, one line per
-    composition in descending lexicographic order, e.g. ``r_21 = [001] +
-    [011]`` for the default r_I by inclusion–exclusion.
+    composition in descending lexicographic order, named h_I for ``h_product``
+    and r_I otherwise, e.g. ``r_21 = [001] + [011]`` for the default.
     """
+    symbol = 'h' if route is h_product else 'r'
     lines = []
     for comp in compositions_of(n):
         name = ''.join(map(str, comp)) if n <= 9 else format_composition(comp)

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 from typing import Callable, NamedTuple
 
-from .codes import CodeFamily, FAMILIES, sorted_code, tau_s
+from .codes import CodeFamily, FAMILIES, sorted_code
 from .permutations import (
     Composition,
     _merge_getters,
@@ -356,12 +356,12 @@ def _zeta_ncinv_items(n: int, names, differences) -> list[CheckItem]:
 
 
 def _scstep_witness(m: int, k: int) -> str:
-    encode = FAMILIES['scode'].encode
+    encode, tau = FAMILIES['scode'].encode, FAMILIES['scode'].tau
     # each element of id_k ⧢ β, read off identity(k) + β shifted by k
     getters = list(itertools.chain.from_iterable(_merge_getters(k, m)))
     for beta in iter_permutations(m):
         # the words nondecreasing in the order τ_S(β), each once
-        expected = Counter(itertools.combinations_with_replacement(tau_s(beta), k))
+        expected = Counter(itertools.combinations_with_replacement(tau(beta), k))
         word = identity(k) + shifted_word(beta, k)
         got = Counter(encode(getter(word))[:k] for getter in getters)
         _, detail = _difference(_word, 'prefixes', got,

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from permcodes.codes import lehmer_code, lehmer_decode, sorted_code
@@ -29,6 +30,11 @@ def test_single_move_example():
     assert v in l_moves(u)
     assert u in l_moves(v)
     assert l_adjacent(u, v)
+
+
+def test_l_adjacent_refuses_permutations_of_different_sizes():
+    with pytest.raises(ValueError, match='sizes differ'):
+        l_adjacent((1, 2), (1, 2, 3))
 
 
 def _l_adjacent_by_definition(u, v):
@@ -155,3 +161,9 @@ def test_class_membership_is_reflexive_and_extremes_avoid(p):
     assert p in cls.members
     assert avoids_pattern(cls.max_member, (1, 3, 2))
     assert avoids_pattern(cls.min_member, (2, 1, 3))
+
+
+@pytest.mark.parametrize('pattern', ((1, 2), (1, 3, 2, 4)))
+def test_avoids_pattern_refuses_patterns_not_of_length_3(pattern):
+    with pytest.raises(ValueError, match='only length-3 patterns'):
+        avoids_pattern((2, 1, 3, 4), pattern)

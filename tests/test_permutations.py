@@ -98,6 +98,12 @@ def test_descents_from_composition_roundtrip(p):
     assert sum(comp) == len(p)
 
 
+@pytest.mark.parametrize('descents', ({0}, {4}, {2, 5}))
+def test_composition_from_descent_set_refuses_a_descent_outside_the_cuts(descents):
+    with pytest.raises(ValueError, match=r'descent \d outside 1\.\.3'):
+        composition_from_descent_set(descents, 4)
+
+
 def test_standardize_examples():
     assert standardize((3, 1, 3)) == (2, 1, 3)
     assert standardize((5, 5, 2, 9)) == (2, 3, 1, 4)
@@ -191,6 +197,12 @@ def test_insert_one_at_positions():
     assert insert_one_at(base, 0) == (1, 3, 2, 4)
     assert insert_one_at(base, 1) == (3, 1, 2, 4)
     assert insert_one_at(base, 3) == (3, 2, 4, 1)
+
+
+@pytest.mark.parametrize('slot', (-1, 4))
+def test_insert_one_at_refuses_a_slot_out_of_range(slot):
+    with pytest.raises(ValueError, match=rf'insertion slot {slot} out of range 0\.\.3'):
+        insert_one_at((2, 1, 3), slot)
 
 
 def _compositions_by_cuts(n):

@@ -237,6 +237,11 @@ def test_rendered_table_lines_match_reference_text():
     assert got == expected
 
 
+def test_table_lines_name_the_coarse_products_h_and_the_ribbons_r():
+    assert ribbon_table_lines(2, h_product) == ['h_2 = [00]', 'h_11 = [00] + [01]']
+    assert ribbon_table_lines(2, ribbon_determinant) == ['r_2 = [00]', 'r_11 = [01]']
+
+
 def signed_h_sum(comp):
     """Reference r_I: the signed sum of h^J over every J coarser than I."""
     out = IndexPolynomial.zero()

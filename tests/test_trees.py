@@ -12,6 +12,7 @@ from permcodes.trees import (
     code_arity_monomial,
     connes_moscovici,
     derive,
+    format_v_polynomial,
     increasing_labelings,
     taylor_tree_series,
     tree_size,
@@ -162,9 +163,11 @@ def test_special_shapes():
 
 @pytest.mark.parametrize('n', sorted(X_EXPANSIONS))
 def test_x_polynomial_matches_printed_expansion(n):
-    from permcodes.trees import format_v_polynomial
-
     assert format_v_polynomial(x_polynomial(n)) == X_EXPANSIONS[n]
+
+
+def test_format_v_polynomial_writes_the_zero_polynomial_as_0():
+    assert format_v_polynomial(IndexPolynomial.zero()) == '0'
 
 
 def test_x_polynomial_equals_code_evaluation_sums():

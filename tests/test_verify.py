@@ -13,8 +13,8 @@ from permcodes.codes import (
     INVCODE,
     SCODE,
     CodeFamily,
+    acceptability_witness,
     inv_code,
-    is_acceptable,
     lehmer_code,
     lehmer_decode,
     maj_code,
@@ -22,6 +22,7 @@ from permcodes.codes import (
     s_decode,
     sorted_code,
     tau_i,
+    tau_s,
 )
 from permcodes.permutations import (
     compositions_of,
@@ -130,10 +131,8 @@ def test_reversed_tau_is_not_acceptable():
         tau=lambda beta: tuple(range(len(beta), -1, -1)),
         decode=s_decode,
     )
-    result = is_acceptable(reversed_tau, 3)
-    assert not result.ok
     # inserting 1 into the empty β: τ(()) = (0,) but τ((1,)) begins with 1
-    assert result.witness == ((), 0)
+    assert acceptability_witness(reversed_tau, 3) == ((), 0)
 
 
 def near_miss(encode):
@@ -615,12 +614,19 @@ def test_verify_n8_report_is_pinned():
         '21d972ce5aa1fd15052bdcb64c239dd9d437d24123b19e05fd74094f24adaefc')
 
 
-# The inputs a verdict reads besides the code families, each broken at
-# verify's binding.  The direct routes import the same functions from their
-# own modules, so they stay unbroken here and are not compared: each case
-# pins which checks the broken input changes, all to FAIL, and the first
+# The inputs a verdict reads besides the code families' encoders, each
+# broken at verify's binding, and τ_S broken in the registry entry that
+# scstep reads it from.  The direct routes import the same functions from
+# their own modules, so they stay unbroken here and are not compared: each
+# case pins which checks the broken input changes, all to FAIL, and the first
 # changed line.  On a passing sweep those are the failing checks and the
 # first failing line.
+
+def in_verify(name, mutate):
+    """The case name and the patch that breaks verify's binding of ``name``
+    with ``mutate``."""
+    return name, lambda monkeypatch: monkeypatch.setattr(
+        verify, name, mutate(getattr(verify, name)))
 
 def raise_001_at_21(route):
     """``route`` with the coefficient of x_0 x_0 x_1 raised by one at (2,1)."""
@@ -652,42 +658,44 @@ def swap_first_two(function):
 
 
 VERDICT_INPUTS = [
-    ('ribbon_determinant', raise_001_at_21, {'theorem'},
+    (*in_verify('ribbon_determinant', raise_001_at_21), {'theorem'},
      'theorem n=3 I=(2,1): FAIL '
      '[monomial [001]: inclusion-exclusion has 1, determinant has 2]'),
-    ('ribbon_flagged', raise_001_at_21, {'theorem'},
+    (*in_verify('ribbon_flagged', raise_001_at_21), {'theorem'},
      'theorem n=3 I=(2,1): FAIL '
      '[monomial [001]: inclusion-exclusion has 2, determinant has 1]'),
-    ('h_product', raise_001_at_21, {'coarse'},
+    (*in_verify('h_product', raise_001_at_21), {'coarse'},
      'coarse n=3 I=(2,1): FAIL [monomial [001]: invcode has 1, h_product has 2]'),
     # 3412, its own inverse, is missing from D_(2,2)
-    ('inverse_descent_class', without((3, 4, 1, 2)),
+    (*in_verify('inverse_descent_class', without((3, 4, 1, 2))),
      {'theorem', 'coarse', 'ncinv', 'em', 'fs'},
      'coarse n=4 I=(1,1,1,1): FAIL [monomial [0022]: invcode has 0, h_product has 1]'),
-    ('inv', one_more_on_2143, {'em', 'fs'},
+    (*in_verify('inv', one_more_on_2143), {'em', 'fs'},
      'em n=4 family=invcode: FAIL [pair (stat, des)=(2, 2): code sum has 1, inv has 0]'),
-    ('maj', one_more_on_2143, {'em', 'fs'},
+    (*in_verify('maj', one_more_on_2143), {'em', 'fs'},
      'em n=4 family=invcode: FAIL '
      '[pair (stat, des)=(4, 2): code sum has 4, maj of inverse has 3]'),
-    ('_exact_descent_words', without((1, 1, 0)), {'ncinv'},
+    (*in_verify('_exact_descent_words', without((1, 1, 0))), {'ncinv'},
      'ncinv n=3 I=(1,1,1): FAIL '
      '[word 110: invcode words has 1, concatenation product has 0]'),
-    ('tau_s', swap_first_two, {'scstep'},
+    ('tau_s', lambda monkeypatch: monkeypatch.setitem(
+        FAMILIES, 'scode', dataclasses.replace(SCODE, tau=swap_first_two(tau_s))),
+     {'scstep'},
      'scstep n=3 m=1 k=2: FAIL '
      '[beta=1: word 01: prefixes has 1, tau_S-nondecreasing words has 0]'),
     # 2143 is its own inverse; here its inverse reads 1243 in D_(1,2,1)
-    ('inverse_descent_class', reading((2, 1, 4, 3), (1, 2, 4, 3)),
+    (*in_verify('inverse_descent_class', reading((2, 1, 4, 3), (1, 2, 4, 3))),
      {'theorem', 'coarse', 'ncinv', 'em', 'fs'},
      'coarse n=4 I=(1,1,1,1): FAIL [monomial [0001]: invcode has 4, h_product has 3]'),
 ]
 
 
-@pytest.mark.parametrize('name, mutate, failing, first', VERDICT_INPUTS,
+@pytest.mark.parametrize('name, patch, failing, first', VERDICT_INPUTS,
                          ids=[name for name, *_ in VERDICT_INPUTS])
 def test_each_verdict_input_can_fail_the_checks_that_read_it(
-        monkeypatch, name, mutate, failing, first):
+        monkeypatch, name, patch, failing, first):
     before = set(run_checks(4).items)
-    monkeypatch.setattr(verify, name, mutate(getattr(verify, name)))
+    patch(monkeypatch)
     report = run_checks(4)
     changed = [item for item in report.items if item not in before]
     assert changed == list(report.failures)
