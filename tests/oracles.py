@@ -16,7 +16,8 @@ sorted index tuples, which ``IndexPolynomial`` replaced by packed integer
 keys; the flagged ribbons' two recurrences run on it here.
 
 ``inversion_pairs`` counts inv σ over every pair of positions, the double
-loop that ``inv`` replaced by a count of pairwise comparisons.
+loop that ``inv`` replaced by a count of pairwise comparisons, and
+``descent_position_sum`` sums maj w over the descent positions one by one.
 
 ``s_code_of_tree`` is the paper's tree reading of the saillance code: the
 father labels of an increasing tree, which the tests compare with ``s_code``
@@ -153,6 +154,12 @@ def inversion_pairs(p):
     """inv σ by testing every pair of positions, the reference for ``inv``."""
     n = len(p)
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+
+
+def descent_position_sum(w):
+    """maj w as the sum of the positions i with w_i > w_{i+1}, the reference
+    for ``maj``."""
+    return sum(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
 
 def q_factorial(n: int) -> QPolynomial:

@@ -36,6 +36,8 @@ from permcodes.permutations import (
     parse_permutation,
 )
 
+from oracles import descent_position_sum
+
 ENCODE = {
     'lehmer': lehmer_code,
     'invcode': inv_code,
@@ -69,7 +71,8 @@ def inv_code_reference(p):
 
 
 def maj_code_reference(p):
-    majs = [maj(tuple(x for x in p if x >= i)) for i in range(1, len(p) + 2)]
+    majs = [descent_position_sum([x for x in p if x >= i])
+            for i in range(1, len(p) + 2)]
     return tuple(majs[i] - majs[i + 1] for i in range(len(p)))
 
 
@@ -158,6 +161,23 @@ def test_encoders_match_their_definitions_exhaustively(name):
 def test_encoders_match_their_definitions_on_long_permutations(p):
     for name in ENCODE:
         assert ENCODE[name](p) == REFERENCE[name](p)
+
+
+# Past one machine word, where the bit-set encoders hold ints of 100 bits:
+# a seeded random word, its reverse, and the zigzag 100 1 99 2 ... 51 50.
+RANDOM_100 = tuple(random.Random(100).sample(range(1, 101), 100))
+LONG_WORDS = {
+    'random': RANDOM_100,
+    'reverse': RANDOM_100[::-1],
+    'zigzag': tuple(v for k in range(50) for v in (100 - k, 1 + k)),
+}
+
+
+@pytest.mark.parametrize('word', sorted(LONG_WORDS))
+@pytest.mark.parametrize('name', ('invcode', 'majcode'))
+def test_encoders_match_their_definitions_past_one_machine_word(name, word):
+    p = LONG_WORDS[word]
+    assert ENCODE[name](p) == REFERENCE[name](p)
 
 
 def subdiagonal_codes(n):
@@ -270,8 +290,8 @@ def test_generic_encode_decode_agree_with_direct(name):
             assert generic_decode(family, c) == p
 
 
-# Far past the interpreter's recursion limit: both run as loops.
-@pytest.mark.parametrize('name', ('majcode', 'scode'))
+# Far past the interpreter's recursion limit: each runs as a loop.
+@pytest.mark.parametrize('name', ('invcode', 'majcode', 'scode'))
 def test_generic_encode_decode_on_a_1200_letter_permutation(name):
     family = FAMILIES[name]
     p = tuple(random.Random(1200).sample(range(1, 1201), 1200))

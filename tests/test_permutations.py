@@ -35,7 +35,7 @@ from permcodes.permutations import (
     standardize,
 )
 
-from oracles import inversion_pairs
+from oracles import descent_position_sum, inversion_pairs
 
 perms = st.integers(min_value=0, max_value=7).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
@@ -78,6 +78,12 @@ def test_inv_counts_the_inverted_pairs():
     for n in range(9):
         for p in iter_permutations(n):
             assert inv(p) == inversion_pairs(p), p
+
+
+def test_maj_sums_the_descent_positions():
+    for n in range(9):
+        for p in iter_permutations(n):
+            assert maj(p) == descent_position_sum(p), p
 
 
 @given(st.integers(min_value=9, max_value=16).flatmap(
