@@ -6,12 +6,15 @@ same notation serves the V-indexed tree polynomials (V_3·V_0³ is
 (0, 0, 0, 3)).  Sorted permutation codes ARE such tuples, which is the point:
 generating functions of sorted codes live directly in this class.
 
-Inside, a monomial is one packed integer, Σ_j e_j·2^(W·j) with W = 32, where
+Inside, a monomial is one packed integer, Σ_j e_j·2^(W·j) with W = 8, where
 e_j is the exponent of x_j, so the product of two monomials is the sum of
-their keys and a key hashes as one int.  The format is private to this
-module.  Every polynomial carries an upper bound on its degree, and the
-constructors and the products raise ``ValueError`` before any exponent could
-reach 2^W, where a carry would turn x_j^(2^W) into x_{j+1}.
+their keys and a key hashes as one int.  A key is the sum of the powers
+2^(W·j) of its indices, each read from one table in C, so packing a word
+runs no Python frame.  The format is private to this module.  Every
+polynomial carries an upper bound on its degree, and the constructors and
+the products raise ``ValueError`` before any exponent could reach 2^W = 256,
+where a carry would turn x_j^256 into x_{j+1}: a monomial holds degree 255
+at most.  A negative index raises ``ValueError`` too.
 
 ``IndexPolynomial.sum_of_products`` is the one product loop: it adds Σ ±a·b
 into a single dict and drops zero coefficients once, and ``*`` is its
@@ -26,6 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Sequence
 
 __all__ = ['Monomial', 'IndexPolynomial', 'QPolynomial', 'format_q_polynomial']
@@ -35,15 +39,29 @@ Monomial = tuple[int, ...]
 QPolynomial = dict[int, int]
 
 #: Bits per exponent in a packed key.
-W = 32
+W = 8
 _MASK = (1 << W) - 1
 
 
+class _Powers(dict):
+    """index -> 2^(W·index), the packed key of x_index.  The first 12
+    indices are stored, enough for every code and ribbon up to n = 12; any
+    other index ≥ 0 is computed on each read and not stored, and a negative
+    one raises ``ValueError``."""
+
+    def __missing__(self, index: int) -> int:
+        if index < 0:
+            raise ValueError(f'negative variable index {index}')
+        return 1 << W * index
+
+
+#: The packed key of x_index, ``_POWER(index)``: a C call, with no Python
+#: frame unless the index is past the stored ones.
+_POWER = _Powers((index, 1 << W * index) for index in range(12)).__getitem__
+
+
 def _pack(mono: Iterable[int]) -> int:
-    key = 0
-    for index in mono:
-        key += 1 << W * index
-    return key
+    return sum(map(_POWER, mono))
 
 
 @lru_cache(maxsize=1 << 15)
@@ -64,8 +82,8 @@ def _unpack(key: int) -> Monomial:
 
 def _check_degree(degree: int) -> None:
     if degree >> W:
-        raise ValueError(f'degree {degree} reaches 2^{W}, the largest '
-                         f'exponent a monomial can hold')
+        raise ValueError(f'degree {degree} reaches 2^{W}; a monomial holds '
+                         f'degree {_MASK} at most')
 
 
 class IndexPolynomial:
@@ -121,7 +139,8 @@ class IndexPolynomial:
         words = list(words)
         degree = max(map(len, words), default=0)
         _check_degree(degree)
-        return cls._packed(dict(Counter(map(_pack, words))), degree)
+        keys = map(sum, map(map, repeat(_POWER), words))
+        return cls._packed(dict(Counter(keys)), degree)
 
     @property
     def terms(self) -> dict[Monomial, int]:

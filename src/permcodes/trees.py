@@ -42,6 +42,7 @@ __all__ = [
 PlaneTree = tuple  # recursive: tuple of child PlaneTrees, canonically sorted
 LabeledTree = tuple  # (label, tuple of child LabeledTrees sorted by label)
 TreeSeries = dict[PlaneTree, int]
+SizedTree = tuple  # recursive: (node count, tuple of child SizedTrees)
 
 SINGLE_NODE: PlaneTree = ()
 
@@ -121,11 +122,21 @@ def connes_moscovici(t: PlaneTree) -> int:
     >>> connes_moscovici(((), (((), ()),)))
     5
     """
-    n = tree_size(t)
+    return _labeling_count(_sized(t))
+
+
+def _sized(t: PlaneTree) -> SizedTree:
+    """``t`` with every node's size beside it, counted in one pass."""
+    children = tuple(map(_sized, t))
+    return 1 + sum(size for size, _ in children), children
+
+
+def _labeling_count(sized: SizedTree) -> int:
+    n, children = sized
     count = factorial(n - 1)
-    for child in t:
-        count = count // factorial(tree_size(child)) * connes_moscovici(child)
-    for _, group in itertools.groupby(t):
+    for child in children:
+        count = count // factorial(child[0]) * _labeling_count(child)
+    for _, group in itertools.groupby(children):
         count //= factorial(sum(1 for _ in group))
     return count
 
@@ -137,17 +148,18 @@ def increasing_labelings(t: PlaneTree) -> list[LabeledTree]:
     >>> len(increasing_labelings(((), (((), ()),))))
     5
     """
-    n = tree_size(t)
-    forests = _forest_labelings(canonical_tree(t), tuple(range(2, n + 1)))
+    n, forest = _sized(canonical_tree(t))
+    forests = _forest_labelings(forest, tuple(range(2, n + 1)))
     return sorted((1, children) for children in forests)
 
 
-def _forest_labelings(forest: tuple[PlaneTree, ...], labels: tuple[int, ...]):
-    """Each increasing labeling of the trees of ``forest`` by the sorted
-    ``labels`` once, as a tuple of labeled trees in increasing order of their
-    roots.  The smallest label is the root of the first tree: each distinct
-    shape in turn takes it with every subset of the other labels that fills
-    the shape, and the rest of the forest takes the labels left over."""
+def _forest_labelings(forest: tuple[SizedTree, ...], labels: tuple[int, ...]):
+    """Each increasing labeling of the sized trees of ``forest`` by the
+    sorted ``labels`` once, as a tuple of labeled trees in increasing order
+    of their roots.  The smallest label is the root of the first tree: each
+    distinct shape in turn takes it with every subset of the other labels
+    that fills the shape, and the rest of the forest takes the labels left
+    over."""
     if not forest:
         yield ()
         return
@@ -156,10 +168,11 @@ def _forest_labelings(forest: tuple[PlaneTree, ...], labels: tuple[int, ...]):
         if first in forest[:i]:
             continue
         rest = forest[:i] + forest[i + 1:]
-        for chosen in itertools.combinations(higher, tree_size(first) - 1):
+        size, subtrees = first
+        for chosen in itertools.combinations(higher, size - 1):
             remaining = tuple(x for x in higher if x not in chosen)
             for children, others in itertools.product(
-                    _forest_labelings(first, chosen), _forest_labelings(rest, remaining)):
+                    _forest_labelings(subtrees, chosen), _forest_labelings(rest, remaining)):
                 yield ((low, children), *others)
 
 

@@ -242,6 +242,17 @@ def test_ribbon_takes_a_single_part_above_nine(capsys):
     assert (code, out, err) == (0, '[0000000000]\n', '')
 
 
+def test_ribbon_degree_limit_is_a_usage_error(capsys):
+    # a monomial holds degree 255 at most; compact `256` would read as the
+    # composition 2,5,6, so the single part is parenthesized
+    code, out, err = run(capsys, 'ribbon', '(255)', '--allow-large')
+    assert (code, out, err) == (0, '[' + '0' * 255 + ']\n', '')
+    code, out, err = run(capsys, 'ribbon', '(256)', '--allow-large')
+    assert (code, out) == (2, '')
+    assert err.startswith('error: degree 256 reaches 2^8')
+    assert 'Traceback' not in err
+
+
 @pytest.mark.parametrize('argv', [
     ('ribbon', '10,'),
     ('ribbon', '2,,1'),

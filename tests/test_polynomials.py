@@ -8,9 +8,10 @@ from oracles import TuplePolynomial
 from permcodes.polynomials import IndexPolynomial, _pack, _unpack
 from permcodes.ribbons import h_flagged
 
-#: Few small indices, so that random sums often cancel, and indices past one
-#: machine word of packed exponents.
-INDICES = st.one_of(st.integers(0, 3), st.sampled_from((10, 11, 64, 65, 70)))
+#: Few small indices, so that random sums often cancel, indices past one
+#: machine word of packed exponents (8 and up), and indices past the stored
+#: entries of the power table (12 and up), which are computed on each read.
+INDICES = st.one_of(st.integers(0, 3), st.sampled_from((8, 10, 11, 12, 13, 64, 255, 300)))
 MONOMIALS = st.lists(INDICES, max_size=4).map(lambda indices: tuple(sorted(indices)))
 POLYNOMIALS = st.dictionaries(MONOMIALS, st.integers(-3, 3), max_size=6)
 #: (a, b, negate) triples for ``sum_of_products``.
@@ -74,15 +75,39 @@ def test_constructor_merges_orderings_of_one_monomial():
 
 
 def test_degree_guard_raises_before_an_exponent_carries():
-    # x_0^(2^31) still fits 32 bits of exponent; its square would carry
-    # into x_1.  Nothing here unpacks the terms, which would build a tuple
-    # of 2^31 indices.
+    # x_0^128 still fits 8 bits of exponent; its square would carry into x_1.
     poly = IndexPolynomial.monomial((0,))
-    for _ in range(31):
+    for _ in range(7):
         poly = poly * poly
-    assert poly.total_mass() == 1
-    with pytest.raises(ValueError, match='degree 4294967296'):
+    assert poly.terms == {(0,) * 128: 1}
+    with pytest.raises(ValueError, match=r'degree 256 reaches 2\^8'):
         poly * poly
+    # degree 255, every bit of x_0's exponent set, is the largest that fits
+    assert IndexPolynomial.from_words([(0,) * 255]).terms == {(0,) * 255: 1}
+    for build in (IndexPolynomial.from_words, lambda words: IndexPolynomial(dict.fromkeys(words, 1))):
+        with pytest.raises(ValueError, match='degree 256'):
+            build([(0,) * 256])
+
+
+@pytest.mark.parametrize('build', [
+    lambda mono: IndexPolynomial.from_words([(0, 1), mono]),
+    lambda mono: IndexPolynomial({(0, 1): 1, mono: 1}),
+    IndexPolynomial.monomial,
+])
+@pytest.mark.parametrize('mono', [(-1,), (0, -1), (-300, 2)])
+def test_a_negative_index_raises(build, mono):
+    # a table read from the end would take -1 for the last stored index
+    with pytest.raises(ValueError, match='negative variable index'):
+        build(mono)
+
+
+@pytest.mark.parametrize('mono', [(300,), (0, 12, 12, 300), (11, 12), (1000,) * 3])
+def test_indices_past_the_stored_powers_round_trip(mono):
+    assert IndexPolynomial.monomial(mono, 2).terms == {mono: 2}
+    assert IndexPolynomial.from_words([mono[::-1], mono]).terms == {mono: 2}
+    assert _unpack(_pack(mono)) == mono
+    assert (IndexPolynomial.monomial(mono) * IndexPolynomial.monomial((0,))).terms == {
+        (0, *mono): 1}
 
 
 @settings(max_examples=200, deadline=None)
@@ -125,9 +150,9 @@ def test_sum_of_products_checks_every_degree_before_it_adds():
 
     x0 = IndexPolynomial.monomial((0,))
     poly = x0
-    for _ in range(31):
+    for _ in range(7):
         poly = poly * poly
-    with pytest.raises(ValueError, match='degree 4294967296'):
+    with pytest.raises(ValueError, match='degree 256'):
         IndexPolynomial.sum_of_products([(x0, x0, Unread()), (poly, poly, False)])
 
 
