@@ -218,6 +218,22 @@ def test_swapped_scode_fails_scstep_with_pinned_report(monkeypatch):
         '5e8583ae2dad23408f334fac440738699e743f824c16bed521ab8153335fbf84')
 
 
+@pytest.mark.parametrize('field, mutate, failures, digest', [
+    ('tau', lambda: swap_first_two(tau_s), 10,
+     'a16f0a3e7d099e8e9cd44a890636211988be1e2b97b661325b0753bca483a0dc'),
+    ('encode', lambda: drop_last(s_code), 3,
+     '0b7f446af9f6c1759c28484ac1c5a23bda10ce322f68727376989fc93e8a09ff'),
+    ('encode', lambda: near_miss(s_code), 20,
+     'fb7d12c143365cfd7af23701611d909a9a9c81a63eb156a05cfc2f53502e270e'),
+], ids=['swap_first_two-tau_s', 'drop_last-scode', 'near_miss-scode'])
+def test_broken_scode_fails_scstep_with_pinned_report(
+        monkeypatch, field, mutate, failures, digest):
+    monkeypatch.setitem(FAMILIES, 'scode', dataclasses.replace(SCODE, **{field: mutate()}))
+    report = run_checks(5, checks=('scstep',))
+    assert (len(report.items), len(report.failures)) == (35, failures)
+    assert _digest(report) == digest
+
+
 def test_fs_witness_renders_q_polynomials_in_degree_order(monkeypatch):
     monkeypatch.setitem(FAMILIES, 'scode',
                         dataclasses.replace(SCODE, encode=near_miss(s_code)))
@@ -440,7 +456,7 @@ MUTATIONS = [('none', (), None)] + [
     (f'{mutate.__name__}-{name}', (name,), mutate)
     for name in ('invcode', 'scode', 'majcode')
     for mutate in (near_miss, swap01)
-] + [('drop_last-invcode', ('invcode',), drop_last)] + [
+] + [(f'drop_last-{name}', (name,), drop_last) for name in ('invcode', 'scode')] + [
     # ncinv selected alone, where the class pass encodes only the invcode
     # words; the ids name the invcode encoder that ncinv reads
     (f'{mutate.__name__}-verify.inv_code', ('verify.inv_code',), mutate)
