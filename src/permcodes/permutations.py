@@ -126,7 +126,7 @@ def maj(p: Perm) -> int:
     >>> maj((9, 3, 5, 7, 2, 1, 4, 6, 8))
     10
     """
-    return sum(i + 1 for i in range(len(p) - 1) if p[i] > p[i + 1])
+    return sum(itertools.compress(itertools.count(1), map(operator.gt, p, p[1:])))
 
 
 def inv(p: Perm) -> int:

@@ -17,8 +17,9 @@ witness monomial and names the least.  em sums over all classes; coarse and
 ncinv sum over the classes J with Set(J) ⊆ Set(I) by a subset-sum (zeta)
 transform over the n − 1 cut positions, and a failing ncinv unit counts its
 witness word in the same E′(J) lists.  scstep runs apart, one task per size
-n, and reports each (m, k) with m + k = n at every size from n on; it reads
-each element of id_k ⧢ β off one merge table per (m, k).
+n, and reports each (m, k) with m + k = n at every size from n on; one
+depth-first insertion walk over S_n encodes each σ once and counts its code
+prefixes into the ancestors β whose id_k ⧢ β holds it.
 Tasks are pure, so sweeps parallelize over them and reports merge
 deterministically: rendered output is byte-identical for any worker count.
 """
@@ -37,17 +38,16 @@ from typing import Callable, NamedTuple
 from .codes import CodeFamily, FAMILIES, sorted_code
 from .permutations import (
     Composition,
+    Perm,
     _merge_getters,
     coarser_compositions,
     composition_descent_set,
     compositions_of,
     format_composition,
     format_permutation,
-    identity,
     inv,
     inverse,
     inverse_descent_class,
-    iter_permutations,
     maj,
     shifted_word,
 )
@@ -352,31 +352,62 @@ def _zeta_ncinv_items(n: int, names, differences) -> list[CheckItem]:
 
 
 # ---------------------------------------------------------------------------
-# scstep, every (m, k) with m + k = n for every size from n on
+# scstep, every (m, k) with m + k = n for every size from n on, from one
+# insertion walk over S_n
 
 
-def _scstep_witness(m: int, k: int) -> str:
-    encode, tau = FAMILIES['scode'].encode, FAMILIES['scode'].tau
-    # each element of id_k ⧢ β, read off identity(k) + β shifted by k
-    getters = list(itertools.chain.from_iterable(_merge_getters(k, m)))
-    for beta in iter_permutations(m):
-        # the words nondecreasing in the order τ_S(β), each once
-        expected = Counter(itertools.combinations_with_replacement(tau(beta), k))
-        word = identity(k) + shifted_word(beta, k)
-        got = Counter(encode(getter(word))[:k] for getter in getters)
-        _, detail = _difference(_word, 'prefixes', got,
-                                'tau_S-nondecreasing words', expected)
-        if detail:
-            return f'beta={format_permutation(beta)}: {detail}'
-    return ''
+def _scstep_node(walk, beta, run: int, first: int) -> None:
+    """Count into ``walk`` the scode prefixes of every σ of S_n below
+    ``beta`` in the insertion walk, then close ``beta``.
+
+    The children of β in S_m insert a new least letter into each slot of β,
+    so the depth-m ancestor of σ is σ with 1, …, n − m deleted and
+    standardized, and σ lies in id_(n−m) ⧢ that ancestor exactly when those
+    letters rise in σ.  ``run`` is how many of 1, 2, … rise in ``beta``, and
+    ``first`` the position of its letter 1: a child rises one letter further
+    when its new 1 goes at or before ``first``.  Each σ adds its prefix of
+    length k to the list of its ancestor at depth n − k for every k ≤ its
+    run.  At close, β's list, sorted, must equal the words nondecreasing in
+    the order τ_S(β), sorted, repeats kept; the least failing β of each
+    depth is kept with its witness."""
+    n, encode, tau, inserts, prefix, prefixes, failures = walk
+    m = len(beta)
+    # (1,) + β shifted read by insert getter j: the child with its 1 at slot j
+    word = (1,) + shifted_word(beta, 1)
+    if m + 1 < n:
+        for slot, insert in enumerate(inserts[m]):
+            _scstep_node(walk, insert(word), run + 1 if slot <= first else 1, slot)
+    else:
+        codes = [encode(insert(word)) for insert in inserts[m]]
+        prefixes[m] += map(prefix[1], codes)
+        for k in range(2, run + 2):
+            prefixes[n - k] += map(prefix[k], codes[:first + 1])
+    got, prefixes[m] = sorted(prefixes[m]), []
+    # the words nondecreasing in the order τ_S(β), each once
+    expected = sorted(itertools.combinations_with_replacement(tau(beta), n - m))
+    if got != expected and (m not in failures or beta < failures[m][0]):
+        _, detail = _difference(_word, 'prefixes', Counter(got),
+                                'tau_S-nondecreasing words', Counter(expected))
+        failures[m] = beta, f'beta={format_permutation(beta)}: {detail}'
 
 
 def _scstep_items(n: int, n_max: int) -> list[CheckItem]:
     """The scstep items of each (m, k) with m + k = n at every size from n
-    to ``n_max``: a witness depends on (m, k) alone, so it is computed once."""
-    witnesses = {m: _scstep_witness(m, n - m) for m in range(n)}
+    to ``n_max``: a witness depends on (m, k) alone, so one walk over S_n
+    computes all of them, encoding each σ once."""
+    family = FAMILIES['scode']
+    # inserts[d][j]: the getter that places the first letter of a word of
+    # d + 1 letters after j of the others
+    inserts = [list(itertools.chain.from_iterable(_merge_getters(1, d)))[::-1]
+               for d in range(n)]
+    prefix = [operator.itemgetter(slice(k)) for k in range(n + 1)]
+    failures: dict[int, tuple[Perm, str]] = {}
+    walk = (n, family.encode, family.tau, inserts, prefix, [[] for _ in range(n)],
+            failures)
+    _scstep_node(walk, (), 0, 0)
+    witnesses = [failures.get(m, ((), ''))[1] for m in range(n)]
     return [CheckItem('scstep', size, f'm={m} k={n - m}', not witness, witness)
-            for m, witness in witnesses.items() for size in range(n, n_max + 1)]
+            for m, witness in enumerate(witnesses) for size in range(n, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------

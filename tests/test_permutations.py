@@ -84,6 +84,10 @@ def test_maj_sums_the_descent_positions():
     for n in range(9):
         for p in iter_permutations(n):
             assert maj(p) == descent_position_sum(p), p
+    # past 64 letters: every descent of a 100-letter word counts
+    zigzag = tuple(v for k in range(50) for v in (100 - k, 1 + k))
+    for word in (zigzag, zigzag[::-1], tuple(range(100, 0, -1))):
+        assert maj(word) == descent_position_sum(word) > 0
 
 
 @given(st.integers(min_value=9, max_value=16).flatmap(

@@ -218,6 +218,14 @@ def test_swapped_scode_fails_scstep_with_pinned_report(monkeypatch):
         '5e8583ae2dad23408f334fac440738699e743f824c16bed521ab8153335fbf84')
 
 
+def repeat_first(function):
+    """``function`` with the last letter of its result replaced by its first."""
+    def broken(arg):
+        t = function(arg)
+        return t[:-1] + t[:1]
+    return broken
+
+
 @pytest.mark.parametrize('field, mutate, failures, digest', [
     ('tau', lambda: swap_first_two(tau_s), 10,
      'a16f0a3e7d099e8e9cd44a890636211988be1e2b97b661325b0753bca483a0dc'),
@@ -225,13 +233,29 @@ def test_swapped_scode_fails_scstep_with_pinned_report(monkeypatch):
      '0b7f446af9f6c1759c28484ac1c5a23bda10ce322f68727376989fc93e8a09ff'),
     ('encode', lambda: near_miss(s_code), 20,
      'fb7d12c143365cfd7af23701611d909a9a9c81a63eb156a05cfc2f53502e270e'),
-], ids=['swap_first_two-tau_s', 'drop_last-scode', 'near_miss-scode'])
+    # a τ that repeats a letter: each word counts as often as it is drawn
+    ('tau', lambda: repeat_first(tau_s), 20,
+     '83756ef5034e2483495be0ab8f41dd3ae8071542cdb76bc88a817ad0e3e87840'),
+], ids=['swap_first_two-tau_s', 'drop_last-scode', 'near_miss-scode',
+        'repeat_first-tau_s'])
 def test_broken_scode_fails_scstep_with_pinned_report(
         monkeypatch, field, mutate, failures, digest):
     monkeypatch.setitem(FAMILIES, 'scode', dataclasses.replace(SCODE, **{field: mutate()}))
     report = run_checks(5, checks=('scstep',))
     assert (len(report.items), len(report.failures)) == (35, failures)
     assert _digest(report) == digest
+
+
+def test_scstep_names_the_least_failing_beta(monkeypatch):
+    # τ_S broken at two β of S_3 that the insertion walk meets as 213 before
+    # 132: the witness names the lexicographically least
+    def tau(beta):
+        return (swap_first_two(tau_s) if beta in ((2, 1, 3), (1, 3, 2)) else tau_s)(beta)
+
+    monkeypatch.setitem(FAMILIES, 'scode', dataclasses.replace(SCODE, tau=tau))
+    assert [item.render() for item in run_checks(5, checks=('scstep',)).failures] == [
+        'scstep n=5 m=3 k=2: FAIL '
+        '[beta=132: word 03: prefixes has 1, tau_S-nondecreasing words has 0]']
 
 
 def test_fs_witness_renders_q_polynomials_in_degree_order(monkeypatch):
@@ -550,9 +574,9 @@ def test_each_family_encodes_each_inverse_once(monkeypatch):
     assert run_checks(5, checks=('theorem', 'coarse', 'ncinv', 'em', 'fs')).passed
     assert calls == Counter(invcode=153, scode=153, majcode=153)
     calls.clear()
-    # scstep encodes the shuffles id_k ⧢ β with scode, apart from the pass
+    # scstep's walk encodes each σ with scode once more, apart from the pass
     assert run_checks(5).passed
-    assert calls['invcode'] == calls['majcode'] == 153
+    assert calls == Counter(invcode=153, scode=2 * 153, majcode=153)
 
 
 def test_a_failing_class_encodes_each_inverse_once_per_family(monkeypatch):
@@ -586,14 +610,24 @@ def test_a_sweep_leaves_no_reference_cycles():
             gc.enable()
 
 
-def test_scstep_computes_each_pair_once(monkeypatch):
-    calls = Counter()
-    _spy(monkeypatch, calls, '_scstep_witness')
+def test_scstep_encodes_each_permutation_once_per_size(monkeypatch):
+    encoded = Counter()
+
+    def counted(p):
+        encoded[p] += 1
+        return s_code(p)
+
+    monkeypatch.setitem(FAMILIES, 'scode', dataclasses.replace(SCODE, encode=counted))
     report = run_checks(7, checks=('scstep',))
-    # one witness per (m, k) with m + k <= 7, one item per (n, m, k)
-    assert calls['_scstep_witness'] == 28
+    # one walk per size n encodes S_n, Σ_{n ≤ 7} n! = 5913; one item per
+    # (n, m, k) with m + k <= n
+    assert sum(encoded.values()) == 5913
     assert len(report.items) == sum(n * (n + 1) // 2 for n in range(1, 8)) == 84
     assert report.passed
+    for n in range(1, 7):
+        encoded.clear()
+        assert all(item.passed for item in verify._scstep_items(n, n))
+        assert encoded == Counter(itertools.permutations(range(1, n + 1))), n
 
 
 def test_ncinv_never_builds_a_shuffle_set(monkeypatch):
