@@ -92,6 +92,8 @@ def inverse(p: Perm) -> Perm:
 
 def iter_permutations(n: int) -> Iterator[Perm]:
     """All permutations of size ``n`` in lexicographic order."""
+    if n < 0:
+        raise ValueError(f'negative size {n}')
     return itertools.permutations(range(1, n + 1))
 
 
@@ -117,7 +119,7 @@ def descent_composition(p: Perm) -> Composition:
 
 def des(p: Perm) -> int:
     """Number of descents."""
-    return sum(1 for i in range(len(p) - 1) if p[i] > p[i + 1])
+    return len(descent_set(p))
 
 
 def maj(p: Perm) -> int:
@@ -145,11 +147,7 @@ def standardize(w: Sequence[int]) -> Perm:
     >>> standardize((3, 1, 4, 1, 5))
     (3, 1, 4, 2, 5)
     """
-    order = sorted(range(len(w)), key=lambda i: (w[i], i))
-    out = [0] * len(w)
-    for rank, i in enumerate(order):
-        out[i] = rank + 1
-    return tuple(out)
+    return inverse(sorted(range(1, len(w) + 1), key=lambda i: (w[i - 1], i)))
 
 
 def evaluation(w: Word) -> tuple[int, ...]:
@@ -294,6 +292,8 @@ def compositions_of(n: int) -> list[Composition]:
     >>> compositions_of(3)
     [(3,), (2, 1), (1, 2), (1, 1, 1)]
     """
+    if n < 0:
+        raise ValueError(f'negative size {n}')
     return coarser_compositions((1,) * n)
 
 

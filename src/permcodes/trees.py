@@ -26,7 +26,6 @@ __all__ = [
     'TreeSeries',
     'SINGLE_NODE',
     'canonical_tree',
-    'tree_size',
     'tree_to_text',
     'derive',
     'taylor_tree_series',
@@ -54,15 +53,6 @@ def canonical_tree(t: PlaneTree) -> PlaneTree:
     ((), (((),),))
     """
     return tuple(sorted(canonical_tree(child) for child in t))
-
-
-def tree_size(t: PlaneTree) -> int:
-    """Number of nodes.
-
-    >>> tree_size(((), ()))
-    3
-    """
-    return 1 + sum(tree_size(child) for child in t)
 
 
 def tree_to_text(t: PlaneTree) -> str:

@@ -24,6 +24,11 @@ def test_catalan_numbers():
         [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
 
+def test_l_classes_refuses_a_negative_size():
+    with pytest.raises(ValueError, match='negative size -1'):
+        l_classes(-1)
+
+
 def test_single_move_example():
     u = parse_permutation('738694152')
     v = parse_permutation('758634192')

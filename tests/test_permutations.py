@@ -59,6 +59,11 @@ def test_iter_permutations_counts():
         assert sum(1 for _ in iter_permutations(n)) == factorial(n)
 
 
+def test_iter_permutations_refuses_a_negative_size():
+    with pytest.raises(ValueError, match='negative size -1'):
+        iter_permutations(-1)
+
+
 def test_library_enumerates_any_size_it_is_given():
     # only the CLI caps n; one permutation is built at each size here
     assert descent_class((10,)) == [identity(10)]
@@ -234,6 +239,11 @@ def test_compositions_of_descending_lex():
     for n in range(1, 11):
         assert len(compositions_of(n)) == 2 ** (n - 1)
         assert compositions_of(n) == _compositions_by_cuts(n), n
+
+
+def test_compositions_of_refuses_a_negative_size():
+    with pytest.raises(ValueError, match='negative size -1'):
+        compositions_of(-1)
 
 
 def test_conjugate_composition_pairs():

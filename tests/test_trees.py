@@ -15,7 +15,6 @@ from permcodes.trees import (
     format_v_polynomial,
     increasing_labelings,
     taylor_tree_series,
-    tree_size,
     tree_to_perm,
     tree_to_text,
     x_polynomial,
@@ -38,6 +37,11 @@ X_EXPANSIONS = {
     6: 'V5*V0^5 + 11*V4*V1*V0^4 + 15*V3*V2*V0^4 + 32*V3*V1^2*V0^3'
        ' + 34*V2^2*V1*V0^3 + 26*V2*V1^3*V0^2 + V1^5*V0',
 }
+
+
+def node_count(t) -> int:
+    """Nodes of ``t``, one parenthesis pair each in its text."""
+    return len(tree_to_text(t)) // 2
 
 
 def test_canonical_tree_sorts_children_recursively():
@@ -63,7 +67,7 @@ def test_series_shape_counts_and_total_mass():
         series = taylor_tree_series(n)
         assert len(series) == count
         assert sum(series.values()) == factorial(n - 1)
-        assert all(tree_size(t) == n for t in series)
+        assert all(node_count(t) == n for t in series)
 
 
 def hook_count(t) -> int:
@@ -75,14 +79,14 @@ def hook_count(t) -> int:
     def walk(node, is_root):
         nonlocal sym
         if not is_root:
-            sizes.append(tree_size(node))
+            sizes.append(node_count(node))
         for _, group in itertools.groupby(node):
             sym *= factorial(sum(1 for _ in group))
         for child in node:
             walk(child, False)
 
     walk(t, True)
-    n = tree_size(t)
+    n = node_count(t)
     numerator = factorial(n - 1)
     for s in sizes:
         assert numerator % s == 0

@@ -152,6 +152,13 @@ def swap01(encode):
     return broken
 
 
+def reverse(encode):
+    """``encode`` with its entries in reverse order."""
+    def broken(p):
+        return encode(p)[::-1]
+    return broken
+
+
 def drop_last(encode):
     """``encode`` with its last entry dropped when it is longer than 3."""
     def broken(p):
@@ -507,6 +514,26 @@ def test_reports_equal_the_direct_routes(monkeypatch, label, targets, mutate):
     # swapping two majcode entries keeps every sorted code and entry sum, and
     # no check reads majcode words unsorted; every other mutation is caught
     assert fast.passed == (label in ('none', 'swap01-majcode'))
+
+
+# strict, so the code row of ROADMAP item 2 has to remove these marks
+_MAJCODE_ORDER_GAP = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 2: no check reads majcode's order")
+
+
+@pytest.mark.parametrize('name, mutate', [
+    pytest.param(name, mutate, id=f'{mutate.__name__}-{name}',
+                 marks=_MAJCODE_ORDER_GAP if name == 'majcode' and mutate is not near_miss else ())
+    for name in ('invcode', 'scode', 'majcode')
+    for mutate in (swap01, reverse, near_miss)
+])
+def test_every_broken_family_fails_with_witnesses(monkeypatch, name, mutate):
+    family = FAMILIES[name]
+    monkeypatch.setitem(FAMILIES, name,
+                        dataclasses.replace(family, encode=mutate(family.encode)))
+    report = run_checks(5)
+    assert not report.passed
+    assert all(item.witness for item in report.failures)
 
 
 def test_coarse_transforms_later_families_as_empty_differences(monkeypatch):
