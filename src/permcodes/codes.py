@@ -46,8 +46,6 @@ __all__ = [
     'MAJCODE',
     'LEHMER',
     'FAMILIES',
-    'generic_encode',
-    'generic_decode',
     'acceptability_witness',
     'parse_code',
     'format_code',
@@ -365,40 +363,6 @@ LEHMER = CodeFamily('lehmer', lehmer_code, None, lehmer_decode)
 
 #: The τ-compatible families, by name.
 FAMILIES: dict[str, CodeFamily] = {f.name: f for f in (SCODE, INVCODE, MAJCODE)}
-
-
-def generic_encode(family: CodeFamily, p: Perm) -> Code:
-    """Encode through the τ insertion alone: delete the letter 1, at slot i,
-    and shift the other letters down by one to get β; the next entry is
-    τ(β)(i), and β is encoded in turn until the word is empty.
-
-    Agrees with ``family.encode`` for the three built-in families.
-
-    >>> generic_encode(SCODE, (4, 3, 1, 2, 5))
-    (3, 3, 2, 0, 0)
-    """
-    out = []
-    while p:
-        i = p.index(1)
-        p = tuple(x - 1 for x in p[:i] + p[i + 1:])
-        out.append(family.tau(p)[i])
-    return tuple(out)
-
-
-def generic_decode(family: CodeFamily, c: Code) -> Perm:
-    """Invert ``generic_encode``: read the code from its last entry to its
-    first, inserting into β (from the empty word) the letter 1 at the slot i
-    with τ(β)(i) equal to the entry.
-
-    τ(β) is a bijection of {0, ..., n}, so exactly one slot matches.
-
-    >>> generic_decode(MAJCODE, (5, 0, 1, 0, 1, 2, 0, 1, 0))
-    (9, 3, 5, 7, 2, 1, 4, 6, 8)
-    """
-    beta: Perm = ()
-    for entry in reversed(check_code(c)):
-        beta = insert_one_at(beta, family.tau(beta).index(entry))
-    return beta
 
 
 def acceptability_witness(family: CodeFamily, n: int) -> tuple[Perm, int] | None:

@@ -28,9 +28,7 @@ __all__ = [
     'inv',
     'standardize',
     'evaluation',
-    'shuffle',
     'shifted_word',
-    'shifted_shuffle',
     'insert_one_at',
     'check_composition',
     'composition_descent_set',
@@ -169,39 +167,9 @@ def evaluation(w: Word) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def shuffle(u: Word, v: Word) -> list[Word]:
-    """All interleavings of ``u`` and ``v``, lexicographically sorted, with
-    multiplicity.
-
-    >>> [''.join(map(str, w)) for w in shuffle((1, 2), (4, 3))]
-    ['1243', '1423', '1432', '4123', '4132', '4312']
-    >>> shuffle((1,), ()) == [(1,)]
-    True
-    """
-    out = []
-    for positions in itertools.combinations(range(len(u) + len(v)), len(u)):
-        w = list(v)
-        for i, x in zip(positions, u):
-            w.insert(i, x)
-        out.append(tuple(w))
-    out.sort()
-    return out
-
-
 def shifted_word(w: Word, k: int) -> Word:
     """``w`` with every letter increased by ``k``."""
     return tuple(x + k for x in w)
-
-
-def shifted_shuffle(a: Perm, b: Perm) -> list[Perm]:
-    """Shuffle of ``a`` with ``b`` shifted by the size of ``a``, sorted.
-
-    Every element is a permutation of size ``len(a) + len(b)``.
-
-    >>> [''.join(map(str, p)) for p in shifted_shuffle((1, 2), (1,))]
-    ['123', '132', '312']
-    """
-    return shuffle(a, shifted_word(b, len(a)))
 
 
 def insert_one_at(b: Perm, i: int) -> Perm:
@@ -368,16 +336,14 @@ def identity_block_shuffle(comp: Composition) -> list[Perm]:
     """The shifted shuffle id_{i_1} ⩂ id_{i_2} ⩂ ... ⩂ id_{i_r}, sorted.
 
     Its elements are exactly the inverses of the permutations whose descent
-    set lies in Set(comp).
+    set lies in Set(comp): the inverse descent classes of the coarser
+    compositions.  It is kept for ``bench/tracing.py``, which wraps it.
 
     >>> [''.join(map(str, p)) for p in identity_block_shuffle((2, 1))]
     ['123', '132', '312']
     """
-    acc = [()]
-    for part in comp:
-        block = identity(part)
-        acc = sorted({w for u in acc for w in shifted_shuffle(u, block)})
-    return acc
+    return sorted(itertools.chain.from_iterable(
+        map(inverse_descent_class, coarser_compositions(comp))))
 
 
 def parse_integers(text: str, what: str) -> list[int]:

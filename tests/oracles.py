@@ -22,13 +22,26 @@ loop that ``inv`` replaced by a count of pairwise comparisons, and
 ``s_code_of_tree`` is the paper's tree reading of the saillance code: the
 father labels of an increasing tree, which the tests compare with ``s_code``
 of the permutation ``tree_to_perm`` reads off the same tree.
+
+``shuffle`` lists the interleavings of two words by inserting one into the
+other; the tests compare it with the interleavings the merge tables read.
+``shifted_shuffle`` and ``identity_block_shuffle`` build the shifted shuffle
+id_{i_1} ⩂ ... ⩂ id_{i_r} from it, one block at a time, as the set of
+inverses of the permutations whose descent set lies in Set(I), without the
+merge tables: coarse and ncinv here encode that set, scstep reads its
+prefixes off ``shifted_shuffle``, and the tests compare it with the subset
+sums of the class pass and with the package's ``identity_block_shuffle``.
+
+``generic_encode`` and ``generic_decode`` run a code through its τ map
+alone, one insertion of the letter 1 at a time; the tests compare them with
+each family's direct encoder and decoder.
 """
 
 import itertools
 from collections import Counter
 
 from permcodes import verify
-from permcodes.codes import FAMILIES, CodeFamily, sorted_code, tau_s
+from permcodes.codes import FAMILIES, CodeFamily, check_code, sorted_code, tau_s
 from permcodes.permutations import (
     compositions_of,
     composition_descent_set,
@@ -38,12 +51,12 @@ from permcodes.permutations import (
     format_composition,
     format_permutation,
     identity,
-    identity_block_shuffle,
+    insert_one_at,
     inv,
     inverse,
     iter_permutations,
     maj,
-    shifted_shuffle,
+    shifted_word,
 )
 from permcodes.polynomials import QPolynomial, format_q_polynomial
 from permcodes.ribbons import (
@@ -160,6 +173,84 @@ def descent_position_sum(w):
     """maj w as the sum of the positions i with w_i > w_{i+1}, the reference
     for ``maj``."""
     return sum(i for i in range(1, len(w)) if w[i - 1] > w[i])
+
+
+def shuffle(u, v):
+    """All interleavings of ``u`` and ``v``, lexicographically sorted, with
+    multiplicity.
+
+    >>> [''.join(map(str, w)) for w in shuffle((1, 2), (4, 3))]
+    ['1243', '1423', '1432', '4123', '4132', '4312']
+    >>> shuffle((1,), ()) == [(1,)]
+    True
+    """
+    out = []
+    for positions in itertools.combinations(range(len(u) + len(v)), len(u)):
+        w = list(v)
+        for i, x in zip(positions, u):
+            w.insert(i, x)
+        out.append(tuple(w))
+    out.sort()
+    return out
+
+
+def shifted_shuffle(a, b):
+    """Shuffle of ``a`` with ``b`` shifted by the size of ``a``, sorted.
+
+    Every element is a permutation of size ``len(a) + len(b)``.
+
+    >>> [''.join(map(str, p)) for p in shifted_shuffle((1, 2), (1,))]
+    ['123', '132', '312']
+    """
+    return shuffle(a, shifted_word(b, len(a)))
+
+
+def identity_block_shuffle(comp):
+    """The shifted shuffle id_{i_1} ⩂ id_{i_2} ⩂ ... ⩂ id_{i_r}, sorted,
+    built one block at a time.
+
+    >>> [''.join(map(str, p)) for p in identity_block_shuffle((2, 1))]
+    ['123', '132', '312']
+    """
+    acc = [()]
+    for part in comp:
+        block = identity(part)
+        acc = sorted({w for u in acc for w in shifted_shuffle(u, block)})
+    return acc
+
+
+def generic_encode(family, p):
+    """Encode through the τ insertion alone: delete the letter 1, at slot i,
+    and shift the other letters down by one to get β; the next entry is
+    τ(β)(i), and β is encoded in turn until the word is empty.
+
+    Agrees with ``family.encode`` for the three built-in families.
+
+    >>> generic_encode(FAMILIES['scode'], (4, 3, 1, 2, 5))
+    (3, 3, 2, 0, 0)
+    """
+    out = []
+    while p:
+        i = p.index(1)
+        p = tuple(x - 1 for x in p[:i] + p[i + 1:])
+        out.append(family.tau(p)[i])
+    return tuple(out)
+
+
+def generic_decode(family, c):
+    """Invert ``generic_encode``: read the code from its last entry to its
+    first, inserting into β (from the empty word) the letter 1 at the slot i
+    with τ(β)(i) equal to the entry.
+
+    τ(β) is a bijection of {0, ..., n}, so exactly one slot matches.
+
+    >>> generic_decode(FAMILIES['majcode'], (5, 0, 1, 0, 1, 2, 0, 1, 0))
+    (9, 3, 5, 7, 2, 1, 4, 6, 8)
+    """
+    beta = ()
+    for entry in reversed(check_code(c)):
+        beta = insert_one_at(beta, family.tau(beta).index(entry))
+    return beta
 
 
 def q_factorial(n: int) -> QPolynomial:

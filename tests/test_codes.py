@@ -11,8 +11,6 @@ from permcodes.codes import (
     MAJCODE,
     acceptability_witness,
     format_code,
-    generic_decode,
-    generic_encode,
     inv_code,
     inv_decode,
     is_subdiagonal,
@@ -36,7 +34,7 @@ from permcodes.permutations import (
     parse_permutation,
 )
 
-from oracles import descent_position_sum
+from oracles import descent_position_sum, generic_decode, generic_encode
 
 ENCODE = {
     'lehmer': lehmer_code,

@@ -1,7 +1,7 @@
-"""Run the usage examples: the library docstrings, the README quickstart and
-command lines, and the demos; pin the package's top-level names to what those
-examples import, and check that every name a submodule's ``__all__`` lists is
-defined."""
+"""Run the usage examples: the library docstrings, the examples in the test
+oracles, the README quickstart and command lines, and the demos; pin the
+package's top-level names to what those examples import, and check that
+every name a submodule's ``__all__`` lists is defined."""
 
 import ast
 import doctest
@@ -20,7 +20,9 @@ import pytest
 import permcodes
 from permcodes import cli, codes, lequiv, permutations, polynomials, ribbons, trees, verify
 
-MODULES = [permutations, codes, polynomials, ribbons, trees, lequiv, verify]
+import oracles
+
+MODULES = [permutations, codes, polynomials, ribbons, trees, lequiv, verify, oracles]
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / 'README.md'
 DEMOS = sorted((ROOT / 'demos').glob('*.py'))

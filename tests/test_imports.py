@@ -1,6 +1,8 @@
 """Static checks of the import statements: the package runs on the standard
 library alone, and every module, test and demo uses what it imports at
-module level (``__init__.py`` imports to re-export, so it is left out)."""
+module level (``__init__.py`` imports to re-export, so it is left out).
+And a check that ``src/`` holds no function or class that only the tests
+call: those belong in ``tests/oracles.py``."""
 
 import ast
 import sys
@@ -49,4 +51,35 @@ def test_no_module_level_import_goes_unused():
                 continue
             bad += [f'{_where(path, node)}: {name} is imported but never used'
                     for name in bound if name not in used]
+    assert not bad
+
+
+def _named(node: ast.AST) -> set[str]:
+    """The identifiers ``node`` names: variables, attributes and imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_public_function_and_class_has_a_caller_outside_the_tests():
+    # a caller is anything in src/ outside the definition itself (the
+    # package's __init__.py re-exports count), a demo, or the benchmark's
+    # tracer, which wraps functions by name
+    readers = sorted((ROOT / 'demos').glob('*.py')) + [ROOT / 'bench' / 'tracing.py']
+    named = set().union(*(_named(_parse(path)) for path in readers))
+    statements = [(path, node, _named(node))
+                  for path in PACKAGE for node in _parse(path).body]
+    bad = []
+    for path, node, _ in statements:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith('_') and node.name not in named
+                and not any(node.name in names
+                            for _, other, names in statements if other is not node)):
+            bad.append(f'{_where(path, node)}: {node.name} is called only by the tests')
     assert not bad

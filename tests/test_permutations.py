@@ -29,13 +29,17 @@ from permcodes.permutations import (
     maj,
     parse_composition,
     parse_permutation,
-    shifted_shuffle,
     shifted_word,
-    shuffle,
     standardize,
 )
 
-from oracles import descent_position_sum, inversion_pairs
+from oracles import (
+    descent_position_sum,
+    identity_block_shuffle as shuffled_blocks,
+    inversion_pairs,
+    shifted_shuffle,
+    shuffle,
+)
 
 perms = st.integers(min_value=0, max_value=7).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
@@ -205,6 +209,14 @@ def test_identity_block_shuffle_members_have_coarse_inverse_descents():
             if descent_set(p) <= allowed
         }
         assert got == expected
+
+
+def test_identity_block_shuffle_is_the_union_of_coarser_shuffles():
+    # the package's union of inverse descent classes against the oracle's
+    # block-by-block shifted shuffle
+    for n in range(8):
+        for comp in compositions_of(n):
+            assert identity_block_shuffle(comp) == shuffled_blocks(comp), comp
 
 
 def test_insert_one_at_positions():
