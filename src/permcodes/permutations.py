@@ -265,24 +265,79 @@ def compositions_of(n: int) -> list[Composition]:
     return coarser_compositions((1,) * n)
 
 
-def _merge_getters(k: int, m: int) -> list[list[operator.itemgetter]]:
+def _merge_getters(k: int, m: int) -> tuple[list[operator.itemgetter], list[int],
+                                             list[int]]:
     """One ``itemgetter`` per interleaving of a k-letter word u with an
-    m-letter word v, which reads the interleaving off u + v.  Group j holds
-    those with j letters of u before v's first letter (all k when m = 0), in
-    lexicographic order of the positions v takes.  A word of one letter is
-    read by a slice, as a one-index ``itemgetter`` returns a letter.
+    m-letter word v, which reads the interleaving off u + v; the constant of
+    each, the inversions it adds when every letter of v exceeds every
+    letter of u; and the group ends.  If v takes the slots
+    p_0 < … < p_(m−1), v's letter j has k − (p_j − j) letters of u after
+    it, so the constant is m·k + m(m − 1)/2 − Σ p_j.  Group j holds those
+    with j letters of u before v's first letter (all k when m = 0), in
+    lexicographic order of the positions v takes; the getters and
+    constants list the groups in turn, and ``ends[j]`` counts groups 0..j.
+    A word of one letter is read by a slice, as a one-index ``itemgetter``
+    returns a letter.
 
-    >>> [[g('ab' + 'c') for g in group] for group in _merge_getters(2, 1)]
-    [[('c', 'a', 'b')], [('a', 'c', 'b')], [('a', 'b', 'c')]]
+    >>> getters, constants, ends = _merge_getters(2, 1)
+    >>> [g('ab' + 'c') for g in getters], constants, ends
+    ([('c', 'a', 'b'), ('a', 'c', 'b'), ('a', 'b', 'c')], [2, 1, 0], [1, 2, 3])
     """
     n = k + m
-    groups: list[list[operator.itemgetter]] = [[] for _ in range(k + 1)]
+    getters: list[operator.itemgetter] = []
+    constants: list[int] = []
+    sizes = [0] * (k + 1)
+    base = m * k + m * (m - 1) // 2
     for slots in itertools.combinations(range(n), m):
-        firsts, seconds = iter(range(k)), iter(range(k, n))
-        order = [next(seconds) if i in slots else next(firsts) for i in range(n)]
-        groups[slots[0] if m else k].append(
+        # v's letters go in from the left, each at its final slot
+        order = list(range(k))
+        for j, slot in enumerate(slots):
+            order.insert(slot, k + j)
+        getters.append(
             operator.itemgetter(*order) if n > 1 else operator.itemgetter(slice(None)))
-    return groups
+        constants.append(base - sum(slots))
+        sizes[slots[0] if m else k] += 1
+    return getters, constants, list(itertools.accumulate(sizes))
+
+
+def _inverse_descent_walk(comp: Composition, tables: dict) -> tuple[list[Perm], list[int]]:
+    """The words of ``inverse_descent_class(comp)``, in its order, and the
+    inversion number of each: a word's count is its parent's plus the
+    constant of the getter that read it.  ``tables`` maps (k, m) to
+    ``_merge_getters(k, m)``; a table with k + m below the size of ``comp``
+    is read from it, or built and stored there, so that the classes of one
+    size build it once; the final merges are built for each call.
+
+    >>> _inverse_descent_walk((2, 1), {})
+    ([(3, 1, 2), (1, 3, 2)], [2, 1])
+    """
+    if any(part < 1 for part in comp):
+        return [], []
+    if not comp:
+        return [()], [0]
+    n = sum(comp)
+    k = comp[0]
+    words, counts = [identity(k)], [0]
+    for m in comp[1:]:
+        run = tuple(range(k + 1, k + m + 1))
+        table = tables.get((k, m))
+        if table is None:
+            table = _merge_getters(k, m)
+            if k + m < n:
+                tables[k, m] = table
+        getters, constants, ends = table
+        out: list[Perm] = []
+        out_counts: list[int] = []
+        for w, count in zip(words, counts):
+            word = w + run
+            # groups 0..j, the merges that put the run's first letter
+            # before the letter k at index j of w
+            end = ends[w.index(k)]
+            out += [getter(word) for getter in getters[:end]]
+            out_counts += map(count.__add__, constants[:end])
+        words, counts = out, out_counts
+        k += m
+    return words, counts
 
 
 def inverse_descent_class(comp: Composition) -> list[Perm]:
@@ -295,31 +350,17 @@ def inverse_descent_class(comp: Composition) -> list[Perm]:
     Built one run at a time, unsorted: each word of the runs so far, in
     turn, is followed by its merges with the next run that keep that
     descent, in lexicographic order of the positions the run takes, each
-    read by one ``_merge_getters`` getter.
+    read by one ``_merge_getters`` getter.  This is the list of words of
+    ``_inverse_descent_walk``, which also sums the getters' constants, the
+    inversions each merge adds, into each word's inv, and which ``verify``
+    hands one table store per size pass.
 
     >>> [''.join(map(str, p)) for p in inverse_descent_class((2, 1))]
     ['312', '132']
     >>> inverse_descent_class(())
     [()]
     """
-    if any(part < 1 for part in comp):
-        return []
-    if not comp:
-        return [()]
-    k = comp[0]
-    words = [identity(k)]
-    for m in comp[1:]:
-        run = tuple(range(k + 1, k + m + 1))
-        # prefixes[j]: groups 0..j joined, the merges that put the run's
-        # first letter before the letter k at index j of w
-        prefixes = list(itertools.accumulate(_merge_getters(k, m)))
-        out: list[Perm] = []
-        for w in words:
-            word = w + run
-            out += [getter(word) for getter in prefixes[w.index(k)]]
-        words = out
-        k += m
-    return words
+    return _inverse_descent_walk(comp, {})[0]
 
 
 def descent_class(comp: Composition) -> list[Perm]:

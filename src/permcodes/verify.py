@@ -11,7 +11,11 @@ the Euler-Mahonian joint distributions.
 every check whose family is selected.  Per size n, one class pass walks each
 D_J of S_n once as a ``_Class`` record, which holds the inverses of D_J as
 ``inverse_descent_class`` builds them, unsorted, and computes on first read,
-once, what a check reads of the class.  theorem and fs compare at each
+once, what a check reads of the class.  inv σ is read off the merge tables
+that build the class: each merge adds a fixed count of inversions, so the
+walk carries each word's count, and ``permutations.inv`` stays only as the
+tests' oracle; the tables below size n are built once per pass.  maj σ^{-1}
+is still computed per word.  theorem and fs compare at each
 class; a failing theorem unit inverts the inverses whose sorted code is the
 witness monomial and names the least.  em sums over all classes; coarse and
 ncinv sum over the classes J with Set(J) ⊆ Set(I) by a subset-sum (zeta)
@@ -31,7 +35,6 @@ import operator
 import os
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 from typing import Callable, NamedTuple
 
@@ -39,13 +42,13 @@ from .codes import CodeFamily, FAMILIES, sorted_code
 from .permutations import (
     Composition,
     Perm,
+    _inverse_descent_walk,
     _merge_getters,
     coarser_compositions,
     composition_descent_set,
     compositions_of,
     format_composition,
     format_permutation,
-    inv,
     inverse,
     inverse_descent_class,
     maj,
@@ -72,8 +75,7 @@ __all__ = [
 DEFAULT_FAMILY_NAMES = ('invcode', 'scode', 'majcode')
 
 
-@dataclass(frozen=True, order=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     """One verified fact: a named check applied to one unit at one size."""
 
     check: str
@@ -90,8 +92,7 @@ class CheckItem:
         return line
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     items: tuple[CheckItem, ...]
 
     @property
@@ -113,7 +114,7 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {
             'passed': self.passed,
-            'items': [asdict(item) for item in self.items],
+            'items': [item._asdict() for item in self.items],
         }
 
     @classmethod
@@ -159,14 +160,16 @@ def _subject(comp: Composition) -> str:
 
 class _Class:
     """One descent class D_I: the inverses of its members, in the generation
-    order of ``inverse_descent_class``, not sorted; and, each computed on
-    first read and kept for the life of the record, the codes of the
-    inverses and what the checks sum from them."""
+    order of ``inverse_descent_class``, not sorted, with the inversion
+    number the walk carried for each; and, each computed on first read and
+    kept for the life of the record, the codes of the inverses and what the
+    checks sum from them.  ``tables`` is the size pass's store of merge
+    tables, which the walk reads and fills."""
 
-    def __init__(self, comp: Composition, names) -> None:
+    def __init__(self, comp: Composition, names, tables: dict) -> None:
         self.comp = comp
         self.names = names
-        self.inverses = inverse_descent_class(comp)
+        self.inverses, self.invs = _inverse_descent_walk(comp, tables)
         self._codes: dict[str, list] = {}
 
     def codes(self, name: str) -> list:
@@ -183,9 +186,9 @@ class _Class:
     @cached_property
     def q_stats(self) -> list[Counter]:
         """The counts of each family's code sums, then of maj σ^{-1} and of
-        inv σ, counted as inv σ^{-1}, which is equal."""
+        inv σ, counted as the walk's inv σ^{-1}, which is equal."""
         return [*(Counter(map(sum, self.codes(name))) for name in self.names),
-                Counter(map(maj, self.inverses)), Counter(map(inv, self.inverses))]
+                Counter(map(maj, self.inverses)), Counter(self.invs)]
 
 
 def _cut_mask(comp: Composition) -> int:
@@ -398,8 +401,7 @@ def _scstep_items(n: int, n_max: int) -> list[CheckItem]:
     family = FAMILIES['scode']
     # inserts[d][j]: the getter that places the first letter of a word of
     # d + 1 letters after j of the others
-    inserts = [list(itertools.chain.from_iterable(_merge_getters(1, d)))[::-1]
-               for d in range(n)]
+    inserts = [_merge_getters(1, d)[0][::-1] for d in range(n)]
     prefix = [operator.itemgetter(slice(k)) for k in range(n + 1)]
     failures: dict[int, tuple[Perm, str]] = {}
     walk = (n, family.encode, family.tau, inserts, prefix, [[] for _ in range(n)],
@@ -449,10 +451,12 @@ def _class_items(n: int, checks, names) -> list[CheckItem]:
     """The items at size n of the selected ``checks`` that read a class, for
     the code families named ``names``, from one walk over the descent
     classes of S_n: each ``_Class`` record computes once what those checks
-    read of it, and is dropped before the next class."""
+    read of it, and is dropped before the next class.  The merge tables
+    below size n are built once for the pass and dropped with it."""
     values = {check: {} for check in checks}
+    tables: dict = {}
     for comp in compositions_of(n):
-        cls = _Class(comp, names)
+        cls = _Class(comp, names, tables)
         for check, by_comp in values.items():
             by_comp[comp] = CHECKS[check].per_class(n, cls)
     return [item for check, by_comp in values.items()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permcodes.permutations import (
+    _inverse_descent_walk,
     _merge_getters,
     composition_from_descent_set,
     compositions_of,
@@ -299,16 +300,44 @@ def test_merge_table_reads_each_interleaving_once():
         for m in range(n + 1):
             k = n - m
             u, v = identity(k), shifted_word(identity(m), k)
-            groups = _merge_getters(k, m)
-            assert len(groups) == k + 1
-            read = []
-            for slot, group in enumerate(groups):
-                for getter in group:
-                    word = getter(u + v)
+            getters, _, ends = _merge_getters(k, m)
+            assert len(ends) == k + 1 and ends[-1] == len(getters)
+            read = [getter(u + v) for getter in getters]
+            for slot, (start, end) in enumerate(zip([0, *ends], ends)):
+                for word in read[start:end]:
                     # the letters of u before v's first letter; all k without v
                     assert (word.index(v[0]) if m else k) == slot, (k, m, word)
-                    read.append(word)
             assert sorted(read) == shuffle(u, v), (k, m)
+
+
+def test_merge_constants_count_the_inversions_each_merge_adds():
+    # a run above every letter of w adds the same inversions whatever w is
+    for n in range(8):
+        for m in range(n + 1):
+            k = n - m
+            run = shifted_word(identity(m), k)
+            getters, constants, _ = _merge_getters(k, m)
+            assert len(getters) == len(constants)
+            for w in iter_permutations(k):
+                for getter, constant in zip(getters, constants):
+                    assert inv(getter(w + run)) - inv(w) == constant, (w, run)
+
+
+def test_the_walk_carries_inv_and_keeps_each_class_in_order():
+    # the classes of n <= 8 in the order the walk listed them before it
+    # carried inv; one table store per size holds only the tables below n
+    classes = []
+    for n in range(9):
+        tables = {}
+        for comp in compositions_of(n):
+            words, counts = _inverse_descent_walk(comp, tables)
+            assert words == inverse_descent_class(comp), comp
+            assert counts == list(map(inv, words)), comp
+            classes.append(words)
+        assert all(k + m < n for k, m in tables), n
+    assert hashlib.sha256(repr(classes).encode()).hexdigest() == (
+        '9d57445c041ea57816d13643919d6831eb0f5f4b8e1917eade6e19601ab37493')
+    assert _inverse_descent_walk((2, 0, 1), {}) == ([], [])
 
 
 def _class_size(comp):

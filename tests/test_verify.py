@@ -556,20 +556,21 @@ def test_coarse_transforms_later_families_as_empty_differences(monkeypatch):
     assert held == [True, False, False] * 6
 
 
-def _spy(monkeypatch, calls, name):
-    original = getattr(verify, name)
+def _spy(monkeypatch, calls, module, name):
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls[name] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(verify, name, counted)
+    monkeypatch.setattr(module, name, counted)
 
 
 def test_a_theorem_sweep_takes_no_inv_or_maj(monkeypatch):
     calls = Counter()
-    _spy(monkeypatch, calls, 'inv')
-    _spy(monkeypatch, calls, 'maj')
+    # verify binds no inv: the class walk carries it
+    _spy(monkeypatch, calls, permutations, 'inv')
+    _spy(monkeypatch, calls, verify, 'maj')
     from_words = IndexPolynomial.from_words
 
     def counted(words):
@@ -578,15 +579,37 @@ def test_a_theorem_sweep_takes_no_inv_or_maj(monkeypatch):
 
     monkeypatch.setattr(IndexPolynomial, 'from_words', staticmethod(counted))
     # theorem and coarse build sorted-code polynomials (so do the cached h
-    # slices of the ribbons, hence no exact count), and em and fs read inv σ
-    # and maj σ^{-1} once per σ: Σ_{k ≤ 5} k! = 153
+    # slices of the ribbons, hence no exact count), and em and fs take
+    # maj σ^{-1} once per σ, Σ_{k ≤ 5} k! = 153, and read inv σ off the walk
     for checks in [('theorem',), ('coarse',), ('em', 'fs'), ('fs',)]:
         calls.clear()
         assert run_checks(5, checks=checks).passed
         if 'theorem' in checks or 'coarse' in checks:
             assert set(calls) == {'from_words'}, checks
         else:
-            assert calls == Counter(inv=153, maj=153), checks
+            assert calls == Counter(maj=153), checks
+
+
+def test_a_class_pass_builds_each_inner_merge_table_once(monkeypatch):
+    built = Counter()
+    walk, merge_getters = verify._inverse_descent_walk, permutations._merge_getters
+    size = []
+
+    def walking(comp, tables):
+        size[:] = [sum(comp)]
+        return walk(comp, tables)
+
+    def building(k, m):
+        built[size[0], k, m] += 1
+        return merge_getters(k, m)
+
+    monkeypatch.setattr(verify, '_inverse_descent_walk', walking)
+    monkeypatch.setattr(permutations, '_merge_getters', building)
+    assert run_checks(6, checks=('theorem',)).passed
+    # each (k, m) with k + m < n once per size n; a final merge, k + m = n,
+    # once for each of the 2^(k−1) compositions of n that end in it
+    assert built == {(n, k, m): 1 if k + m < n else 2 ** (k - 1)
+                     for n in range(2, 7) for k in range(1, n) for m in range(1, n - k + 1)}
 
 
 def test_each_family_encodes_each_inverse_once(monkeypatch):
@@ -696,8 +719,9 @@ def test_verify_n8_report_is_pinned():
 
 
 # The inputs a verdict reads besides the code families' encoders, each
-# broken at verify's binding, and τ_S broken in the registry entry that
-# scstep reads it from.  The direct routes import the same functions from
+# broken at verify's binding; inv σ broken in one constant of the merge
+# tables the class walk builds, and τ_S in the registry entry that scstep
+# reads it from.  The direct routes import the same functions from
 # their own modules, so they stay unbroken here and are not compared: each
 # case pins which checks the broken input changes, all to FAIL, and the first
 # changed line.  On a passing sweep those are the failing checks and the
@@ -720,14 +744,42 @@ def without(entry):
     return lambda listing: lambda comp: [w for w in listing(comp) if w != entry]
 
 
-def reading(entry, as_):
-    """A function of compositions whose lists read ``entry`` as ``as_``."""
-    return lambda listing: lambda comp: [as_ if w == entry else w for w in listing(comp)]
-
-
 def one_more_on_2143(stat):
     """``stat`` off by one on σ = 2143, which is its own inverse."""
     return lambda p: stat(p) + (p == (2, 1, 4, 3))
+
+
+def in_walk(entry, as_):
+    """The case of the inverse descent classes and the patch that breaks
+    verify's binding of the walk that builds them: ``entry`` reads ``as_``,
+    or is dropped where ``as_`` is None, and the inv carried for it stays."""
+    def patch(monkeypatch):
+        walk = verify._inverse_descent_walk
+
+        def broken(comp, tables):
+            words, counts = walk(comp, tables)
+            pairs = [(as_ if w == entry else w, count)
+                     for w, count in zip(words, counts) if w != entry or as_]
+            return [w for w, _ in pairs], [count for _, count in pairs]
+
+        monkeypatch.setattr(verify, '_inverse_descent_walk', broken)
+    return 'inverse_descent_class', patch
+
+
+def one_more_at_first_merge(k, m):
+    """The case of inv σ and the patch that raises by one the constant of
+    the first (k, m) merge getter, which puts the run before w, in the
+    tables that verify's class walk builds."""
+    merge_getters = permutations._merge_getters
+
+    def broken(k_, m_):
+        getters, constants, ends = merge_getters(k_, m_)
+        if (k_, m_) == (k, m):
+            constants[0] += 1
+        return getters, constants, ends
+
+    return 'inv', lambda monkeypatch: monkeypatch.setattr(
+        permutations, '_merge_getters', broken)
 
 
 def swap_first_two(function):
@@ -748,11 +800,12 @@ VERDICT_INPUTS = [
     (*in_verify('h_product', raise_001_at_21), {'coarse'},
      'coarse n=3 I=(2,1): FAIL [monomial [001]: invcode has 1, h_product has 2]'),
     # 3412, its own inverse, is missing from D_(2,2)
-    (*in_verify('inverse_descent_class', without((3, 4, 1, 2))),
+    (*in_walk((3, 4, 1, 2), None),
      {'theorem', 'coarse', 'ncinv', 'em', 'fs'},
      'coarse n=4 I=(1,1,1,1): FAIL [monomial [0022]: invcode has 0, h_product has 1]'),
-    (*in_verify('inv', one_more_on_2143), {'em', 'fs'},
-     'em n=4 family=invcode: FAIL [pair (stat, des)=(2, 2): code sum has 1, inv has 0]'),
+    # the carried inv of 3412 in D_(2,2), its own inverse, is one too many
+    (*one_more_at_first_merge(2, 2), {'em', 'fs'},
+     'em n=4 family=invcode: FAIL [pair (stat, des)=(4, 1): code sum has 1, inv has 0]'),
     (*in_verify('maj', one_more_on_2143), {'em', 'fs'},
      'em n=4 family=invcode: FAIL '
      '[pair (stat, des)=(4, 2): code sum has 4, maj of inverse has 3]'),
@@ -764,8 +817,9 @@ VERDICT_INPUTS = [
      {'scstep'},
      'scstep n=3 m=1 k=2: FAIL '
      '[beta=1: word 01: prefixes has 1, tau_S-nondecreasing words has 0]'),
-    # 2143 is its own inverse; here its inverse reads 1243 in D_(1,2,1)
-    (*in_verify('inverse_descent_class', reading((2, 1, 4, 3), (1, 2, 4, 3))),
+    # 2143 is its own inverse; here its inverse reads 1243 in D_(1,2,1),
+    # and keeps the inv of 2143
+    (*in_walk((2, 1, 4, 3), (1, 2, 4, 3)),
      {'theorem', 'coarse', 'ncinv', 'em', 'fs'},
      'coarse n=4 I=(1,1,1,1): FAIL [monomial [0001]: invcode has 4, h_product has 3]'),
 ]
