@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -265,8 +266,9 @@ def compositions_of(n: int) -> list[Composition]:
     return coarser_compositions((1,) * n)
 
 
-def _merge_getters(k: int, m: int) -> tuple[list[operator.itemgetter], list[int],
-                                             list[int]]:
+@cache
+def _merge_getters(k: int, m: int) -> tuple[tuple[operator.itemgetter, ...],
+                                             tuple[int, ...], tuple[int, ...]]:
     """One ``itemgetter`` per interleaving of a k-letter word u with an
     m-letter word v, which reads the interleaving off u + v; the constant of
     each, the inversions it adds when every letter of v exceeds every
@@ -277,11 +279,11 @@ def _merge_getters(k: int, m: int) -> tuple[list[operator.itemgetter], list[int]
     lexicographic order of the positions v takes; the getters and
     constants list the groups in turn, and ``ends[j]`` counts groups 0..j.
     A word of one letter is read by a slice, as a one-index ``itemgetter``
-    returns a letter.
+    returns a letter.  Each table is built once and kept, hence tuples.
 
     >>> getters, constants, ends = _merge_getters(2, 1)
     >>> [g('ab' + 'c') for g in getters], constants, ends
-    ([('c', 'a', 'b'), ('a', 'c', 'b'), ('a', 'b', 'c')], [2, 1, 0], [1, 2, 3])
+    ([('c', 'a', 'b'), ('a', 'c', 'b'), ('a', 'b', 'c')], (2, 1, 0), (1, 2, 3))
     """
     n = k + m
     getters: list[operator.itemgetter] = []
@@ -297,35 +299,26 @@ def _merge_getters(k: int, m: int) -> tuple[list[operator.itemgetter], list[int]
             operator.itemgetter(*order) if n > 1 else operator.itemgetter(slice(None)))
         constants.append(base - sum(slots))
         sizes[slots[0] if m else k] += 1
-    return getters, constants, list(itertools.accumulate(sizes))
+    return tuple(getters), tuple(constants), tuple(itertools.accumulate(sizes))
 
 
-def _inverse_descent_walk(comp: Composition, tables: dict) -> tuple[list[Perm], list[int]]:
+def _inverse_descent_walk(comp: Composition) -> tuple[list[Perm], list[int]]:
     """The words of ``inverse_descent_class(comp)``, in its order, and the
     inversion number of each: a word's count is its parent's plus the
-    constant of the getter that read it.  ``tables`` maps (k, m) to
-    ``_merge_getters(k, m)``; a table with k + m below the size of ``comp``
-    is read from it, or built and stored there, so that the classes of one
-    size build it once; the final merges are built for each call.
+    constant of the getter that read it.
 
-    >>> _inverse_descent_walk((2, 1), {})
+    >>> _inverse_descent_walk((2, 1))
     ([(3, 1, 2), (1, 3, 2)], [2, 1])
     """
     if any(part < 1 for part in comp):
         return [], []
     if not comp:
         return [()], [0]
-    n = sum(comp)
     k = comp[0]
     words, counts = [identity(k)], [0]
     for m in comp[1:]:
         run = tuple(range(k + 1, k + m + 1))
-        table = tables.get((k, m))
-        if table is None:
-            table = _merge_getters(k, m)
-            if k + m < n:
-                tables[k, m] = table
-        getters, constants, ends = table
+        getters, constants, ends = _merge_getters(k, m)
         out: list[Perm] = []
         out_counts: list[int] = []
         for w, count in zip(words, counts):
@@ -352,15 +345,14 @@ def inverse_descent_class(comp: Composition) -> list[Perm]:
     descent, in lexicographic order of the positions the run takes, each
     read by one ``_merge_getters`` getter.  This is the list of words of
     ``_inverse_descent_walk``, which also sums the getters' constants, the
-    inversions each merge adds, into each word's inv, and which ``verify``
-    hands one table store per size pass.
+    inversions each merge adds, into each word's inv.
 
     >>> [''.join(map(str, p)) for p in inverse_descent_class((2, 1))]
     ['312', '132']
     >>> inverse_descent_class(())
     [()]
     """
-    return _inverse_descent_walk(comp, {})[0]
+    return _inverse_descent_walk(comp)[0]
 
 
 def descent_class(comp: Composition) -> list[Perm]:

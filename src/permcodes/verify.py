@@ -13,9 +13,8 @@ D_J of S_n once as a ``_Class`` record, which holds the inverses of D_J as
 ``inverse_descent_class`` builds them, unsorted, and computes on first read,
 once, what a check reads of the class.  inv σ is read off the merge tables
 that build the class: each merge adds a fixed count of inversions, so the
-walk carries each word's count, and ``permutations.inv`` stays only as the
-tests' oracle; the tables below size n are built once per pass.  maj σ^{-1}
-is still computed per word.  theorem and fs compare at each
+walk carries each word's count and ``verify`` calls no ``permutations.inv``.
+maj σ^{-1} is still computed per word.  theorem and fs compare at each
 class; a failing theorem unit inverts the inverses whose sorted code is the
 witness monomial and names the least.  em sums over all classes; coarse and
 ncinv sum over the classes J with Set(J) ⊆ Set(I) by a subset-sum (zeta)
@@ -163,13 +162,12 @@ class _Class:
     order of ``inverse_descent_class``, not sorted, with the inversion
     number the walk carried for each; and, each computed on first read and
     kept for the life of the record, the codes of the inverses and what the
-    checks sum from them.  ``tables`` is the size pass's store of merge
-    tables, which the walk reads and fills."""
+    checks sum from them."""
 
-    def __init__(self, comp: Composition, names, tables: dict) -> None:
+    def __init__(self, comp: Composition, names) -> None:
         self.comp = comp
         self.names = names
-        self.inverses, self.invs = _inverse_descent_walk(comp, tables)
+        self.inverses, self.invs = _inverse_descent_walk(comp)
         self._codes: dict[str, list] = {}
 
     def codes(self, name: str) -> list:
@@ -375,8 +373,8 @@ def _scstep_node(walk, beta, run: int, first: int) -> None:
     depth is kept with its witness."""
     n, encode, tau, inserts, prefix, prefixes, failures = walk
     m = len(beta)
-    # (1,) + β shifted read by insert getter j: the child with its 1 at slot j
-    word = (1,) + shifted_word(beta, 1)
+    # β shifted + (1,) read by insert getter j: the child with its 1 at slot j
+    word = shifted_word(beta, 1) + (1,)
     if m + 1 < n:
         for slot, insert in enumerate(inserts[m]):
             _scstep_node(walk, insert(word), run + 1 if slot <= first else 1, slot)
@@ -399,9 +397,9 @@ def _scstep_items(n: int, n_max: int) -> list[CheckItem]:
     to ``n_max``: a witness depends on (m, k) alone, so one walk over S_n
     computes all of them, encoding each σ once."""
     family = FAMILIES['scode']
-    # inserts[d][j]: the getter that places the first letter of a word of
-    # d + 1 letters after j of the others
-    inserts = [_merge_getters(1, d)[0][::-1] for d in range(n)]
+    # inserts[d][j]: the getter that places the last letter of a word of
+    # d + 1 letters after j of the others, the walk's own (d, 1) table
+    inserts = [_merge_getters(d, 1)[0] for d in range(n)]
     prefix = [operator.itemgetter(slice(k)) for k in range(n + 1)]
     failures: dict[int, tuple[Perm, str]] = {}
     walk = (n, family.encode, family.tau, inserts, prefix, [[] for _ in range(n)],
@@ -451,12 +449,10 @@ def _class_items(n: int, checks, names) -> list[CheckItem]:
     """The items at size n of the selected ``checks`` that read a class, for
     the code families named ``names``, from one walk over the descent
     classes of S_n: each ``_Class`` record computes once what those checks
-    read of it, and is dropped before the next class.  The merge tables
-    below size n are built once for the pass and dropped with it."""
+    read of it, and is dropped before the next class."""
     values = {check: {} for check in checks}
-    tables: dict = {}
     for comp in compositions_of(n):
-        cls = _Class(comp, names, tables)
+        cls = _Class(comp, names)
         for check, by_comp in values.items():
             by_comp[comp] = CHECKS[check].per_class(n, cls)
     return [item for check, by_comp in values.items()

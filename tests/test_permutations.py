@@ -325,19 +325,17 @@ def test_merge_constants_count_the_inversions_each_merge_adds():
 
 def test_the_walk_carries_inv_and_keeps_each_class_in_order():
     # the classes of n <= 8 in the order the walk listed them before it
-    # carried inv; one table store per size holds only the tables below n
+    # carried inv
     classes = []
     for n in range(9):
-        tables = {}
         for comp in compositions_of(n):
-            words, counts = _inverse_descent_walk(comp, tables)
+            words, counts = _inverse_descent_walk(comp)
             assert words == inverse_descent_class(comp), comp
             assert counts == list(map(inv, words)), comp
             classes.append(words)
-        assert all(k + m < n for k, m in tables), n
     assert hashlib.sha256(repr(classes).encode()).hexdigest() == (
         '9d57445c041ea57816d13643919d6831eb0f5f4b8e1917eade6e19601ab37493')
-    assert _inverse_descent_walk((2, 0, 1), {}) == ([], [])
+    assert _inverse_descent_walk((2, 0, 1)) == ([], [])
 
 
 def _class_size(comp):

@@ -590,26 +590,23 @@ def test_a_theorem_sweep_takes_no_inv_or_maj(monkeypatch):
             assert calls == Counter(maj=153), checks
 
 
-def test_a_class_pass_builds_each_inner_merge_table_once(monkeypatch):
-    built = Counter()
-    walk, merge_getters = verify._inverse_descent_walk, permutations._merge_getters
-    size = []
-
-    def walking(comp, tables):
-        size[:] = [sum(comp)]
-        return walk(comp, tables)
-
-    def building(k, m):
-        built[size[0], k, m] += 1
-        return merge_getters(k, m)
-
-    monkeypatch.setattr(verify, '_inverse_descent_walk', walking)
-    monkeypatch.setattr(permutations, '_merge_getters', building)
+def test_a_class_pass_builds_each_inner_merge_table_once():
+    merge_getters = permutations._merge_getters
+    merge_getters.cache_clear()
+    # one table per (k, m) with k, m ≥ 1 and k + m ≤ 6, each final merge,
+    # k + m = n, included: no table is built twice
     assert run_checks(6, checks=('theorem',)).passed
-    # each (k, m) with k + m < n once per size n; a final merge, k + m = n,
-    # once for each of the 2^(k−1) compositions of n that end in it
-    assert built == {(n, k, m): 1 if k + m < n else 2 ** (k - 1)
-                     for n in range(2, 7) for k in range(1, n) for m in range(1, n - k + 1)}
+    assert merge_getters.cache_info().misses == 15
+    assert run_checks(6, checks=('theorem',)).passed
+    assert merge_getters.cache_info().misses == 15
+    # scstep adds its (0, 1) table; the memo holds no more than these
+    merge_getters.cache_clear()
+    assert run_checks(6).passed
+    assert merge_getters.cache_info().currsize == 16
+    keys = [(0, 1)] + [(k, m) for k in range(1, 6) for m in range(1, 7 - k)]
+    for key in keys:
+        assert all(type(part) is tuple for part in merge_getters(*key)), key
+    assert merge_getters.cache_info().misses == 16
 
 
 def test_each_family_encodes_each_inverse_once(monkeypatch):
@@ -756,8 +753,8 @@ def in_walk(entry, as_):
     def patch(monkeypatch):
         walk = verify._inverse_descent_walk
 
-        def broken(comp, tables):
-            words, counts = walk(comp, tables)
+        def broken(comp):
+            words, counts = walk(comp)
             pairs = [(as_ if w == entry else w, count)
                      for w, count in zip(words, counts) if w != entry or as_]
             return [w for w, _ in pairs], [count for _, count in pairs]
@@ -769,13 +766,14 @@ def in_walk(entry, as_):
 def one_more_at_first_merge(k, m):
     """The case of inv σ and the patch that raises by one the constant of
     the first (k, m) merge getter, which puts the run before w, in the
-    tables that verify's class walk builds."""
+    tables that verify's class walk builds.  The memoized table is left as
+    it is: the broken one is a copy."""
     merge_getters = permutations._merge_getters
 
     def broken(k_, m_):
         getters, constants, ends = merge_getters(k_, m_)
         if (k_, m_) == (k, m):
-            constants[0] += 1
+            constants = (constants[0] + 1, *constants[1:])
         return getters, constants, ends
 
     return 'inv', lambda monkeypatch: monkeypatch.setattr(
