@@ -84,7 +84,7 @@ def _label(family: codes.CodeFamily) -> str:
     return family.name[0].upper() + 'c'
 
 
-def code_table_lines(n: int, families=TABLE_FAMILIES) -> list[str]:
+def code_table_lines(n: int, families) -> list[str]:
     """The S_n code table: permutations grouped by inverse descent class,
     each class paired with its conjugate in a second column, classes in
     descending lexicographic order of composition, rows lexicographic; one
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument('--n', type=int, default=7, help='verify sizes 1..N (default 7)')
     p_ver.add_argument('--checks', default='all',
                        help=f'comma list among {",".join(verify.CHECK_NAMES)} or "all"')
-    verify_families = ','.join(verify.DEFAULT_FAMILY_NAMES)
+    verify_families = ','.join(codes.FAMILIES)
     p_ver.add_argument('--families', default=verify_families,
                        help=f'comma list among {verify_families} (default all)')
     p_ver.add_argument('--workers', type=int, default=1,

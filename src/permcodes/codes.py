@@ -362,7 +362,7 @@ MAJCODE = CodeFamily('majcode', maj_code, tau_m, maj_decode)
 LEHMER = CodeFamily('lehmer', lehmer_code, None, lehmer_decode)
 
 #: The τ-compatible families, by name.
-FAMILIES: dict[str, CodeFamily] = {f.name: f for f in (SCODE, INVCODE, MAJCODE)}
+FAMILIES: dict[str, CodeFamily] = {f.name: f for f in (INVCODE, SCODE, MAJCODE)}
 
 
 def acceptability_witness(family: CodeFamily, n: int) -> tuple[Perm, int] | None:

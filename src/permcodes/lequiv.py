@@ -11,7 +11,6 @@ the sorted Lehmer code, so there are Catalan(n) of them, each containing one
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -40,15 +39,14 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-@dataclass(frozen=True)
 class LClass:
     """One L-equivalence class: its sorted members, shared sorted Lehmer code,
     and extremal representatives."""
 
-    members: tuple[Perm, ...]
-    key: Code
-    max_member: Perm
-    min_member: Perm
+    def __init__(self, members: tuple[Perm, ...], key: Code) -> None:
+        self.members = members
+        self.key = key
+        self.max_member, self.min_member = members[-1], members[0]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -105,13 +103,7 @@ def l_class(p: Perm) -> LClass:
                     seen.add(v)
                     nxt.append(v)
         frontier = nxt
-    members = tuple(sorted(seen))
-    return LClass(
-        members=members,
-        key=sorted_code(lehmer_code(p)),
-        max_member=members[-1],
-        min_member=members[0],
-    )
+    return LClass(tuple(sorted(seen)), sorted_code(lehmer_code(p)))
 
 
 def l_classes(n: int) -> list[LClass]:

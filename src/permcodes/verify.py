@@ -71,8 +71,6 @@ __all__ = [
     'CHECK_NAMES',
 ]
 
-DEFAULT_FAMILY_NAMES = ('invcode', 'scode', 'majcode')
-
 
 class CheckItem(NamedTuple):
     """One verified fact: a named check applied to one unit at one size."""
@@ -472,10 +470,9 @@ def _build_tasks(n_max: int, checks, family_names) -> list[tuple]:
     if unknown:
         raise ValueError(f'unknown checks {unknown}; choose from {",".join(CHECK_NAMES)}')
     names = tuple(dict.fromkeys(family_names))
-    unknown = [name for name in names if name not in FAMILIES]
-    if unknown:
-        raise ValueError(f'unknown family {unknown[0]!r}; choose from '
-                         f'{", ".join(FAMILIES)}')
+    for name in names:
+        if name not in FAMILIES:
+            raise ValueError(f'unknown family {name!r}; choose from {", ".join(FAMILIES)}')
     if not names:
         raise ValueError('no code families selected')
     if checks is None:
@@ -497,7 +494,7 @@ def _build_tasks(n_max: int, checks, family_names) -> list[tuple]:
 def run_checks(
     n_max: int,
     checks=None,
-    family_names=DEFAULT_FAMILY_NAMES,
+    family_names=tuple(FAMILIES),
     workers: int = 1,
 ) -> VerificationReport:
     """Run the selected check suites for every size 1..n_max: by default

@@ -432,7 +432,7 @@ DIRECT_CHECKS = {
 
 
 def direct_report(n_max, checks=verify.CHECK_NAMES,
-                  family_names=verify.DEFAULT_FAMILY_NAMES) -> VerificationReport:
+                  family_names=tuple(FAMILIES)) -> VerificationReport:
     """``run_checks(n_max, checks, family_names)`` by the direct routes."""
     items = []
     for n in range(1, n_max + 1):

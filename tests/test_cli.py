@@ -489,6 +489,8 @@ OUTPUT_SHA256 = {
         'ed73e7040b06e80c0b2abb07098862d89aef5e4e59d8a1092d546219b4af8d2d',
     ('ribbon', '2112', '--mode', 'product', '--json'):
         '991c7e54eb942ff62e7df91afa7c7bdf107ad63ea47523a8ff4bdea25a656ff2',
+    ('verify', '--n', '6', '--json'):
+        'ec8f236240449f6602f908bcea9ccac20feb861f01f13636561f9f448d726b3a',
 }
 
 

@@ -347,8 +347,8 @@ def test_run_checks_subset_selection():
 
 
 @pytest.mark.parametrize('n_max, checks, family_names', [
-    (3, (), verify.DEFAULT_FAMILY_NAMES),
-    (0, CHECK_NAMES, verify.DEFAULT_FAMILY_NAMES),
+    (3, (), tuple(FAMILIES)),
+    (0, CHECK_NAMES, tuple(FAMILIES)),
 ])
 def test_run_checks_refuses_a_selection_without_checks(n_max, checks, family_names):
     with pytest.raises(ValueError, match='the selection runs no checks'):
@@ -397,10 +397,10 @@ def test_run_checks_drops_repeated_families(monkeypatch):
 def test_pool_tasks_run_two_per_size_largest_first():
     # the n = 9 class pass, the longest task, starts first and no worker
     # queues a second task behind it while another is idle
-    tasks = verify._build_tasks(9, CHECK_NAMES, verify.DEFAULT_FAMILY_NAMES)
+    tasks = verify._build_tasks(9, CHECK_NAMES, tuple(FAMILIES))
     assert [n for _, n, *_ in tasks] == [n for n in range(9, 0, -1) for _ in range(2)]
     assert tasks[0] == (verify._class_items, 9, ('theorem', 'coarse', 'ncinv', 'em', 'fs'),
-                        verify.DEFAULT_FAMILY_NAMES)
+                        tuple(FAMILIES))
 
 
 @pytest.mark.parametrize('family_names, message', [
@@ -611,7 +611,7 @@ def test_a_class_pass_builds_each_inner_merge_table_once():
 
 def test_each_family_encodes_each_inverse_once(monkeypatch):
     calls = Counter()
-    for name in verify.DEFAULT_FAMILY_NAMES:
+    for name in tuple(FAMILIES):
         family = FAMILIES[name]
 
         def counted(p, encode=family.encode, name=name):
