@@ -85,7 +85,7 @@ def l_adjacent(u: Perm, v: Perm) -> bool:
 
 
 def l_class(p: Perm) -> LClass:
-    """The L-equivalence class of ``p`` by breadth-first closure.
+    """The L-equivalence class of ``p``: its closure under ``l_moves``.
 
     >>> cls = l_class((3, 1, 4, 5, 2))
     >>> [''.join(map(str, q)) for q in cls.members]  # doctest: +NORMALIZE_WHITESPACE
@@ -93,16 +93,11 @@ def l_class(p: Perm) -> LClass:
      '32154', '32415']
     """
     p = check_permutation(p)
-    seen = {p}
-    frontier = [p]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in l_moves(u):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
+    seen, stack = {p}, [p]
+    while stack:
+        new = l_moves(stack.pop()) - seen
+        seen |= new
+        stack += new
     return LClass(tuple(sorted(seen)), sorted_code(lehmer_code(p)))
 
 
@@ -127,7 +122,7 @@ def class_max(p: Perm) -> Perm:
     >>> ''.join(map(str, class_max((6, 8, 2, 5, 4, 7, 1, 9, 3))))
     '764352819'
     """
-    code = tuple(sorted(lehmer_code(p), reverse=True))
+    code = tuple(sorted(lehmer_code(check_permutation(p)), reverse=True))
     return lehmer_decode(code)
 
 
@@ -140,7 +135,7 @@ def class_min(p: Perm) -> Perm:
     '139857642'
     """
     n = len(p)
-    unused = sorted(lehmer_code(p))
+    unused = sorted(lehmer_code(check_permutation(p)))
     slots = [0] * n
     for i in range(n, 0, -1):
         slots[i - 1] = unused.pop(bisect_right(unused, n - i) - 1)

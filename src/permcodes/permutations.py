@@ -17,7 +17,6 @@ __all__ = [
     'Perm',
     'Word',
     'Composition',
-    'is_permutation',
     'check_permutation',
     'identity',
     'inverse',
@@ -31,7 +30,6 @@ __all__ = [
     'evaluation',
     'shifted_word',
     'insert_one_at',
-    'check_composition',
     'composition_descent_set',
     'composition_from_descent_set',
     'conjugate_composition',
@@ -51,21 +49,10 @@ Perm = tuple[int, ...]
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
 
-def is_permutation(word: Sequence[int]) -> bool:
-    """Whether ``word`` is a bijection of {1, ..., n} in one-line notation.
-
-    >>> is_permutation((3, 1, 2))
-    True
-    >>> is_permutation((1, 3))
-    False
-    """
-    return sorted(word) == list(range(1, len(word) + 1))
-
-
 def check_permutation(word: Iterable[int]) -> Perm:
     """Return ``word`` as a permutation tuple, or raise ValueError."""
     p = tuple(word)
-    if not is_permutation(p):
+    if sorted(p) != list(range(1, len(p) + 1)):
         raise ValueError(f'not a permutation of 1..{len(p)}: {p}')
     return p
 
@@ -186,14 +173,6 @@ def insert_one_at(b: Perm, i: int) -> Perm:
         raise ValueError(f'insertion slot {i} out of range 0..{len(b)}')
     shifted = shifted_word(b, 1)
     return shifted[:i] + (1,) + shifted[i:]
-
-
-def check_composition(parts: Iterable[int]) -> Composition:
-    """Return ``parts`` as a composition tuple, or raise ValueError."""
-    comp = tuple(parts)
-    if any(part < 1 for part in comp):
-        raise ValueError(f'composition parts must be positive: {comp}')
-    return comp
 
 
 def composition_descent_set(comp: Composition) -> set[int]:
@@ -441,7 +420,10 @@ def parse_composition(text: str) -> Composition:
     >>> parse_composition('(10)')
     (10,)
     """
-    return check_composition(parse_integers(text, 'composition'))
+    comp = tuple(parse_integers(text, 'composition'))
+    if any(part < 1 for part in comp):
+        raise ValueError(f'composition parts must be positive: {comp}')
+    return comp
 
 
 def format_composition(comp: Composition) -> str:

@@ -187,17 +187,13 @@ class _Class:
                 Counter(map(maj, self.inverses)), Counter(self.invs)]
 
 
-def _cut_mask(comp: Composition) -> int:
-    """Set(comp) as a bit mask: bit s − 1 stands for the proper partial sum s."""
-    return sum(1 << (s - 1) for s in composition_descent_set(comp))
-
-
 def _subset_sums(by_comp: dict, add) -> dict:
     """Given counts ``by_comp[J]`` for every composition J of one n, replace
     them with I -> Σ_{Set(J) ⊆ Set(I)} by_comp[J], summed by ``add`` in a
-    subset-sum (zeta) transform over the n − 1 cut positions, and return
-    ``by_comp``."""
-    by_mask = {_cut_mask(comp): comp for comp in by_comp}
+    subset-sum (zeta) transform over the n − 1 cut positions, cut s at bit
+    s − 1 of a mask, and return ``by_comp``."""
+    by_mask = {sum(1 << (s - 1) for s in composition_descent_set(comp)): comp
+               for comp in by_comp}
     step = 1
     while step < len(by_mask):
         for mask, comp in by_mask.items():
@@ -510,19 +506,16 @@ def run_checks(
     if workers < 1:
         raise ValueError('workers must be at least 1')
     workers = min(workers, os.cpu_count() or 1, len(tasks))
-    items: list[CheckItem] = []
     if workers <= 1:
-        for task in tasks:
-            items.extend(_run_task(task))
-    else:
-        # imported here, so that a run in one process never loads the pool
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+        return VerificationReport.from_items(
+            itertools.chain.from_iterable(map(_run_task, tasks)))
+    # imported here, so that a run in one process never loads the pool
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(_run_task, tasks):
-                    items.extend(result)
-        except BrokenProcessPool as exc:
-            raise ValueError(f'worker pool failed: {exc}') from exc
-    return VerificationReport.from_items(items)
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return VerificationReport.from_items(
+                itertools.chain.from_iterable(pool.map(_run_task, tasks)))
+    except BrokenProcessPool as exc:
+        raise ValueError(f'worker pool failed: {exc}') from exc

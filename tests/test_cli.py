@@ -380,26 +380,46 @@ def test_verify_all_runs_the_checks_the_families_can_run(capsys):
     assert checks == {'theorem', 'coarse', 'em', 'fs'}
 
 
-def test_verify_broken_worker_pool_exits_two(capsys, monkeypatch):
-    class BrokenPool:
-        def __init__(self, max_workers):
-            pass
+class BrokenPool:
+    """A worker pool whose ``map`` raises ``BrokenProcessPool`` when called."""
 
-        def __enter__(self):
-            return self
+    def __init__(self, max_workers):
+        pass
 
-        def __exit__(self, *exc):
-            return False
+    def __enter__(self):
+        return self
 
-        def map(self, fn, tasks, chunksize=1):
-            raise BrokenProcessPool('a worker died')
+    def __exit__(self, *exc):
+        return False
 
-    monkeypatch.setattr('concurrent.futures.ProcessPoolExecutor', BrokenPool)
+    def map(self, fn, tasks, chunksize=1):
+        raise BrokenProcessPool('a worker died')
+
+
+class BreakingPool(BrokenPool):
+    """A worker pool whose ``map`` yields the first task's items and then
+    raises, as a real pool's iterator does while the results are read."""
+
+    def map(self, fn, tasks, chunksize=1):
+        yield fn(tasks[0])
+        raise BrokenProcessPool('a worker died')
+
+
+def assert_pool_failure_exits_two(capsys, monkeypatch, pool):
+    monkeypatch.setattr('concurrent.futures.ProcessPoolExecutor', pool)
     monkeypatch.setattr(cli.verify.os, 'cpu_count', lambda: 2)
     code, out, err = run(capsys, 'verify', '--n', '3', '--workers', '2')
     assert code == 2
     assert out == ''
     assert err == 'error: worker pool failed: a worker died\n'
+
+
+def test_verify_broken_worker_pool_exits_two(capsys, monkeypatch):
+    assert_pool_failure_exits_two(capsys, monkeypatch, BrokenPool)
+
+
+def test_verify_pool_that_breaks_while_its_results_are_read_exits_two(capsys, monkeypatch):
+    assert_pool_failure_exits_two(capsys, monkeypatch, BreakingPool)
 
 
 def test_verify_cap_requires_acknowledgment(capsys):

@@ -126,6 +126,14 @@ def test_class_extremes_for_682547193():
             assert class_min(q) == _class_min_by_scan(q), q
 
 
+def test_class_extremes_refuse_a_non_permutation():
+    # as l_class does, rather than decoding an "extreme" of no class
+    for p in ((3, 1), (2, 2)):
+        for extreme in (class_max, class_min):
+            with pytest.raises(ValueError, match=r'not a permutation of 1\.\.2'):
+                extreme(p)
+
+
 def test_unique_pattern_avoiders_per_class():
     for n in range(1, 7):
         for cls in l_classes(n):
