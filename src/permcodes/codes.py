@@ -11,7 +11,6 @@ prepends a single new entry to the code of β; the permutation τ(β) of
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from operator import le
 from typing import Callable
@@ -27,7 +26,6 @@ __all__ = [
     'Code',
     'TauPerm',
     'is_subdiagonal',
-    'check_code',
     'sorted_code',
     'lehmer_code',
     'lehmer_decode',
@@ -73,18 +71,6 @@ def _bad_code(c: Code) -> ValueError:
     return ValueError(f'not a sub-diagonal code: {tuple(c)}')
 
 
-def check_code(c: Code) -> Code:
-    """``c`` as a tuple, or the ``ValueError`` for a code that is not
-    sub-diagonal.  The four decoders raise the same error from inside their
-    own loops, where a bad entry makes a lookup or an insert fail, so they
-    read a good code once and do not call this.
-    """
-    c = tuple(c)
-    if not is_subdiagonal(c):
-        raise _bad_code(c)
-    return c
-
-
 def sorted_code(c: Code) -> Code:
     """Nondecreasing rearrangement.
 
@@ -97,18 +83,18 @@ def sorted_code(c: Code) -> Code:
 def lehmer_code(p: Perm) -> Code:
     """c_i = number of j > i with p(j) < p(i).
 
-    One right-to-left pass: c_i is the rank of p(i) among the sorted letters
-    already seen.
+    The mirror of ``inv_code``: one right-to-left pass keeps the letters
+    seen so far as the bits of one int, and c_i is the number of bits set
+    below bit p(i).
 
     >>> ''.join(map(str, lehmer_code((5, 3, 1, 9, 6, 2, 4, 8, 7))))
     '420520010'
     """
-    seen: list[int] = []
+    seen = 0
     out = []
     for v in reversed(p):
-        k = bisect_left(seen, v)
-        out.append(k)
-        seen.insert(k, v)
+        out.append((seen & ((1 << v) - 1)).bit_count())
+        seen |= 1 << v
     out.reverse()
     return tuple(out)
 
@@ -391,7 +377,10 @@ def parse_code(text: str) -> Code:
     >>> parse_code('420520010')
     (4, 2, 0, 5, 2, 0, 0, 1, 0)
     """
-    return check_code(parse_integers(text, 'code'))
+    c = tuple(parse_integers(text, 'code'))
+    if not is_subdiagonal(c):
+        raise _bad_code(c)
+    return c
 
 
 def format_code(c: Code) -> str:

@@ -18,7 +18,7 @@ __all__ = [
     'Word',
     'Composition',
     'check_permutation',
-    'identity',
+    'check_composition',
     'inverse',
     'iter_permutations',
     'descent_set',
@@ -57,11 +57,6 @@ def check_permutation(word: Iterable[int]) -> Perm:
     return p
 
 
-def identity(n: int) -> Perm:
-    """The identity permutation of size ``n``."""
-    return tuple(range(1, n + 1))
-
-
 def inverse(p: Perm) -> Perm:
     """The inverse permutation.
 
@@ -74,6 +69,14 @@ def inverse(p: Perm) -> Perm:
     for i, v in enumerate(p):
         q[v - 1] = i + 1
     return tuple(q)
+
+
+def check_composition(parts: Iterable[int]) -> Composition:
+    """Return ``parts`` as a composition tuple, or raise ValueError."""
+    comp = tuple(parts)
+    if any(part < 1 for part in comp):
+        raise ValueError(f'composition parts must be positive: {comp}')
+    return comp
 
 
 def iter_permutations(n: int) -> Iterator[Perm]:
@@ -289,12 +292,10 @@ def _inverse_descent_walk(comp: Composition) -> tuple[list[Perm], list[int]]:
     >>> _inverse_descent_walk((2, 1))
     ([(3, 1, 2), (1, 3, 2)], [2, 1])
     """
-    if any(part < 1 for part in comp):
-        return [], []
-    if not comp:
+    if not check_composition(comp):
         return [()], [0]
     k = comp[0]
-    words, counts = [identity(k)], [0]
+    words, counts = [tuple(range(1, k + 1))], [0]
     for m in comp[1:]:
         run = tuple(range(k + 1, k + m + 1))
         getters, constants, ends = _merge_getters(k, m)
@@ -420,10 +421,7 @@ def parse_composition(text: str) -> Composition:
     >>> parse_composition('(10)')
     (10,)
     """
-    comp = tuple(parse_integers(text, 'composition'))
-    if any(part < 1 for part in comp):
-        raise ValueError(f'composition parts must be positive: {comp}')
-    return comp
+    return check_composition(parse_integers(text, 'composition'))
 
 
 def format_composition(comp: Composition) -> str:

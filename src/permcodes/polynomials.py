@@ -60,10 +60,6 @@ class _Powers(dict):
 _POWER = _Powers((index, 1 << W * index) for index in range(12)).__getitem__
 
 
-def _pack(mono: Iterable[int]) -> int:
-    return sum(map(_POWER, mono))
-
-
 @lru_cache(maxsize=1 << 15)
 def _unpack(key: int) -> Monomial:
     """The index tuple of a packed key.  Cached, least recently used first
@@ -104,7 +100,7 @@ class IndexPolynomial:
         _check_degree(self._degree)
         packed: dict[int, int] = {}
         for mono, coeff in terms.items():
-            key = _pack(mono)
+            key = sum(map(_POWER, mono))
             packed[key] = packed.get(key, 0) + coeff
         self._terms = {k: v for k, v in packed.items() if v}
 

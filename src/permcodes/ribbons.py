@@ -15,7 +15,7 @@ import itertools
 from functools import cache
 from typing import Callable
 
-from .permutations import Composition, compositions_of, format_composition
+from .permutations import Composition, check_composition, compositions_of, format_composition
 from .polynomials import IndexPolynomial, Monomial
 
 __all__ = [
@@ -32,12 +32,13 @@ __all__ = [
 
 
 def alphabet_flag(comp: Composition) -> tuple[int, ...]:
-    """Alphabet sizes (n−i_1, n−i_1−i_2, ..., 0) attached to the parts.
+    """Alphabet sizes (n−i_1, n−i_1−i_2, ..., 0) attached to the parts; a
+    part below 1 raises ``ValueError``, so every ribbon route refuses it.
 
     >>> alphabet_flag((2, 1, 1, 2))
     (4, 3, 2, 0)
     """
-    n = sum(comp)
+    n = sum(check_composition(comp))
     return tuple(n - acc for acc in itertools.accumulate(comp))
 
 

@@ -107,12 +107,13 @@ def connes_moscovici(t: PlaneTree) -> int:
     Recursively: distribute the n−1 non-root labels among the child subtrees
     (multinomial), label each child increasingly, and divide by m! for every
     group of m identical child shapes, whose distinguished label sets would
-    otherwise be counted in every order.
+    otherwise be counted in every order.  ``t`` is canonicalized first, so
+    identical children sit side by side and ``groupby`` finds each group.
 
     >>> connes_moscovici(((), (((), ()),)))
     5
     """
-    return _labeling_count(_sized(t))
+    return _labeling_count(_sized(canonical_tree(t)))
 
 
 def _sized(t: PlaneTree) -> SizedTree:

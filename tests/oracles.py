@@ -41,7 +41,7 @@ import itertools
 from collections import Counter
 
 from permcodes import verify
-from permcodes.codes import FAMILIES, CodeFamily, check_code, sorted_code, tau_s
+from permcodes.codes import FAMILIES, CodeFamily, is_subdiagonal, sorted_code, tau_s
 from permcodes.permutations import (
     compositions_of,
     composition_descent_set,
@@ -50,7 +50,6 @@ from permcodes.permutations import (
     des,
     format_composition,
     format_permutation,
-    identity,
     insert_one_at,
     inv,
     inverse,
@@ -214,7 +213,7 @@ def identity_block_shuffle(comp):
     """
     acc = [()]
     for part in comp:
-        block = identity(part)
+        block = tuple(range(1, part + 1))
         acc = sorted({w for u in acc for w in shifted_shuffle(u, block)})
     return acc
 
@@ -247,8 +246,11 @@ def generic_decode(family, c):
     >>> generic_decode(FAMILIES['majcode'], (5, 0, 1, 0, 1, 2, 0, 1, 0))
     (9, 3, 5, 7, 2, 1, 4, 6, 8)
     """
+    c = tuple(c)
+    if not is_subdiagonal(c):
+        raise ValueError(f'not a sub-diagonal code: {c}')
     beta = ()
-    for entry in reversed(check_code(c)):
+    for entry in reversed(c):
         beta = insert_one_at(beta, family.tau(beta).index(entry))
     return beta
 
@@ -395,7 +397,7 @@ def scstep_witness(m, k):
             word for word in itertools.product(range(m + 1), repeat=k)
             if all(rank[a] <= rank[b] for a, b in zip(word, word[1:]))
         )
-        got = Counter(encode(p)[:k] for p in shifted_shuffle(identity(k), beta))
+        got = Counter(encode(p)[:k] for p in shifted_shuffle(tuple(range(1, k + 1)), beta))
         _, detail = _difference(_word, 'prefixes', got,
                                 'tau_S-nondecreasing words', expected)
         if detail:

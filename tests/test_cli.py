@@ -137,6 +137,8 @@ def test_verify_rejects_a_family_without_tau(capsys):
     (('code', '--table', '-1'), 'n must be non-negative'),
     (('ribbon', '--all', '-1'), 'n must be non-negative'),
     (('lclass', '--n', '-1'), 'n must be non-negative'),
+    (('lclass',), 'exactly one of --perm or --n is required'),
+    (('lclass', '--perm', '312', '--n', '3'), 'exactly one of --perm or --n is required'),
     # each handler's checks run in order: the families before the argument,
     # "not both" before the cap
     (('code', '--families', 'zz'), "unknown code family 'zz'"),
@@ -144,8 +146,8 @@ def test_verify_rejects_a_family_without_tau(capsys):
     (('ribbon', '21', '--all', '10'), 'give a composition or --all N, not both'),
 ], ids=['verify-workers-0', 'trees-0', 'code', 'ribbon', 'decode-two-families',
         'code-no-families', 'code-table-negative', 'ribbon-all-negative',
-        'lclass-negative', 'code-families-before-argument', 'code-both-before-cap',
-        'ribbon-both-before-cap'])
+        'lclass-negative', 'lclass-neither', 'lclass-both',
+        'code-families-before-argument', 'code-both-before-cap', 'ribbon-both-before-cap'])
 def test_usage_error_prints_its_message_alone(capsys, argv, message):
     assert run(capsys, *argv) == (2, '', f'error: {message}\n')
 

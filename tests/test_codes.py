@@ -161,8 +161,9 @@ def test_encoders_match_their_definitions_on_long_permutations(p):
         assert ENCODE[name](p) == REFERENCE[name](p)
 
 
-# Past one machine word, where the bit-set encoders hold ints of 100 bits:
-# a seeded random word, its reverse, and the zigzag 100 1 99 2 ... 51 50.
+# Past one machine word, where the Lehmer, inverse and major encoders hold
+# their bit sets in ints of 100 bits: a seeded random word, its reverse, and
+# the zigzag 100 1 99 2 ... 51 50.
 RANDOM_100 = tuple(random.Random(100).sample(range(1, 101), 100))
 LONG_WORDS = {
     'random': RANDOM_100,
@@ -172,7 +173,7 @@ LONG_WORDS = {
 
 
 @pytest.mark.parametrize('word', sorted(LONG_WORDS))
-@pytest.mark.parametrize('name', ('invcode', 'majcode'))
+@pytest.mark.parametrize('name', ('lehmer', 'invcode', 'majcode'))
 def test_encoders_match_their_definitions_past_one_machine_word(name, word):
     p = LONG_WORDS[word]
     assert ENCODE[name](p) == REFERENCE[name](p)
@@ -341,7 +342,7 @@ def test_roundtrips_on_long_permutations(p):
 
 
 # The decoders run no validation pass before decoding: each must reject a
-# bad code while it decodes, with the message that check_code gives, and
+# bad code while it decodes, with the message that parse_code gives, and
 # decode every good one.  Entries run from -2 to n+1, and below n = 5 also
 # take two far-out values; a list must be read like the tuple.
 @pytest.mark.parametrize('name', sorted(DECODE))

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from math import comb, factorial
 
 import pytest
@@ -20,7 +21,6 @@ from permcodes.permutations import (
     evaluation,
     format_composition,
     format_permutation,
-    identity,
     identity_block_shuffle,
     insert_one_at,
     inv,
@@ -56,7 +56,7 @@ def test_inverse_is_involutive(p):
 def test_inverse_composes_to_identity(p):
     q = inverse(p)
     n = len(p)
-    assert tuple(p[q[i] - 1] for i in range(n)) == identity(n)
+    assert tuple(p[q[i] - 1] for i in range(n)) == tuple(range(1, n + 1))
 
 
 def test_iter_permutations_counts():
@@ -71,8 +71,8 @@ def test_iter_permutations_refuses_a_negative_size():
 
 def test_library_enumerates_any_size_it_is_given():
     # only the CLI caps n; one permutation is built at each size here
-    assert descent_class((10,)) == [identity(10)]
-    assert identity_block_shuffle((10,)) == [identity(10)]
+    assert descent_class((10,)) == [tuple(range(1, 11))]
+    assert identity_block_shuffle((10,)) == [tuple(range(1, 11))]
 
 
 def test_statistics_on_small_words():
@@ -299,7 +299,7 @@ def test_merge_table_reads_each_interleaving_once():
     for n in range(8):
         for m in range(n + 1):
             k = n - m
-            u, v = identity(k), shifted_word(identity(m), k)
+            u, v = tuple(range(1, k + 1)), tuple(range(k + 1, n + 1))
             getters, _, ends = _merge_getters(k, m)
             assert len(ends) == k + 1 and ends[-1] == len(getters)
             read = [getter(u + v) for getter in getters]
@@ -315,7 +315,7 @@ def test_merge_constants_count_the_inversions_each_merge_adds():
     for n in range(8):
         for m in range(n + 1):
             k = n - m
-            run = shifted_word(identity(m), k)
+            run = tuple(range(k + 1, n + 1))
             getters, constants, _ = _merge_getters(k, m)
             assert len(getters) == len(constants)
             for w in iter_permutations(k):
@@ -335,7 +335,6 @@ def test_the_walk_carries_inv_and_keeps_each_class_in_order():
             classes.append(words)
     assert hashlib.sha256(repr(classes).encode()).hexdigest() == (
         '9d57445c041ea57816d13643919d6831eb0f5f4b8e1917eade6e19601ab37493')
-    assert _inverse_descent_walk((2, 0, 1)) == ([], [])
 
 
 def _class_size(comp):
@@ -369,13 +368,15 @@ def test_descent_classes_past_eight(comp):
 
 def test_descent_class_edge_cases():
     assert descent_class(()) == [()]
-    assert descent_class((2, 0, 1)) == []
-    assert descent_class((3, -1)) == []
     assert inverse_descent_class(()) == [()]
-    assert inverse_descent_class((2, 0, 1)) == []
-    assert inverse_descent_class((3, -1)) == []
+    # a part below 1 gets the message parse_composition gives the CLI
+    for comp in ((2, 0, 1), (3, -1), (1, 0, 1), (0,), (2, 0)):
+        for route in (descent_class, inverse_descent_class, _inverse_descent_walk):
+            with pytest.raises(ValueError, match=re.escape(
+                    f'composition parts must be positive: {comp}')):
+                route(comp)
     for n in range(1, 6):
-        assert inverse_descent_class((n,)) == [identity(n)]
+        assert inverse_descent_class((n,)) == [tuple(range(1, n + 1))]
 
 
 def test_parse_format_permutation():

@@ -2,6 +2,8 @@ import itertools
 import re
 from math import comb
 
+import pytest
+
 from permcodes.permutations import (
     coarser_compositions,
     compositions_of,
@@ -211,6 +213,16 @@ def parse_table(text):
 def test_alphabet_flag():
     assert alphabet_flag((2, 1, 1, 2)) == (4, 3, 2, 0)
     assert alphabet_flag((3,)) == (0,)
+
+
+@pytest.mark.parametrize('route', [alphabet_flag, h_product, ribbon_flagged,
+                                   ribbon_determinant], ids=lambda route: route.__name__)
+@pytest.mark.parametrize('comp', [(1, 0, 1), (0,), (2, 0)], ids=str)
+def test_every_route_refuses_a_part_below_one(route, comp):
+    # the message parse_composition gives the CLI
+    with pytest.raises(ValueError, match=re.escape(
+            f'composition parts must be positive: {comp}')):
+        route(comp)
 
 
 def test_h_flagged_monomial_counts():

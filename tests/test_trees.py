@@ -95,11 +95,19 @@ def hook_count(t) -> int:
     return numerator // sym
 
 
+def rotated(t):
+    """``t`` with the children of every node rotated by one, so that equal
+    children, adjacent in canonical form, are split apart."""
+    children = tuple(map(rotated, t))
+    return children[1:] + children[:1]
+
+
 def test_coefficients_agree_along_four_routes():
     for n in range(1, 8):
         series = taylor_tree_series(n)
         for t, coeff in series.items():
             assert connes_moscovici(t) == coeff
+            assert connes_moscovici(rotated(t)) == coeff, t
             assert hook_count(t) == coeff
             if n <= 6:
                 assert len(increasing_labelings(t)) == coeff
