@@ -50,19 +50,13 @@ RIBBON_MODES = {
 
 
 def _resolve_families(text: str) -> tuple[codes.CodeFamily, ...]:
-    out = []
-    for token in text.split(','):
-        token = token.strip().lower()
-        if not token:
-            continue
-        family = FAMILY_ALIASES.get(token)
-        if family is None:
+    tokens = [token.strip().lower() for token in text.split(',') if token.strip()]
+    for token in tokens:
+        if token not in FAMILY_ALIASES:
             raise ValueError(f'unknown code family {token!r}')
-        if family not in out:
-            out.append(family)
-    if not out:
+    if not tokens:
         raise ValueError('no code families selected')
-    return tuple(out)
+    return tuple(dict.fromkeys(FAMILY_ALIASES[token] for token in tokens))
 
 
 def _check_cap(n: int, allow_large: bool) -> None:
@@ -111,14 +105,6 @@ def code_table_lines(n: int, families) -> list[str]:
     return lines
 
 
-def _one_of(given, whole, what: str, flag: str) -> None:
-    """Refuse both or neither of a single argument and its whole-table flag."""
-    if given is not None and whole is not None:
-        raise ValueError(f'give a {what} or {flag} N, not both')
-    if given is None and whole is None:
-        raise ValueError(f'a {what} argument or {flag} N is required')
-
-
 def cmd_code(args) -> tuple[object, int]:
     if args.families is not None:
         families = _resolve_families(args.families)
@@ -126,7 +112,6 @@ def cmd_code(args) -> tuple[object, int]:
         families = TABLE_FAMILIES
     else:
         families = (codes.LEHMER, *TABLE_FAMILIES)
-    _one_of(args.perm, args.table, 'permutation', '--table')
     if args.table is not None:
         _check_cap(args.table, args.allow_large)
         if args.json:
@@ -171,7 +156,6 @@ def cmd_decode(args) -> tuple[object, int]:
 
 def cmd_ribbon(args) -> tuple[object, int]:
     route = RIBBON_MODES[args.mode]
-    _one_of(args.composition, args.all, 'composition', '--all')
     if args.all is not None:
         _check_cap(args.all, args.allow_large)
         if args.json:
@@ -264,8 +248,6 @@ def _class_json(cls: lequiv.LClass) -> dict:
 
 
 def cmd_lclass(args) -> tuple[object, int]:
-    if (args.perm is None) == (args.n is None):
-        raise ValueError('exactly one of --perm or --n is required')
     if args.perm is not None:
         p = parse_permutation(args.perm)
         _check_cap(len(p), args.allow_large)
@@ -299,8 +281,13 @@ def cmd_lclass(args) -> tuple[object, int]:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it; --help exits 0 by exit()
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog='permcodes',
         description='Permutation codes, flagged ribbons, tree calculus, and '
                     'exhaustive equidistribution verification.',
@@ -314,13 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_code = sub.add_parser('code', parents=[enumerating],
                             help='codes of a permutation, or a full table')
-    p_code.add_argument('perm', nargs='?', help='permutation (digits or comma-separated)')
     p_code.add_argument('--families',
                         help='comma list among lc,ic,mc,sc (default all four; '
                              'ic,mc,sc for the text table)')
-    p_code.add_argument('--table', type=int, metavar='N',
-                        help='print the full S_N table (columns Ic, Mc, Sc '
-                             'unless --families is given)')
+    code_input = p_code.add_mutually_exclusive_group(required=True)
+    code_input.add_argument('perm', nargs='?', help='permutation (digits or comma-separated)')
+    code_input.add_argument('--table', type=int, metavar='N',
+                            help='print the full S_N table (columns Ic, Mc, Sc '
+                                 'unless --families is given)')
     p_code.set_defaults(handler=cmd_code)
 
     p_dec = sub.add_parser('decode', parents=[json_option],
@@ -332,11 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rib = sub.add_parser('ribbon', parents=[enumerating],
                            help='flagged ribbon of a composition')
-    p_rib.add_argument('composition', nargs='?',
-                       help='composition, e.g. "(2,1,1,2)" or "2112"')
     p_rib.add_argument('--mode', choices=tuple(RIBBON_MODES), default='ie')
-    p_rib.add_argument('--all', type=int, metavar='N',
-                       help='print the full table for compositions of N')
+    rib_input = p_rib.add_mutually_exclusive_group(required=True)
+    rib_input.add_argument('composition', nargs='?',
+                           help='composition, e.g. "(2,1,1,2)" or "2112"')
+    rib_input.add_argument('--all', type=int, metavar='N',
+                           help='print the full table for compositions of N')
     p_rib.set_defaults(handler=cmd_ribbon)
 
     p_ver = sub.add_parser('verify', parents=[enumerating],
@@ -357,17 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.set_defaults(handler=cmd_trees)
 
     p_lcl = sub.add_parser('lclass', parents=[enumerating], help='L-equivalence classes')
-    p_lcl.add_argument('--perm', help='one permutation')
-    p_lcl.add_argument('--n', type=int, help='partition all of S_N')
+    lcl_input = p_lcl.add_mutually_exclusive_group(required=True)
+    lcl_input.add_argument('--perm', help='one permutation')
+    lcl_input.add_argument('--n', type=int, help='partition all of S_N')
     p_lcl.set_defaults(handler=cmd_lclass)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         output, status = args.handler(args)
         print(json.dumps(output, indent=2) if args.json else output)
     except ValueError as exc:

@@ -355,11 +355,13 @@ def acceptability_witness(family: CodeFamily, n: int) -> tuple[Perm, int] | None
     """The first (β, k), by size m < n, then β in lexicographic order, then
     slot k, at which the sets {τ(β')(i) : i ≤ k} and {τ(β)(i) : i ≤ k}
     differ, where β' = insert_one_at(β, k); ``None`` when the family is
-    acceptable up to size ``n``.
+    acceptable up to size ``n``; ValueError for a family with no τ map.
 
     >>> acceptability_witness(INVCODE, 4) is None
     True
     """
+    if family.tau is None:
+        raise ValueError(f'{family.name} has no tau map')
     for m in range(n):
         for beta in iter_permutations(m):
             tau_beta = family.tau(beta)

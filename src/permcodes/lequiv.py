@@ -153,4 +153,5 @@ def avoids_pattern(p: Perm, pattern: Perm) -> bool:
     """
     if len(pattern) != 3:
         raise ValueError('only length-3 patterns are supported')
+    check_permutation(pattern)
     return all(standardize(t) != pattern for t in combinations(p, 3))

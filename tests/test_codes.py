@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from permcodes.codes import (
     FAMILIES,
+    LEHMER,
     MAJCODE,
     acceptability_witness,
     format_code,
@@ -302,6 +303,12 @@ def test_generic_encode_decode_on_a_1200_letter_permutation(name):
 @pytest.mark.parametrize('name', ('invcode', 'majcode', 'scode'))
 def test_families_are_acceptable(name):
     assert acceptability_witness(FAMILIES[name], 5) is None
+
+
+@pytest.mark.parametrize('n', (0, 3))
+def test_acceptability_needs_a_tau_map(n):
+    with pytest.raises(ValueError, match='lehmer has no tau map'):
+        acceptability_witness(LEHMER, n)
 
 
 def test_scode_decode_builds_by_insertion():

@@ -176,7 +176,8 @@ def test_class_membership_is_reflexive_and_extremes_avoid(p):
     assert avoids_pattern(cls.min_member, (2, 1, 3))
 
 
-@pytest.mark.parametrize('pattern', ((1, 2), (1, 3, 2, 4)))
-def test_avoids_pattern_refuses_patterns_not_of_length_3(pattern):
-    with pytest.raises(ValueError, match='only length-3 patterns'):
+@pytest.mark.parametrize('pattern', ((1, 2), (1, 3, 2, 4), (1, 2, 4), (0, 1, 2), (3, 3, 3)))
+def test_avoids_pattern_refuses_patterns_not_permutations_of_1_to_3(pattern):
+    message = 'not a permutation of 1..3' if len(pattern) == 3 else 'only length-3 patterns'
+    with pytest.raises(ValueError, match=message):
         avoids_pattern((2, 1, 3, 4), pattern)
