@@ -18,7 +18,6 @@ import sys
 from . import codes, lequiv, ribbons, trees, verify
 from .permutations import (
     compositions_of,
-    conjugate_composition,
     format_composition,
     format_permutation,
     inverse_descent_class,
@@ -82,8 +81,9 @@ def code_table_lines(n: int, families) -> list[str]:
     """The S_n code table: permutations grouped by inverse descent class,
     each class paired with its conjugate in a second column, classes in
     descending lexicographic order of composition, rows lexicographic; one
-    code column per family in ``families``.  Below n = 2 there is one class
-    and one column."""
+    code column per family in ``families``.  The conjugate column is the
+    left class read backwards.  Below n = 2 there is one class and one
+    column."""
 
     def row(p) -> str:
         return ' '.join((
@@ -97,7 +97,8 @@ def code_table_lines(n: int, families) -> list[str]:
         lines.append('')
         left = sorted(inverse_descent_class(comp))
         if n >= 2:
-            right = sorted(inverse_descent_class(conjugate_composition(comp)))
+            # σ ↦ σ·w0 reverses the word and complements Des σ⁻¹
+            right = sorted(p[::-1] for p in left)
             for lp, rp in zip(left, right):
                 lines.append(f'{row(lp)}   {row(rp)}')
         else:

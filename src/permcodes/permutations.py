@@ -32,7 +32,6 @@ __all__ = [
     'insert_one_at',
     'composition_descent_set',
     'composition_from_descent_set',
-    'conjugate_composition',
     'coarser_compositions',
     'compositions_of',
     'descent_class',
@@ -193,8 +192,8 @@ def composition_from_descent_set(descents: Iterable[int], n: int) -> Composition
     >>> composition_from_descent_set({2, 3, 4}, 6)
     (2, 1, 1, 2)
     """
-    if n == 0:
-        return ()
+    if n < 0:
+        raise ValueError(f'negative size {n}')
     parts = []
     prev = 0
     for d in sorted(descents):
@@ -203,20 +202,7 @@ def composition_from_descent_set(descents: Iterable[int], n: int) -> Composition
         parts.append(d - prev)
         prev = d
     parts.append(n - prev)
-    return tuple(parts)
-
-
-def conjugate_composition(comp: Composition) -> Composition:
-    """The composition whose descent set is the complement of ``comp``'s.
-
-    >>> conjugate_composition((3, 1))
-    (1, 1, 2)
-    >>> conjugate_composition((2, 2))
-    (1, 2, 1)
-    """
-    n = sum(comp)
-    complement = set(range(1, n)) - composition_descent_set(comp)
-    return composition_from_descent_set(complement, n)
+    return tuple(parts) if n else ()
 
 
 def coarser_compositions(comp: Composition) -> list[Composition]:

@@ -12,7 +12,6 @@ counted by the Connes-Moscovici coefficients and biject with permutations.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from functools import cache
 from math import factorial
 
@@ -201,11 +200,13 @@ def _arities(t: PlaneTree) -> Monomial:
     return tuple(out)
 
 
+@cache
 def x_polynomial(n: int) -> IndexPolynomial:
     """The n-th term of the expansion as a polynomial in V_0, V_1, ...:
     Σ over shapes of size n of connes_moscovici(T) · ∏ V_{arity}.  Each
     shape gives one arity word, and the constructor adds the words that pack
     to the same monomial: x_4's 4*V2*V1*V0^2 is two shapes, weighted 3 and 1.
+    Cached, as the series is, so C_(n−1) reads it without a second walk.
 
     >>> format_v_polynomial(x_polynomial(4))
     'V3*V0^3 + 4*V2*V1*V0^2 + V1^3*V0'
@@ -227,17 +228,15 @@ def code_arity_monomial(c: Code) -> IndexPolynomial:
 
 
 def c_polynomial(n: int) -> IndexPolynomial:
-    """C_n = x_{n+1} with V_0 set to 1: each shape of size n+1 with its
-    leaves dropped from its arity word.  Shapes that differ only in where
-    their leaves hang share a word, so their coefficients are added.
+    """C_n = x_{n+1} with V_0 set to 1: each monomial of x_{n+1} with its
+    leading zeros, the V_0 factors of a sorted index tuple, dropped.  Every
+    monomial of x_{n+1} has n+1 factors, so no two drop to the same one.
 
     >>> format_v_polynomial(c_polynomial(3))
     'V3 + 4*V2*V1 + V1^3'
     """
-    counts: Counter[Monomial] = Counter()
-    for t, c in taylor_tree_series(n + 1).items():
-        counts[tuple(a for a in _arities(t) if a)] += c
-    return IndexPolynomial(counts)
+    return IndexPolynomial({mono[mono.count(0):]: c
+                            for mono, c in x_polynomial(n + 1).terms.items()})
 
 
 def format_v_polynomial(poly: IndexPolynomial) -> str:

@@ -188,8 +188,8 @@ class _Class:
 
 
 def _subset_sums(by_comp: dict, add) -> dict:
-    """Given counts ``by_comp[J]`` for every composition J of one n, replace
-    them with I -> Σ_{Set(J) ⊆ Set(I)} by_comp[J], summed by ``add`` in a
+    """Given values ``by_comp[J]`` for every composition J of one n, whatever
+    ``add`` sums, replace them with I -> Σ_{Set(J) ⊆ Set(I)} by_comp[J] in a
     subset-sum (zeta) transform over the n − 1 cut positions, cut s at bit
     s − 1 of a mask, and return ``by_comp``."""
     by_mask = {sum(1 << (s - 1) for s in composition_descent_set(comp)): comp
@@ -293,14 +293,11 @@ def _zeta_coarse_items(n: int, names, by_comp) -> list[CheckItem]:
     each later family's differences from them, ``by_comp[J]``: a family's
     polynomial over {σ : Des σ ⊆ Set(I)} is the first family's subset sum
     plus the subset sum of its differences."""
-    # one dict per family, so that the transform frees each polynomial it replaces
-    by_family = [dict(zip(by_comp, column)) for column in zip(*by_comp.values())]
-    by_comp.clear()
-    sums = [_subset_sums(polys, operator.add) for polys in by_family]
+    sums = _subset_sums(by_comp, lambda a, b: list(map(operator.add, a, b)))
     items = []
     for comp in compositions_of(n):
         expected = h_product(comp)
-        first, *differences = [polys.pop(comp) for polys in sums]
+        first, *differences = sums.pop(comp)
         witness = ''
         for name, difference in zip(names, [IndexPolynomial.zero(), *differences]):
             got = first + difference if difference else first

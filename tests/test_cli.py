@@ -58,6 +58,21 @@ def test_code_table(capsys):
                                '4321', '3210', '3210', '3210']
 
 
+def test_code_table_walks_one_class_per_row_pair(monkeypatch):
+    calls = []
+    walk = cli.inverse_descent_class
+
+    def counted(comp):
+        calls.append(comp)
+        return walk(comp)
+
+    monkeypatch.setattr(cli, 'inverse_descent_class', counted)
+    cli.code_table_lines(8, cli.TABLE_FAMILIES)
+    # the conjugate column is the left class reversed, so only the 2^6
+    # classes whose first part is at least 2 are walked
+    assert len(calls) == 64
+
+
 def test_code_table_of_one_letter(capsys):
     assert run(capsys, 'code', '--table', '1') == (0, 'sigma Ic Mc Sc\n\n1 0 0 0\n', '')
 

@@ -10,9 +10,9 @@ from permcodes.permutations import (
     _inverse_descent_walk,
     _merge_getters,
     check_permutation,
+    composition_descent_set,
     composition_from_descent_set,
     compositions_of,
-    conjugate_composition,
     coarser_compositions,
     descent_class,
     descent_composition,
@@ -122,6 +122,17 @@ def test_descents_from_composition_roundtrip(p):
 def test_composition_from_descent_set_refuses_a_descent_outside_the_cuts(descents):
     with pytest.raises(ValueError, match=r'descent \d outside 1\.\.3'):
         composition_from_descent_set(descents, 4)
+
+
+@pytest.mark.parametrize('descents', ({1}, {2}))
+def test_composition_from_descent_set_refuses_a_descent_of_the_empty_composition(descents):
+    with pytest.raises(ValueError, match=r'descent \d outside'):
+        composition_from_descent_set(descents, 0)
+
+
+def test_composition_from_descent_set_refuses_a_negative_size():
+    with pytest.raises(ValueError, match='negative size -1'):
+        composition_from_descent_set(set(), -1)
 
 
 def test_standardize_examples():
@@ -259,12 +270,22 @@ def test_compositions_of_refuses_a_negative_size():
         compositions_of(-1)
 
 
-def test_conjugate_composition_pairs():
-    pairs = [((4,), (1, 1, 1, 1)), ((3, 1), (1, 1, 2)),
-             ((2, 2), (1, 2, 1)), ((2, 1, 1), (1, 3))]
-    for comp, conj in pairs:
-        assert conjugate_composition(comp) == conj
-        assert conjugate_composition(conj) == comp
+def test_reversed_class_is_the_conjugate_class():
+    # the code table's second column reads each class backwards
+    conjugates = {}
+    for n in range(2, 9):
+        for comp in compositions_of(n):
+            if comp[0] < 2:
+                continue
+            conj = composition_from_descent_set(
+                set(range(1, n)) - composition_descent_set(comp), n)
+            conjugates[comp] = conj
+            assert (sorted(w[::-1] for w in inverse_descent_class(comp))
+                    == sorted(inverse_descent_class(conj))), comp
+    assert conjugates[(4,)] == (1, 1, 1, 1)
+    assert conjugates[(3, 1)] == (1, 1, 2)
+    assert conjugates[(2, 2)] == (1, 2, 1)
+    assert conjugates[(2, 1, 1)] == (1, 3)
 
 
 def test_coarsening():

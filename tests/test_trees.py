@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from permcodes import cli, trees
 from permcodes.codes import inv_code, s_code
 from permcodes.permutations import evaluation, iter_permutations
 from permcodes.polynomials import IndexPolynomial, format_q_polynomial
@@ -209,6 +210,21 @@ def test_x_polynomial_monomials_have_one_factor_per_node():
         for key in x_polynomial(n).terms:
             assert len(key) == n          # one V factor per node
             assert sum(key) == n - 1      # arities sum to the edge count
+
+
+def test_trees_computes_each_arity_word_once(monkeypatch):
+    calls = []
+    arities = trees._arities
+
+    def counted(t):
+        calls.append(t)
+        return arities(t)
+
+    monkeypatch.setattr(trees, '_arities', counted)
+    trees.x_polynomial.cache_clear()
+    assert cli.main(['trees', '8']) == 0
+    # C_7 is read off the cached x_8, so each of the 115 shapes is walked once
+    assert len(calls) == len(taylor_tree_series(8)) == 115
 
 
 def test_c_polynomial_eulerian_specialization():

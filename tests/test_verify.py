@@ -546,14 +546,15 @@ def test_coarse_transforms_later_families_as_empty_differences(monkeypatch):
     original = verify._subset_sums
 
     def recording(by_comp, add):
-        held.append(any(by_comp.values()))
+        held.append([any(column) for column in zip(*by_comp.values())])
         return original(by_comp, add)
 
     monkeypatch.setattr(verify, '_subset_sums', recording)
     assert run_checks(6, checks=('coarse',)).passed
-    # per size: the first family's polynomials, then the other two families'
-    # differences from them, which hold no monomial on a passing sweep
-    assert held == [True, False, False] * 6
+    # one transform per size over the per-class lists: the first family's
+    # polynomials, then the other two families' differences from them,
+    # which hold no monomial on a passing sweep
+    assert held == [[True, False, False]] * 6
 
 
 def _spy(monkeypatch, calls, module, name):
