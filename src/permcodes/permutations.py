@@ -21,7 +21,6 @@ __all__ = [
     'check_composition',
     'inverse',
     'iter_permutations',
-    'descent_set',
     'descent_composition',
     'des',
     'maj',
@@ -30,8 +29,6 @@ __all__ = [
     'evaluation',
     'shifted_word',
     'insert_one_at',
-    'composition_descent_set',
-    'composition_from_descent_set',
     'coarser_compositions',
     'compositions_of',
     'descent_class',
@@ -85,29 +82,27 @@ def iter_permutations(n: int) -> Iterator[Perm]:
     return itertools.permutations(range(1, n + 1))
 
 
-def descent_set(p: Perm) -> set[int]:
-    """Positions i (1-based) with p(i) > p(i+1).
-
-    >>> sorted(descent_set((9, 3, 5, 7, 2, 1, 4, 6, 8)))
-    [1, 4, 5]
-    """
-    return {i + 1 for i in range(len(p) - 1) if p[i] > p[i + 1]}
-
-
 def descent_composition(p: Perm) -> Composition:
-    """The composition of n whose proper partial sums are the descents of p.
+    """The lengths of the maximal rising runs of p: the composition of n
+    whose proper partial sums are the descents of p.
 
     >>> descent_composition((1, 5, 4, 3, 2, 6))
     (2, 1, 1, 2)
     >>> descent_composition(())
     ()
     """
-    return composition_from_descent_set(descent_set(p), len(p))
+    parts = [1] if p else []
+    for descends in map(operator.gt, p, p[1:]):
+        if descends:
+            parts.append(1)
+        else:
+            parts[-1] += 1
+    return tuple(parts)
 
 
 def des(p: Perm) -> int:
     """Number of descents."""
-    return len(descent_set(p))
+    return sum(map(operator.gt, p, p[1:]))
 
 
 def maj(p: Perm) -> int:
@@ -177,37 +172,9 @@ def insert_one_at(b: Perm, i: int) -> Perm:
     return shifted[:i] + (1,) + shifted[i:]
 
 
-def composition_descent_set(comp: Composition) -> set[int]:
-    """Proper partial sums of the parts (the final sum n is excluded).
-
-    >>> sorted(composition_descent_set((2, 1, 1, 2)))
-    [2, 3, 4]
-    """
-    return set(itertools.accumulate(comp[:-1]))
-
-
-def composition_from_descent_set(descents: Iterable[int], n: int) -> Composition:
-    """The composition of ``n`` whose proper partial sums are ``descents``.
-
-    >>> composition_from_descent_set({2, 3, 4}, 6)
-    (2, 1, 1, 2)
-    """
-    if n < 0:
-        raise ValueError(f'negative size {n}')
-    parts = []
-    prev = 0
-    for d in sorted(descents):
-        if not prev < d < n:
-            raise ValueError(f'descent {d} outside 1..{n - 1}')
-        parts.append(d - prev)
-        prev = d
-    parts.append(n - prev)
-    return tuple(parts) if n else ()
-
-
 def coarser_compositions(comp: Composition) -> list[Composition]:
-    """All compositions coarser than ``comp``, i.e. with descent set contained
-    in Des(comp); sorted in descending lexicographic order.
+    """All compositions coarser than ``comp``: those whose cuts, the proper
+    partial sums, are cuts of ``comp``; in descending lexicographic order.
 
     Built from the last part: each coarsening of the parts after ``part``
     either adds ``part`` to its first part or takes it as a new first part.

@@ -44,7 +44,6 @@ from .permutations import (
     _inverse_descent_walk,
     _merge_getters,
     coarser_compositions,
-    composition_descent_set,
     compositions_of,
     format_composition,
     format_permutation,
@@ -192,7 +191,7 @@ def _subset_sums(by_comp: dict, add) -> dict:
     ``add`` sums, replace them with I -> Σ_{Set(J) ⊆ Set(I)} by_comp[J] in a
     subset-sum (zeta) transform over the n − 1 cut positions, cut s at bit
     s − 1 of a mask, and return ``by_comp``."""
-    by_mask = {sum(1 << (s - 1) for s in composition_descent_set(comp)): comp
+    by_mask = {sum(1 << (s - 1) for s in itertools.accumulate(comp[:-1])): comp
                for comp in by_comp}
     step = 1
     while step < len(by_mask):

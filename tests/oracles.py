@@ -35,18 +35,27 @@ sums of the class pass and with the package's ``identity_block_shuffle``.
 ``generic_encode`` and ``generic_decode`` run a code through its τ map
 alone, one insertion of the letter 1 at a time; the tests compare them with
 each family's direct encoder and decoder.
+
+``descent_set``, ``composition_descent_set`` and
+``composition_from_descent_set`` hold a descent class's index as a set of
+descent positions, the paper's Des σ and Set(I), and convert it to and from
+a composition.  The library holds compositions alone: ``descent_composition``
+and ``des`` scan a permutation's rising runs, and the zeta transforms read
+each cut off the partial sums.  The tests compare those scans with the route
+through these sets, and ``coarser_class`` filters S_n by them.
 """
 
 import itertools
 from collections import Counter
+from typing import Iterable
 
 from permcodes import verify
 from permcodes.codes import FAMILIES, CodeFamily, is_subdiagonal, sorted_code, tau_s
 from permcodes.permutations import (
+    Composition,
+    Perm,
     compositions_of,
-    composition_descent_set,
     descent_class,
-    descent_set,
     des,
     format_composition,
     format_permutation,
@@ -172,6 +181,44 @@ def descent_position_sum(w):
     """maj w as the sum of the positions i with w_i > w_{i+1}, the reference
     for ``maj``."""
     return sum(i for i in range(1, len(w)) if w[i - 1] > w[i])
+
+
+def descent_set(p: Perm) -> set[int]:
+    """Positions i (1-based) with p(i) > p(i+1).
+
+    >>> sorted(descent_set((9, 3, 5, 7, 2, 1, 4, 6, 8)))
+    [1, 4, 5]
+    """
+    return {i + 1 for i in range(len(p) - 1) if p[i] > p[i + 1]}
+
+
+def composition_descent_set(comp: Composition) -> set[int]:
+    """Proper partial sums of the parts (the final sum n is excluded).
+
+    >>> sorted(composition_descent_set((2, 1, 1, 2)))
+    [2, 3, 4]
+    """
+    return set(itertools.accumulate(comp[:-1]))
+
+
+def composition_from_descent_set(descents: Iterable[int], n: int) -> Composition:
+    """The composition of ``n`` whose proper partial sums are ``descents``.
+
+    >>> composition_from_descent_set({2, 3, 4}, 6)
+    (2, 1, 1, 2)
+    """
+    if n < 0:
+        raise ValueError(f'negative size {n}')
+    parts = []
+    prev = 0
+    for d in sorted(descents):
+        if not prev < d < n:
+            raise ValueError(f'descent {d} outside 1..{n - 1}' if n > 1
+                             else f'descent {d}: size {n} has no cuts')
+        parts.append(d - prev)
+        prev = d
+    parts.append(n - prev)
+    return tuple(parts) if n else ()
 
 
 def shuffle(u, v):

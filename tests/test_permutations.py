@@ -10,13 +10,10 @@ from permcodes.permutations import (
     _inverse_descent_walk,
     _merge_getters,
     check_permutation,
-    composition_descent_set,
-    composition_from_descent_set,
     compositions_of,
     coarser_compositions,
     descent_class,
     descent_composition,
-    descent_set,
     des,
     evaluation,
     format_composition,
@@ -35,7 +32,10 @@ from permcodes.permutations import (
 )
 
 from oracles import (
+    composition_descent_set,
+    composition_from_descent_set,
     descent_position_sum,
+    descent_set,
     identity_block_shuffle as shuffled_blocks,
     inversion_pairs,
     shifted_shuffle,
@@ -90,14 +90,34 @@ def test_inv_counts_the_inverted_pairs():
             assert inv(p) == inversion_pairs(p), p
 
 
+# past 64 letters: every descent of a 100-letter word counts
+ZIGZAG = tuple(v for k in range(50) for v in (100 - k, 1 + k))
+LONG_WORDS = (ZIGZAG, ZIGZAG[::-1], tuple(range(100, 0, -1)))
+
+
 def test_maj_sums_the_descent_positions():
     for n in range(9):
         for p in iter_permutations(n):
             assert maj(p) == descent_position_sum(p), p
-    # past 64 letters: every descent of a 100-letter word counts
-    zigzag = tuple(v for k in range(50) for v in (100 - k, 1 + k))
-    for word in (zigzag, zigzag[::-1], tuple(range(100, 0, -1))):
+    for word in LONG_WORDS:
         assert maj(word) == descent_position_sum(word) > 0
+
+
+def test_descent_scans_match_the_descent_set():
+    # the rising runs and the descent count against the route through Des p
+    for p in itertools.chain(*map(iter_permutations, range(9)), LONG_WORDS):
+        assert descent_composition(p) == composition_from_descent_set(
+            descent_set(p), len(p)), p
+        assert des(p) == len(descent_set(p)), p
+
+
+def test_coarser_compositions_keep_a_subset_of_the_cuts():
+    for n in range(9):
+        for comp in compositions_of(n):
+            cuts = composition_descent_set(comp)
+            assert coarser_compositions(comp) == [
+                other for other in compositions_of(n)
+                if composition_descent_set(other) <= cuts], comp
 
 
 @given(st.integers(min_value=9, max_value=16).flatmap(
@@ -124,10 +144,10 @@ def test_composition_from_descent_set_refuses_a_descent_outside_the_cuts(descent
         composition_from_descent_set(descents, 4)
 
 
-@pytest.mark.parametrize('descents', ({1}, {2}))
-def test_composition_from_descent_set_refuses_a_descent_of_the_empty_composition(descents):
-    with pytest.raises(ValueError, match=r'descent \d outside'):
-        composition_from_descent_set(descents, 0)
+@pytest.mark.parametrize(('descents', 'n'), (({1}, 0), ({2}, 0), ({1}, 1)))
+def test_composition_from_descent_set_refuses_a_descent_of_the_empty_composition(descents, n):
+    with pytest.raises(ValueError, match=rf'descent \d: size {n} has no cuts'):
+        composition_from_descent_set(descents, n)
 
 
 def test_composition_from_descent_set_refuses_a_negative_size():

@@ -26,9 +26,7 @@ from permcodes.codes import (
 )
 from permcodes.permutations import (
     compositions_of,
-    composition_descent_set,
     descent_class,
-    descent_set,
     inverse,
     parse_permutation,
 )
@@ -43,6 +41,8 @@ from permcodes.verify import (
 
 from oracles import (
     coarser_class,
+    composition_descent_set,
+    descent_set,
     direct_report,
     identity_block_shuffle,
     q_factorial,
