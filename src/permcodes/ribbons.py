@@ -7,13 +7,17 @@ i_a of I = (i_1, ..., i_r) is read over X_{i_{a+1} + ... + i_r}.
 The flagged ribbon r_I is computed two independent ways — inclusion-exclusion
 over coarser compositions, and a Jacobi-Trudi style determinant — and both
 equal the generating function of sorted codes over the descent class D_I.
+``ribbon_flagged`` and ``ribbon_determinant`` serve one composition at a
+time; ``ribbon_walk`` yields both routes' values for every composition of one
+n from a single depth-first walk over shared suffixes, each route keeping its
+own recurrence.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from .permutations import Composition, check_composition, compositions_of, format_composition
 from .polynomials import IndexPolynomial, Monomial
@@ -24,6 +28,7 @@ __all__ = [
     'h_product',
     'ribbon_flagged',
     'ribbon_determinant',
+    'ribbon_walk',
     'format_bracket',
     'format_monomial',
     'poly_to_json',
@@ -120,6 +125,51 @@ def ribbon_determinant(comp: Composition) -> IndexPolynomial:
             (h_flagged(tail[a] - tail[k], tail[k]), minors[k], (k - a) % 2 == 0)
             for k in range(a + 1, r + 1))
     return minors[0]
+
+
+def ribbon_walk(n: int) -> Iterator[tuple[Composition, IndexPolynomial, IndexPolynomial]]:
+    """``(I, r_I by inclusion-exclusion, r_I by determinant)`` for every
+    composition I of n ≥ 0: I is c[::-1] for each c of ``compositions_of(n)``,
+    in that order.
+
+    One depth-first walk prepends a part per level: a node is a suffix S of
+    size m, whose flags are its own, and its children are (p, *S) for
+    p = n − m, …, 1.  The routes share no value.  Inclusion-exclusion reads
+    r_(p,*S) = h_p(X_m)·r_S − r_(p+s_1,*S[1:]), whose subtracted ribbon is a
+    sibling of S met before it; the determinant's first-row expansion reads
+    the chain of minors r_S, r_S[1:], …, r_() that are S and its ancestors.
+    Only that chain and each level's children are held.
+
+    >>> [(c, format_bracket(ie), ie == det) for c, ie, det in ribbon_walk(2)]
+    [((2,), '[00]', True), ((1, 1), '[01]', True)]
+    """
+    if n < 0:
+        raise ValueError(f'negative size {n}')
+    one = IndexPolynomial.one()
+    return _ribbon_node(n, (), one, one, {}, [])
+
+
+def _ribbon_node(n: int, suffix: Composition, ribbon: IndexPolynomial,
+                 minor: IndexPolynomial, siblings: dict, minors: list):
+    """The walk below the node ``suffix``: ``ribbon`` and ``minor`` are its
+    r by inclusion-exclusion and by determinant, ``siblings[q]`` the first
+    route's r_(q,*suffix[1:]) for each sibling met so far, and ``minors``
+    the (size, minor) pairs of its ancestors, nearest first."""
+    m = sum(suffix)
+    if m == n:
+        yield suffix, ribbon, minor
+        return
+    minors = [(m, minor), *minors]
+    children: dict[int, IndexPolynomial] = {}
+    for p in range(n - m, 0, -1):
+        child = h_flagged(p, m) * ribbon
+        if suffix:
+            child -= siblings[p + suffix[0]]
+        children[p] = child
+        determinant = IndexPolynomial.sum_of_products(
+            (h_flagged(m + p - size, size), below, j % 2 == 1)
+            for j, (size, below) in enumerate(minors))
+        yield from _ribbon_node(n, (p, *suffix), child, determinant, children, minors)
 
 
 def _index_word(mono: Monomial) -> str:

@@ -11,10 +11,13 @@ the Euler-Mahonian joint distributions.
 every check whose family is selected.  Per size n, one class pass walks each
 D_J of S_n once as a ``_Class`` record, which holds the inverses of D_J as
 ``inverse_descent_class`` builds them, unsorted, and computes on first read,
-once, what a check reads of the class.  inv σ is read off the merge tables
-that build the class: each merge adds a fixed count of inversions, so the
-walk carries each word's count and ``verify`` calls no ``permutations.inv``.
-maj σ^{-1} is still computed per word.  theorem and fs compare at each
+once, what a check reads of the class.  The pass meets the classes in the
+order of ``ribbon_walk(n)``, so theorem reads each class's two ribbons as
+the walk's next values, and a pass without theorem never advances it.
+inv σ is read off the merge tables that build the class: each merge adds a
+fixed count of inversions, so the walk carries each word's count and
+``verify`` calls no ``permutations.inv``.  maj σ^{-1} is still computed per
+word.  theorem and fs compare at each
 class; a failing theorem unit inverts the inverses whose sorted code is the
 witness monomial and names the least.  em sums over all classes; coarse and
 ncinv sum over the classes J with Set(J) ⊆ Set(I) by a subset-sum (zeta)
@@ -53,14 +56,7 @@ from .permutations import (
     shifted_word,
 )
 from .polynomials import IndexPolynomial, format_q_polynomial
-from .ribbons import (
-    _index_word,
-    alphabet_flag,
-    format_monomial,
-    h_product,
-    ribbon_determinant,
-    ribbon_flagged,
-)
+from .ribbons import _index_word, alphabet_flag, format_monomial, h_product, ribbon_walk
 
 __all__ = [
     'CheckItem',
@@ -158,14 +154,15 @@ class _Class:
     """One descent class D_I: the inverses of its members, in the generation
     order of ``inverse_descent_class``, not sorted, with the inversion
     number the walk carried for each; and, each computed on first read and
-    kept for the life of the record, the codes of the inverses and what the
-    checks sum from them."""
+    kept for the life of the record, the codes of the inverses, the ribbons
+    and what the checks sum from them."""
 
-    def __init__(self, comp: Composition, names) -> None:
+    def __init__(self, comp: Composition, names, walk) -> None:
         self.comp = comp
         self.names = names
         self.inverses, self.invs = _inverse_descent_walk(comp)
         self._codes: dict[str, list] = {}
+        self._walk = walk
 
     def codes(self, name: str) -> list:
         """The ``name`` codes of the inverses, in the order of ``inverses``."""
@@ -177,6 +174,13 @@ class _Class:
     def polys(self) -> list[IndexPolynomial]:
         """Per family, the sorted-code polynomial of the class."""
         return [IndexPolynomial.from_words(self.codes(name)) for name in self.names]
+
+    @cached_property
+    def ribbons(self) -> tuple[IndexPolynomial, IndexPolynomial]:
+        """r_I by inclusion-exclusion and by determinant: the next values of
+        the size's ``ribbon_walk``, which meets the classes in the class
+        pass's order, so a pass that never reads this never advances it."""
+        return next(self._walk)[1:]
 
     @cached_property
     def q_stats(self) -> list[Counter]:
@@ -237,8 +241,7 @@ def _exact_descent_words(comp: Composition) -> list[tuple[int, ...]]:
 
 
 def _theorem_item(n: int, cls: _Class) -> CheckItem:
-    ribbon = ribbon_flagged(cls.comp)
-    determinant = ribbon_determinant(cls.comp)
+    ribbon, determinant = cls.ribbons
     witness = ''
     if ribbon != determinant:
         _, witness = _difference(_monomial, 'inclusion-exclusion', ribbon.terms,
@@ -438,11 +441,13 @@ CHECK_NAMES = tuple(CHECKS)
 def _class_items(n: int, checks, names) -> list[CheckItem]:
     """The items at size n of the selected ``checks`` that read a class, for
     the code families named ``names``, from one walk over the descent
-    classes of S_n: each ``_Class`` record computes once what those checks
-    read of it, and is dropped before the next class."""
+    classes of S_n in the order of ``ribbon_walk``: each ``_Class`` record
+    computes once what those checks read of it, and is dropped before the
+    next class."""
     values = {check: {} for check in checks}
-    for comp in compositions_of(n):
-        cls = _Class(comp, names)
+    walk = ribbon_walk(n)
+    for comp in [comp[::-1] for comp in compositions_of(n)]:
+        cls = _Class(comp, names, walk)
         for check, by_comp in values.items():
             by_comp[comp] = CHECKS[check].per_class(n, cls)
     return [item for check, by_comp in values.items()

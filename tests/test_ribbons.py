@@ -20,6 +20,7 @@ from permcodes.ribbons import (
     ribbon_determinant,
     ribbon_flagged,
     ribbon_table_lines,
+    ribbon_walk,
 )
 
 from oracles import tuple_ribbon_determinant, tuple_ribbon_flagged
@@ -298,6 +299,20 @@ def test_determinant_route_agrees_with_inclusion_exclusion():
             assert leibniz_determinant(comp) == expected, comp
             assert ribbon_flagged(comp) == expected, comp
             assert ribbon_determinant(comp) == expected, comp
+
+
+def test_the_walk_yields_both_routes_for_every_composition_in_mirror_order():
+    for n in range(9):
+        walk = list(ribbon_walk(n))
+        assert [comp for comp, _, _ in walk] == [c[::-1] for c in compositions_of(n)], n
+        for comp, ribbon, determinant in walk:
+            assert ribbon == ribbon_flagged(comp), comp
+            assert determinant == ribbon_determinant(comp), comp
+
+
+def test_the_walk_refuses_a_negative_size():
+    with pytest.raises(ValueError, match='negative size'):
+        ribbon_walk(-1)
 
 
 def test_all_ones_ribbon_of_ten_is_one_monomial():

@@ -649,7 +649,7 @@ def test_a_failing_class_encodes_each_inverse_once_per_family(monkeypatch):
 
 
 def test_a_sweep_leaves_no_reference_cycles():
-    # the class records, the descent-class walk and the ribbon memo are
+    # the class records, the descent-class walk and the ribbon walk are
     # freed by reference counting alone, so a sweep leaves nothing for the
     # cyclic collector
     enabled = gc.isenabled()
@@ -716,14 +716,39 @@ def test_verify_n8_report_is_pinned():
         '21d972ce5aa1fd15052bdcb64c239dd9d437d24123b19e05fd74094f24adaefc')
 
 
+def test_verify_n8_theorem_report_is_pinned():
+    report = run_checks(8, checks=('theorem',))
+    assert len(report.items) == 255
+    assert hashlib.sha256((report.render_text() + '\n').encode()).hexdigest() == (
+        '4135f0b74e2351c44682ae3b6ea06dc332f07c2c033126977e1faec263ccde64')
+
+
+def test_only_theorem_advances_the_ribbon_walk_once_per_size(monkeypatch):
+    walk = verify.ribbon_walk
+    started, read = Counter(), Counter()
+
+    def counted(n):
+        started[n] += 1
+        for values in walk(n):
+            read[n] += 1
+            yield values
+
+    monkeypatch.setattr(verify, 'ribbon_walk', counted)
+    assert run_checks(6, checks=('coarse', 'ncinv', 'em', 'fs')).passed
+    assert started == read == Counter()
+    assert run_checks(6, checks=('theorem',)).passed
+    assert started == {n: 1 for n in range(1, 7)}
+    assert read == {n: 2 ** (n - 1) for n in range(1, 7)}
+
+
 # The inputs a verdict reads besides the code families' encoders, each
-# broken at verify's binding; inv σ broken in one constant of the merge
-# tables the class walk builds, and τ_S in the registry entry that scstep
-# reads it from.  The direct routes import the same functions from
-# their own modules, so they stay unbroken here and are not compared: each
-# case pins which checks the broken input changes, all to FAIL, and the first
-# changed line.  On a passing sweep those are the failing checks and the
-# first failing line.
+# broken at verify's binding; each ribbon route in the value the ribbon
+# walk yields for it, inv σ in one constant of the merge tables the class
+# walk builds, and τ_S in the registry entry that scstep reads it from.  The
+# direct routes import the same functions from their own modules, so they
+# stay unbroken here and are not compared: each case pins which checks the
+# broken input changes, all to FAIL, and the first changed line.  On a
+# passing sweep those are the failing checks and the first failing line.
 
 def in_verify(name, mutate):
     """The case name and the patch that breaks verify's binding of ``name``
@@ -735,6 +760,24 @@ def raise_001_at_21(route):
     """``route`` with the coefficient of x_0 x_0 x_1 raised by one at (2,1)."""
     return lambda comp: (route(comp) + IndexPolynomial.monomial((0, 0, 1))
                          if comp == (2, 1) else route(comp))
+
+
+def in_ribbon_walk(route, index):
+    """The case of ``route`` and the patch that raises by one the coefficient
+    of x_0 x_0 x_1 in the value at ``index`` of the triple that verify's
+    binding of the ribbon walk yields at (2,1)."""
+    def patch(monkeypatch):
+        walk = verify.ribbon_walk
+
+        def broken(n):
+            for values in walk(n):
+                if values[0] == (2, 1):
+                    values = list(values)
+                    values[index] += IndexPolynomial.monomial((0, 0, 1))
+                yield tuple(values)
+
+        monkeypatch.setattr(verify, 'ribbon_walk', broken)
+    return route, patch
 
 
 def without(entry):
@@ -790,10 +833,10 @@ def swap_first_two(function):
 
 
 VERDICT_INPUTS = [
-    (*in_verify('ribbon_determinant', raise_001_at_21), {'theorem'},
+    (*in_ribbon_walk('ribbon_determinant', 2), {'theorem'},
      'theorem n=3 I=(2,1): FAIL '
      '[monomial [001]: inclusion-exclusion has 1, determinant has 2]'),
-    (*in_verify('ribbon_flagged', raise_001_at_21), {'theorem'},
+    (*in_ribbon_walk('ribbon_flagged', 1), {'theorem'},
      'theorem n=3 I=(2,1): FAIL '
      '[monomial [001]: inclusion-exclusion has 2, determinant has 1]'),
     (*in_verify('h_product', raise_001_at_21), {'coarse'},
