@@ -7,17 +7,17 @@ i_a of I = (i_1, ..., i_r) is read over X_{i_{a+1} + ... + i_r}.
 The flagged ribbon r_I is computed two independent ways — inclusion-exclusion
 over coarser compositions, and a Jacobi-Trudi style determinant — and both
 equal the generating function of sorted codes over the descent class D_I.
-``ribbon_flagged`` and ``ribbon_determinant`` serve one composition at a
-time; ``ribbon_walk`` yields both routes' values for every composition of one
-n from a single depth-first walk over shared suffixes, each route keeping its
-own recurrence.
+Each route's recurrence is one step that prepends a part to a suffix:
+``ribbon_flagged`` and ``ribbon_determinant`` fold it along one
+composition's suffixes, and ``ribbon_walk`` takes both steps at every node
+of one depth-first walk over the compositions of n that share suffixes.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .permutations import Composition, check_composition, compositions_of, format_composition
 from .polynomials import IndexPolynomial, Monomial
@@ -75,29 +75,56 @@ def h_product(comp: Composition) -> IndexPolynomial:
     return out
 
 
+def _inclusion_exclusion_step(sizes: Iterable[int], m: int, ribbon: IndexPolynomial,
+                              siblings: dict) -> dict[int, IndexPolynomial]:
+    """The children r_(k−m,*S) of a suffix S of size m by inclusion-exclusion,
+    keyed by their sizes k in ``sizes``, from ``ribbon`` = r_S and the
+    children ``siblings`` of S[1:], keyed the same way.
+
+    In r_I = Σ_{J ≤ I} (−1)^{l(I)−l(J)} h^J for I = (p, *S), the J that keep
+    the first cut are (p, *J') for J' ≤ S, whose flags are their own, and
+    the others are the J ≤ (p+s_1, *S[1:]), so
+    r_(p,*S) = h_p(X_m)·r_S − r_(p+s_1,*S[1:]) = h_p(X_m)·r_S − siblings[m+p].
+    The empty suffix's children are h_k(X_0), with no product by 1.
+    """
+    if not m:
+        return {k: h_flagged(k, 0) for k in sizes}
+    return {k: h_flagged(k - m, m) * ribbon - siblings[k] for k in sizes}
+
+
+def _determinant_step(k: int, chain: list) -> IndexPolynomial:
+    """r_(k−m,*S) by the determinant, for the suffix S of size m heading
+    ``chain``, which holds the (size, ribbon) pairs of S, S[1:], ..., ().
+
+    Expanding the Hessenberg matrix of I along its first row leaves, for
+    column j, a unitriangular block times the trailing minor of the suffix
+    (i_{j+1}, ...), whose flags are its own, so
+    r_I = Σ_j (−1)^{j−1} h_{i_1+...+i_j}(X_{n−i_1−...−i_j})·r_{(i_{j+1},...)}:
+    one ``IndexPolynomial.sum_of_products`` over the chain.
+    """
+    return IndexPolynomial.sum_of_products(
+        (h_flagged(k - size, size), minor, j % 2 == 1)
+        for j, (size, minor) in enumerate(chain))
+
+
 def ribbon_flagged(comp: Composition) -> IndexPolynomial:
     """The flagged ribbon by inclusion-exclusion over coarser compositions,
     r_I = Σ_{J ≤ I} (−1)^{l(I)−l(J)} h^J, each J read with its own flag.
 
-    Splitting the sum by whether J keeps the first cut of I gives the
-    recurrence r_I = h_{i_1}(X_{n−i_1})·r_{(i_2,...)} − r_{(i_1+i_2,i_3,...)},
-    with r_{(n)} = h_n(X_0); a part's flag depends only on the parts after it,
-    so r_{(i_2,...)} keeps its own flag.  Every composition it reaches is
-    (i_{b+1}+...+i_a, i_{a+1}, ..., i_r) for some b < a, so the ribbons are
-    filled one row per cut a, from the last cut down.
+    ``_inclusion_exclusion_step`` is folded from the last part, each level
+    asking only for the children (i_b+...+i_a, i_{a+1}, ...), b ≤ a, that a
+    later cut subtracts.
 
     >>> format_bracket(ribbon_flagged((2, 1)))
     '[001] + [011]'
     """
-    r = len(comp)
-    if not r:
-        return IndexPolynomial.one()
-    # tail[a] = sum(comp[a:]); row[b] is the ribbon of (sum(comp[b:a]), *comp[a:]).
+    # tail[a] = sum(comp[a:])
     tail = (sum(comp), *alphabet_flag(comp))
-    row = [h_flagged(tail[b], 0) for b in range(r)]
-    for a in reversed(range(1, r)):
-        row = [h_flagged(tail[b] - tail[a], tail[a]) * row[a] - row[b] for b in range(a)]
-    return row[0]
+    ribbon, children = IndexPolynomial.one(), {}
+    for a in reversed(range(len(comp))):
+        children = _inclusion_exclusion_step(tail[:a + 1], tail[a + 1], ribbon, children)
+        ribbon = children[tail[a]]
+    return ribbon
 
 
 def ribbon_determinant(comp: Composition) -> IndexPolynomial:
@@ -105,26 +132,17 @@ def ribbon_determinant(comp: Composition) -> IndexPolynomial:
     h_{i_a+...+i_b}(X_{n−(i_1+...+i_b)}), the subdiagonal is 1, and everything
     below vanishes.
 
-    Expanding this Hessenberg matrix along its first row leaves, for column
-    k, a unitriangular block times the trailing minor of the suffix
-    (i_{k+1}, ...), whose flags are its own:
-    r_I = Σ_k (−1)^{k−1} h_{i_1+...+i_k}(X_{n−i_1−...−i_k})·r_{(i_{k+1},...)}.
-    The minors are filled from the last suffix to the first, so each is
-    built once; each is one ``IndexPolynomial.sum_of_products`` call, its
-    products added into a single accumulator.
+    ``_determinant_step``, its first-row expansion
+    r_I = Σ_k (−1)^{k−1} h_{i_1+...+i_k}(X_{n−i_1−...−i_k})·r_{(i_{k+1},...)},
+    is folded along the suffixes of I from the last, each minor built once.
 
     >>> ribbon_determinant((1, 2)) == ribbon_flagged((1, 2))
     True
     """
-    r = len(comp)
-    # tail[a] = sum(comp[a:]); minors[a] is the ribbon of the suffix comp[a:].
-    tail = (sum(comp), *alphabet_flag(comp))
-    minors = [IndexPolynomial.zero()] * r + [IndexPolynomial.one()]
-    for a in reversed(range(r)):
-        minors[a] = IndexPolynomial.sum_of_products(
-            (h_flagged(tail[a] - tail[k], tail[k]), minors[k], (k - a) % 2 == 0)
-            for k in range(a + 1, r + 1))
-    return minors[0]
+    chain = [(0, IndexPolynomial.one())]
+    for size in itertools.accumulate(reversed(check_composition(comp))):
+        chain = [(size, _determinant_step(size, chain)), *chain]
+    return chain[0][1]
 
 
 def ribbon_walk(n: int) -> Iterator[tuple[Composition, IndexPolynomial, IndexPolynomial]]:
@@ -134,11 +152,11 @@ def ribbon_walk(n: int) -> Iterator[tuple[Composition, IndexPolynomial, IndexPol
 
     One depth-first walk prepends a part per level: a node is a suffix S of
     size m, whose flags are its own, and its children are (p, *S) for
-    p = n − m, …, 1.  The routes share no value.  Inclusion-exclusion reads
-    r_(p,*S) = h_p(X_m)·r_S − r_(p+s_1,*S[1:]), whose subtracted ribbon is a
-    sibling of S met before it; the determinant's first-row expansion reads
-    the chain of minors r_S, r_S[1:], …, r_() that are S and its ancestors.
-    Only that chain and each level's children are held.
+    p = n − m, …, 1.  Each node takes both routes' steps, which share no
+    value: ``_inclusion_exclusion_step``'s
+    r_(p,*S) = h_p(X_m)·r_S − r_(p+s_1,*S[1:]) subtracts a child of S's
+    parent, and ``_determinant_step`` expands over the minors of S and its
+    ancestors.  Only that chain of minors and each level's children are held.
 
     >>> [(c, format_bracket(ie), ie == det) for c, ie, det in ribbon_walk(2)]
     [((2,), '[00]', True), ((1, 1), '[01]', True)]
@@ -146,30 +164,21 @@ def ribbon_walk(n: int) -> Iterator[tuple[Composition, IndexPolynomial, IndexPol
     if n < 0:
         raise ValueError(f'negative size {n}')
     one = IndexPolynomial.one()
-    return _ribbon_node(n, (), one, one, {}, [])
+    return _ribbon_node(n, (), one, {}, [(0, one)])
 
 
 def _ribbon_node(n: int, suffix: Composition, ribbon: IndexPolynomial,
-                 minor: IndexPolynomial, siblings: dict, minors: list):
-    """The walk below the node ``suffix``: ``ribbon`` and ``minor`` are its
-    r by inclusion-exclusion and by determinant, ``siblings[q]`` the first
-    route's r_(q,*suffix[1:]) for each sibling met so far, and ``minors``
-    the (size, minor) pairs of its ancestors, nearest first."""
-    m = sum(suffix)
+                 siblings: dict, chain: list):
+    """The walk below ``suffix``, whose r by inclusion-exclusion is
+    ``ribbon``; ``siblings`` and ``chain`` are what its two steps read."""
+    m, minor = chain[0]
     if m == n:
         yield suffix, ribbon, minor
         return
-    minors = [(m, minor), *minors]
-    children: dict[int, IndexPolynomial] = {}
-    for p in range(n - m, 0, -1):
-        child = h_flagged(p, m) * ribbon
-        if suffix:
-            child -= siblings[p + suffix[0]]
-        children[p] = child
-        determinant = IndexPolynomial.sum_of_products(
-            (h_flagged(m + p - size, size), below, j % 2 == 1)
-            for j, (size, below) in enumerate(minors))
-        yield from _ribbon_node(n, (p, *suffix), child, determinant, children, minors)
+    children = _inclusion_exclusion_step(range(n, m, -1), m, ribbon, siblings)
+    for k, child in children.items():
+        yield from _ribbon_node(n, (k - m, *suffix), child, children,
+                                [(k, _determinant_step(k, chain)), *chain])
 
 
 def _index_word(mono: Monomial) -> str:

@@ -13,7 +13,8 @@ byte.
 
 ``TuplePolynomial`` is the polynomial arithmetic with monomials keyed by
 sorted index tuples, which ``IndexPolynomial`` replaced by packed integer
-keys; the flagged ribbons' two recurrences run on it here.
+keys; the flagged ribbons' two recurrences run on it here, and theorem
+reads them, so its ribbons share no code with the library's ribbon steps.
 
 ``inversion_pairs`` counts inv σ over every pair of positions, the double
 loop that ``inv`` replaced by a count of pairwise comparisons, and
@@ -71,8 +72,6 @@ from permcodes.ribbons import (
     alphabet_flag,
     format_monomial,
     h_product,
-    ribbon_determinant,
-    ribbon_flagged,
 )
 from permcodes.verify import CheckItem, VerificationReport
 
@@ -350,9 +349,9 @@ def theorem_items(n, comp, family_names):
     subject = f'I={format_composition(comp)}'
     members = descent_class(comp)
     inverses = [inverse(p) for p in members]
-    ie = ribbon_flagged(comp)
+    ie = tuple_ribbon_flagged(comp)
     _, witness = _difference(_monomial, 'inclusion-exclusion', ie.terms,
-                             'determinant', ribbon_determinant(comp).terms)
+                             'determinant', tuple_ribbon_determinant(comp).terms)
     for name in family_names:
         if witness:
             break

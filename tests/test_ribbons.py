@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import Counter
 from math import comb
 
 import pytest
@@ -302,12 +303,40 @@ def test_determinant_route_agrees_with_inclusion_exclusion():
 
 
 def test_the_walk_yields_both_routes_for_every_composition_in_mirror_order():
+    # the walk takes the steps that ribbon_flagged and ribbon_determinant
+    # fold, so the oracle is the tuple-keyed recurrences, which share none
     for n in range(9):
         walk = list(ribbon_walk(n))
         assert [comp for comp, _, _ in walk] == [c[::-1] for c in compositions_of(n)], n
         for comp, ribbon, determinant in walk:
-            assert ribbon == ribbon_flagged(comp), comp
-            assert determinant == ribbon_determinant(comp), comp
+            assert ribbon.terms == tuple_ribbon_flagged(comp).terms, comp
+            assert determinant.terms == tuple_ribbon_determinant(comp).terms, comp
+
+
+def test_the_routes_multiply_only_the_term_pairs_they_need(monkeypatch):
+    # every product goes through sum_of_products, so these are the routes'
+    # work at n = 8: a step asked for children that no cut subtracts, or a
+    # product by 1 in the inclusion-exclusion step, adds to them
+    sum_of_products = IndexPolynomial.sum_of_products
+    work = Counter()
+
+    def counted(triples):
+        triples = list(triples)
+        work['calls'] += 1
+        work['pairs'] += sum(len(a.terms) * len(b.terms) for a, b, _ in triples)
+        return sum_of_products(triples)
+
+    monkeypatch.setattr(IndexPolynomial, 'sum_of_products', staticmethod(counted))
+    for route, calls, pairs in ((ribbon_flagged, 1120, 133810),
+                                (ribbon_determinant, 576, 134386)):
+        work.clear()
+        for comp in compositions_of(8):
+            route(comp)
+        assert work == {'calls': calls, 'pairs': pairs}, route.__name__
+    work.clear()
+    for _ in ribbon_walk(8):
+        pass
+    assert work == {'calls': 502, 'pairs': 195228}
 
 
 def test_the_walk_refuses_a_negative_size():

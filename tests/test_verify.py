@@ -745,10 +745,11 @@ def test_only_theorem_advances_the_ribbon_walk_once_per_size(monkeypatch):
 # broken at verify's binding; each ribbon route in the value the ribbon
 # walk yields for it, inv σ in one constant of the merge tables the class
 # walk builds, and τ_S in the registry entry that scstep reads it from.  The
-# direct routes import the same functions from their own modules, so they
-# stay unbroken here and are not compared: each case pins which checks the
-# broken input changes, all to FAIL, and the first changed line.  On a
-# passing sweep those are the failing checks and the first failing line.
+# direct routes compute their ribbons by the tuple-keyed recurrences and
+# read the other inputs through their own modules, so they stay unbroken
+# here and are not compared: each case pins which checks the broken input
+# changes, all to FAIL, and the first changed line.  On a passing sweep
+# those are the failing checks and the first failing line.
 
 def in_verify(name, mutate):
     """The case name and the patch that breaks verify's binding of ``name``
