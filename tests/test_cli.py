@@ -1,4 +1,3 @@
-import hashlib
 import importlib.metadata
 import io
 import json
@@ -15,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from permcodes import cli, codes, ribbons
 from permcodes.permutations import compositions_of, parse_permutation
 from permcodes.verify import CheckItem, VerificationReport
+
+import cli_pins
 
 
 def run(capsys, *argv):
@@ -119,10 +120,6 @@ def test_decode_roundtrip(capsys):
     code, out, _ = run(capsys, 'decode', '501012010', '--family', 'mc')
     assert code == 0
     assert out.strip() == '935721468'
-    # past 10 letters codes and permutations are printed comma-separated
-    code, out, _ = run(capsys, 'decode', '--family', 'mc', '9,9,2,6,4,4,1,2,2,2,1,0')
-    assert code == 0
-    assert out.strip() == '8,5,9,6,3,4,1,12,7,2,11,10'
     code, out, _ = run(capsys, 'decode', '0110', '--family', 'sc', '--json')
     assert json.loads(out)['perm'] == '1423'
 
@@ -146,34 +143,8 @@ def test_verify_rejects_a_family_without_tau(capsys):
     assert err == f"error: unknown family 'lehmer'; choose from {', '.join(codes.FAMILIES)}\n"
 
 
-@pytest.mark.parametrize('argv, message', [
-    # the library's rules, which the CLI does not repeat
-    (('verify', '--n', '3', '--workers', '0'), 'workers must be at least 1'),
-    (('trees', '0'), 'tree series terms start at n=1'),
-    # the CLI's own
-    (('code',), 'one of the arguments perm --table is required'),
-    (('ribbon',), 'one of the arguments composition --all is required'),
-    (('decode', '--family', 'ic,mc', '0'), '--family takes exactly one family'),
-    (('code', '--families', ',', '312'), 'no code families selected'),
-    (('code', '--table', '-1'), 'n must be non-negative'),
-    (('ribbon', '--all', '-1'), 'n must be non-negative'),
-    (('lclass', '--n', '-1'), 'n must be non-negative'),
-    (('lclass',), 'one of the arguments --perm --n is required'),
-    (('lclass', '--perm', '312', '--n', '3'), 'argument --n: not allowed with argument --perm'),
-    # the parser's rules run before the handler's, so "not both" comes before
-    # the cap; the code handler reads the families before the argument
-    (('code', '312', '--families', 'zz'), "unknown code family 'zz'"),
-    (('code', '312', '--table', '10'), 'argument --table: not allowed with argument perm'),
-    (('ribbon', '21', '--all', '10'), 'argument --all: not allowed with argument composition'),
-    # argparse's own errors take the same path
-    (('verify', '--n', 'x'), "argument --n: invalid int value: 'x'"),
-    (('code', '312', '--bogus'), 'unrecognized arguments: --bogus'),
-    ((), 'the following arguments are required: subcommand'),
-], ids=['verify-workers-0', 'trees-0', 'code', 'ribbon', 'decode-two-families',
-        'code-no-families', 'code-table-negative', 'ribbon-all-negative',
-        'lclass-negative', 'lclass-neither', 'lclass-both',
-        'code-families-before-argument', 'code-both-before-cap', 'ribbon-both-before-cap',
-        'verify-n-not-an-int', 'code-unknown-option', 'no-subcommand'])
+@pytest.mark.parametrize('argv, message', cli_pins.USAGE_ERRORS.values(),
+                         ids=cli_pins.USAGE_ERRORS)
 def test_usage_error_prints_its_message_alone(capsys, argv, message):
     assert run(capsys, *argv) == (2, '', f'error: {message}\n')
 
@@ -222,22 +193,6 @@ def test_ribbon_all_follows_the_mode(capsys, monkeypatch, extra):
     assert code == 0
     assert called == compositions_of(4)
     assert out == run(capsys, 'ribbon', '--all', '4', *extra)[1]
-
-
-#: sha256 of the whole `ribbon --all 8` output per mode; both routes print
-#: the same r_I table.
-RIBBON_ALL_8_SHA256 = {
-    'ie': '4679af86135d3378b42d3fa1a29ecad048ec008e93a2e8bcf39a746497f3285c',
-    'det': '4679af86135d3378b42d3fa1a29ecad048ec008e93a2e8bcf39a746497f3285c',
-    'product': 'a8d0b41a52c6d2766dcb358e81fdb2ec17701a3907d30cb34112109235d56121',
-}
-
-
-@pytest.mark.parametrize('mode', sorted(RIBBON_ALL_8_SHA256))
-def test_ribbon_all_8_is_pinned(capsys, mode):
-    code, out, _ = run(capsys, 'ribbon', '--all', '8', '--mode', mode)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == RIBBON_ALL_8_SHA256[mode]
 
 
 def test_ribbon_all_product_mode_prints_h_products(capsys):
@@ -500,52 +455,10 @@ def test_trees_json(capsys):
     assert payload['x'] == 'V2*V0^2 + V1^2*V0'
 
 
-#: sha256 of the whole `trees 8` output, text and JSON; tier-1 checks the
-#: smaller sizes by content.
-TREES_8_SHA256 = {
-    (): 'bad6b2c83aeac50cf39d318203dac0bf298167628bb601232a2aff94b4a2cdab',
-    ('--json',): 'ff0db9ea55d96c07b24f5c12588d5164ad63a28e61adeeea547b7f3bbd9796ea',
-}
-
-
-@pytest.mark.parametrize('extra', sorted(TREES_8_SHA256), ids=['text', 'json'])
-def test_trees_8_is_pinned(capsys, extra):
-    code, out, _ = run(capsys, 'trees', '8', *extra)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == TREES_8_SHA256[extra]
-
-
-#: sha256 of the whole output of the larger code, decode, ribbon and lclass
-#: commands, text and JSON.
-OUTPUT_SHA256 = {
-    ('code', '--table', '6'):
-        '7ad6b48816b8ec4119a9ddfcc6c8e17590e2bfc4b3174bbe6e5c4efc5d916165',
-    ('code', '--table', '5', '--json'):
-        'c48842e9dfef5be4df6d147aef75c85e020bb4d8e66b9c936a4b8e856637b4e8',
-    ('code', '12,11,10,9,8,7,6,5,4,3,2,1', '--json'):
-        '9b74db063f8ebeae72c36fbe47605776670837c5bc134775bccb990fd820afdd',
-    ('lclass', '--n', '6'):
-        'fe072caa249c87a8a43510fae8aed029b4fb521f761d1ffe8ce5f566f0c7e4e8',
-    ('lclass', '--n', '5', '--json'):
-        'a2f793dc6c73782e97825634f83609663ad771d046c2001c409842f8792709e2',
-    ('lclass', '--perm', '682547193'):
-        '4abadcb2f8ccef6116f08585e23ea01572dd407c4f5937ab9515a78ae9894738',
-    ('lclass', '--perm', '682547193', '--json'):
-        '6ad3d48ce71d94c1978858b0387648c545a0f24daf7d84fe1d7a88b4f9e37a8c',
-    ('decode', '--family', 'mc', '501012010', '--json'):
-        'ed73e7040b06e80c0b2abb07098862d89aef5e4e59d8a1092d546219b4af8d2d',
-    ('ribbon', '2112', '--mode', 'product', '--json'):
-        '991c7e54eb942ff62e7df91afa7c7bdf107ad63ea47523a8ff4bdea25a656ff2',
-    ('verify', '--n', '6', '--json'):
-        'ec8f236240449f6602f908bcea9ccac20feb861f01f13636561f9f448d726b3a',
-}
-
-
-@pytest.mark.parametrize('argv', OUTPUT_SHA256, ids=' '.join)
+@pytest.mark.parametrize('argv', cli_pins.PINS, ids=' '.join)
 def test_output_is_pinned(capsys, argv):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, cli_pins.sha256(out), err) == (0, cli_pins.PINS[argv], '')
 
 
 def test_lclass_single_permutation(capsys):
