@@ -67,6 +67,29 @@ def is_subdiagonal(c: Code) -> bool:
     return all(map(le, c, range(len(c) - 1, -1, -1))) and (not c or min(c) >= 0)
 
 
+#: The encoders' masks for words of up to ``_CAP`` letters, every word that
+#: ``verify`` and the benchmark encode: ``_BIT[v]`` = 2^v and ``_LOW[v]`` =
+#: 2^v − 1.  Past the cap, ``_PAST_CAP`` computes each mask as it is read and
+#: stores none.
+_CAP = 64
+_BIT = tuple(1 << v for v in range(_CAP + 1))
+_LOW = tuple(bit - 1 for bit in _BIT)
+
+
+class _Bits:
+    def __getitem__(self, v: int) -> int:
+        return 1 << v
+
+
+class _Lows:
+    def __getitem__(self, v: int) -> int:
+        return (1 << v) - 1
+
+
+_TABLES = _BIT, _LOW
+_PAST_CAP = _Bits(), _Lows()
+
+
 def _bad_code(c: Code) -> ValueError:
     return ValueError(f'not a sub-diagonal code: {tuple(c)}')
 
@@ -90,11 +113,12 @@ def lehmer_code(p: Perm) -> Code:
     >>> ''.join(map(str, lehmer_code((5, 3, 1, 9, 6, 2, 4, 8, 7))))
     '420520010'
     """
+    bit, low = _TABLES if len(p) <= _CAP else _PAST_CAP
     seen = 0
     out = []
     for v in reversed(p):
-        out.append((seen & ((1 << v) - 1)).bit_count())
-        seen |= 1 << v
+        out.append((seen & low[v]).bit_count())
+        seen |= bit[v]
     out.reverse()
     return tuple(out)
 
@@ -127,11 +151,12 @@ def inv_code(p: Perm) -> Code:
     >>> ''.join(map(str, inv_code((4, 1, 2, 3))))
     '1110'
     """
+    bit = _BIT if len(p) <= _CAP else _PAST_CAP[0]
     seen = 0
     out = [0] * len(p)
     for v in p:
         out[v - 1] = (seen >> v).bit_count()
-        seen |= 1 << v
+        seen |= bit[v]
     return tuple(out)
 
 
@@ -172,20 +197,21 @@ def maj_code(p: Perm) -> Code:
     >>> ''.join(map(str, maj_code((9, 3, 5, 7, 2, 1, 4, 6, 8))))
     '501012010'
     """
+    bit, low = _TABLES if len(p) <= _CAP else _PAST_CAP
     where = [0] * len(p)
     for j, v in enumerate(p):
         where[v - 1] = j
     alive = desc = 0
     out = []
     for q in reversed(where):
-        low = alive & ((1 << q) - 1)
+        before = alive & low[q]
         c = (desc >> q).bit_count()
-        if low:
-            top = 1 << (low.bit_length() - 1)
+        if before:
+            top = bit[before.bit_length() - 1]
             if not desc & top:
-                c += low.bit_count()
+                c += before.bit_count()
                 desc |= top
-        alive |= 1 << q
+        alive |= bit[q]
         out.append(c)
     out.reverse()
     return tuple(out)
@@ -245,8 +271,11 @@ def s_code(p: Perm) -> Code:
     letter to the left of the position of value i that exceeds i (a_i = 0 when
     no such letter exists).
 
-    One left-to-right pass: r is the top of a stack of the letters seen so
-    far that no later letter exceeds, once the ones below i are popped.
+    One left-to-right pass keeps, as the bits of one int, the letters seen
+    so far that no later letter exceeds, letter v as bit n − v.  Reading v
+    masks off the letters below it, which v exceeds, if the int holds any
+    (it then exceeds 2^(n−v)); of those left, r is the least, the highest
+    bit, and its bit length is n + 1 − r = a_v.
 
     >>> ''.join(map(str, s_code((4, 3, 1, 2, 5))))
     '33200'
@@ -254,14 +283,17 @@ def s_code(p: Perm) -> Code:
     '02210'
     """
     n = len(p)
-    stack: list[int] = []
+    bit = _BIT if n <= _CAP else _PAST_CAP[0]
+    live = 0
     out = [0] * n
     for v in p:
-        while stack and stack[-1] < v:
-            stack.pop()
-        if stack:
-            out[v - 1] = n + 1 - stack[-1]
-        stack.append(v)
+        k = n - v
+        b = bit[k]
+        if live > b:
+            live &= b - 1
+        out[k] = live.bit_length()
+        live |= b
+    out.reverse()
     return tuple(out)
 
 

@@ -179,9 +179,9 @@ class IndexPolynomial:
     ) -> IndexPolynomial:
         """Σ ±a·b over ``(a, b, negate)`` triples, a·b subtracted where
         ``negate`` is true.  Every product's degree is checked before any
-        term is added; then all products go into one fresh dict, whose zero
-        coefficients are dropped once at the end.  The inputs are not
-        modified.
+        term is added; then each product, looping over the factor of fewer
+        terms outside, goes into one fresh dict, whose zero coefficients are
+        dropped once at the end.  The inputs are not modified.
 
         >>> x0, x1 = IndexPolynomial.monomial((0,)), IndexPolynomial.monomial((1,))
         >>> IndexPolynomial.sum_of_products([(x0, x1, False), (x1, x0, True)])
@@ -193,11 +193,13 @@ class IndexPolynomial:
         out: dict[int, int] = {}
         get = out.get
         for a, b, negate in triples:
-            b_items = b._terms.items()
-            for ka, va in a._terms.items():
+            outer, inner = a._terms.items(), b._terms.items()
+            if len(outer) > len(inner):
+                outer, inner = inner, outer
+            for ka, va in outer:
                 if negate:
                     va = -va
-                for kb, vb in b_items:
+                for kb, vb in inner:
                     key = ka + kb
                     out[key] = get(key, 0) + va * vb
         return IndexPolynomial._packed(out, degree)

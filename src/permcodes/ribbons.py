@@ -100,11 +100,16 @@ def _determinant_step(k: int, chain: list) -> IndexPolynomial:
     column j, a unitriangular block times the trailing minor of the suffix
     (i_{j+1}, ...), whose flags are its own, so
     r_I = Σ_j (−1)^{j−1} h_{i_1+...+i_j}(X_{n−i_1−...−i_j})·r_{(i_{j+1},...)}:
-    one ``IndexPolynomial.sum_of_products`` over the chain.
+    one ``IndexPolynomial.sum_of_products`` over the chain but its last
+    minor, the empty suffix's r = 1, whose term ±h_k(X_0) is added as it is.
     """
-    return IndexPolynomial.sum_of_products(
+    last = h_flagged(k, 0)
+    if len(chain) == 1:
+        return last
+    product = IndexPolynomial.sum_of_products(
         (h_flagged(k - size, size), minor, j % 2 == 1)
-        for j, (size, minor) in enumerate(chain))
+        for j, (size, minor) in enumerate(chain[:-1]))
+    return product + last if len(chain) % 2 else product - last
 
 
 def ribbon_flagged(comp: Composition) -> IndexPolynomial:

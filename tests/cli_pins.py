@@ -44,6 +44,10 @@ PINS = {
     # permutation decode to 8,5,9,6,3,4,1,12,7,2,11,10
     ('code', '8,5,9,6,3,4,1,12,7,2,11,10'):
         '2e49cc6eeb23c4a969ff8b31482d36d30d76e4cc6e96fb7b3db1eee5ac09a638',
+    # the zigzag 70,1,69,2,...,36,35: past the 64 letters whose masks the
+    # encoders read from tables
+    ('code', ','.join(str(v) for k in range(35) for v in (70 - k, 1 + k))):
+        '023624412c11726d97d572945465678255fcbed535ff06e37637930ceb9e9de6',
     ('decode', '--family', 'mc', '9,9,2,6,4,4,1,2,2,2,1,0'):
         '74772fec7bf7bebfeba4b145be6766b607cf18a039b9d829c2b1392113d93361',
     ('decode', '--family', 'sc', '9,6,7,7,5,4,1,0,0,2,1,0'):

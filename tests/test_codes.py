@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import example, given, strategies as st
 
+from permcodes import codes
 from permcodes.codes import (
     FAMILIES,
     LEHMER,
@@ -151,8 +152,8 @@ def test_encoders_match_their_definitions_exhaustively(name):
             assert encode(p) == reference(p)
 
 
-# Uniform draws seldom hold long decreasing runs, where the saillance
-# stack grows deep, so two such words are always tried.
+# Uniform draws seldom hold long decreasing runs, where the saillance code
+# keeps many letters live, so two such words are always tried.
 @given(st.integers(min_value=9, max_value=16).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)))
 @example(tuple(range(16, 0, -1)))
@@ -162,22 +163,35 @@ def test_encoders_match_their_definitions_on_long_permutations(p):
         assert ENCODE[name](p) == REFERENCE[name](p)
 
 
-# Past one machine word, where the Lehmer, inverse and major encoders hold
-# their bit sets in ints of 100 bits: a seeded random word, its reverse, and
-# the zigzag 100 1 99 2 ... 51 50.
-RANDOM_100 = tuple(random.Random(100).sample(range(1, 101), 100))
-LONG_WORDS = {
-    'random': RANDOM_100,
-    'reverse': RANDOM_100[::-1],
-    'zigzag': tuple(v for k in range(50) for v in (100 - k, 1 + k)),
-}
+def long_words(n, suffix=''):
+    """A word of n letters drawn with seed n, its reverse, and the zigzag
+    n 1 n−1 2 ..., under keys ending in ``suffix``."""
+    word = tuple(random.Random(n).sample(range(1, n + 1), n))
+    zigzag = tuple(v for k in range(n // 2) for v in (n - k, 1 + k))
+    return {'random' + suffix: word, 'reverse' + suffix: word[::-1],
+            'zigzag' + suffix: zigzag}
+
+
+# Past one machine word, where every encoder holds its bit sets in ints
+# wider than 64 bits: at 64 letters, the longest words whose masks the
+# encoders read from tables; at 100 and 300, words whose masks they compute
+# as they read them.
+LONG_WORDS = {**long_words(64, '-64'), **long_words(100), **long_words(300, '-300')}
 
 
 @pytest.mark.parametrize('word', sorted(LONG_WORDS))
-@pytest.mark.parametrize('name', ('lehmer', 'invcode', 'majcode'))
+@pytest.mark.parametrize('name', sorted(ENCODE))
 def test_encoders_match_their_definitions_past_one_machine_word(name, word):
     p = LONG_WORDS[word]
     assert ENCODE[name](p) == REFERENCE[name](p)
+
+
+def test_a_word_past_the_cap_grows_no_mask_table():
+    sizes = len(codes._BIT), len(codes._LOW)
+    p = tuple(random.Random(1200).sample(range(1, 1201), 1200))
+    for name in ENCODE:
+        assert DECODE[name](ENCODE[name](p)) == p
+    assert (len(codes._BIT), len(codes._LOW)) == sizes == (codes._CAP + 1,) * 2
 
 
 def subdiagonal_codes(n):

@@ -316,7 +316,7 @@ def test_the_walk_yields_both_routes_for_every_composition_in_mirror_order():
 def test_the_routes_multiply_only_the_term_pairs_they_need(monkeypatch):
     # every product goes through sum_of_products, so these are the routes'
     # work at n = 8: a step asked for children that no cut subtracts, or a
-    # product by 1 in the inclusion-exclusion step, adds to them
+    # product by the empty suffix's ribbon 1 in either step, adds to them
     sum_of_products = IndexPolynomial.sum_of_products
     work = Counter()
 
@@ -328,7 +328,7 @@ def test_the_routes_multiply_only_the_term_pairs_they_need(monkeypatch):
 
     monkeypatch.setattr(IndexPolynomial, 'sum_of_products', staticmethod(counted))
     for route, calls, pairs in ((ribbon_flagged, 1120, 133810),
-                                (ribbon_determinant, 576, 134386)):
+                                (ribbon_determinant, 448, 133810)):
         work.clear()
         for comp in compositions_of(8):
             route(comp)
@@ -336,7 +336,7 @@ def test_the_routes_multiply_only_the_term_pairs_they_need(monkeypatch):
     work.clear()
     for _ in ribbon_walk(8):
         pass
-    assert work == {'calls': 502, 'pairs': 195228}
+    assert work == {'calls': 494, 'pairs': 194973}
 
 
 def test_the_walk_refuses_a_negative_size():
