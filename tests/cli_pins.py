@@ -160,6 +160,13 @@ USAGE_ERRORS = {
     'lclass-neither': (('lclass',), 'one of the arguments --perm --n is required'),
     'lclass-both': (('lclass', '--perm', '312', '--n', '3'),
                     'argument --n: not allowed with argument --perm'),
+    'lclass-both-perm-21': (('lclass', '--perm', '21', '--n', '3'),
+                            'argument --n: not allowed with argument --perm'),
+    # a table argument beside a single one is refused at any size
+    'code-both-table-2': (('code', '312', '--table', '2'),
+                          'argument --table: not allowed with argument perm'),
+    'ribbon-both-all-2': (('ribbon', '21', '--all', '2'),
+                          'argument --all: not allowed with argument composition'),
     # the parser's rules run before the handler's, so "not both" comes before
     # the cap; the code handler reads the families before the argument
     'code-families-before-argument': (('code', '312', '--families', 'zz'),

@@ -169,17 +169,6 @@ def test_ribbon_all_table(capsys):
     ]
 
 
-@pytest.mark.parametrize('argv', [
-    ('code', '312', '--table', '2'),
-    ('ribbon', '21', '--all', '2'),
-], ids=('code-table', 'ribbon-all'))
-def test_argument_beside_a_whole_table_is_a_usage_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ''
-    assert err.startswith('error: ')
-
-
 @pytest.mark.parametrize('extra', ((), ('--json',)), ids=('text', 'json'))
 def test_ribbon_all_follows_the_mode(capsys, monkeypatch, extra):
     called = []
@@ -501,11 +490,6 @@ def test_lclass_perm_is_capped_before_the_class_is_closed(capsys, monkeypatch):
     code, out, _ = run(capsys, 'lclass', '--perm', perm, '--allow-large')
     assert code == 0
     assert f'class of {perm} (sorted Lcode 0000000001, 9 members)' in out
-
-
-def test_lclass_requires_exactly_one_mode(capsys):
-    assert run(capsys, 'lclass')[0] == 2
-    assert run(capsys, 'lclass', '--perm', '21', '--n', '3')[0] == 2
 
 
 def test_help_exits_zero_and_shows_the_either_or_group(capsys):

@@ -187,11 +187,11 @@ def test_encoders_match_their_definitions_past_one_machine_word(name, word):
 
 
 def test_a_word_past_the_cap_grows_no_mask_table():
-    sizes = len(codes._BIT), len(codes._LOW)
     p = tuple(random.Random(1200).sample(range(1, 1201), 1200))
     for name in ENCODE:
         assert DECODE[name](ENCODE[name](p)) == p
-    assert (len(codes._BIT), len(codes._LOW)) == sizes == (codes._CAP + 1,) * 2
+    assert len(codes._BIT) == codes._CAP + 1
+    assert not vars(codes._PAST_CAP)
 
 
 def subdiagonal_codes(n):

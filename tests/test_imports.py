@@ -2,7 +2,8 @@
 library alone, and every module, test and demo uses what it imports at
 module level (``__init__.py`` imports to re-export, so it is left out).
 And a check that ``src/`` holds no function or class that only the tests
-call: those belong in ``tests/oracles.py``."""
+call: those belong in ``tests/oracles.py``; nor a private top-level name
+that nothing in ``src/`` reads."""
 
 import ast
 import sys
@@ -82,4 +83,30 @@ def test_every_public_function_and_class_has_a_caller_outside_the_tests():
                 and not any(node.name in names
                             for _, other, names in statements if other is not node)):
             bad.append(f'{_where(path, node)}: {node.name} is called only by the tests')
+    assert not bad
+
+
+def _bound(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines or assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        targets = [node.target]
+    else:
+        return []
+    return [sub.id for target in targets
+            for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+
+
+def test_every_private_top_level_name_is_read_in_the_package():
+    # a private function, class or assigned name that no other top-level
+    # statement of src/ names is a leftover; dunders such as __all__ are exempt
+    statements = [(path, node, _named(node))
+                  for path in PACKAGE for node in _parse(path).body]
+    bad = [f'{_where(path, node)}: {name} is never read'
+           for path, node, _ in statements for name in _bound(node)
+           if name.startswith('_') and not name.startswith('__')
+           and not any(name in names for _, other, names in statements if other is not node)]
     assert not bad

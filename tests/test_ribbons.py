@@ -315,8 +315,10 @@ def test_the_walk_yields_both_routes_for_every_composition_in_mirror_order():
 
 def test_the_routes_multiply_only_the_term_pairs_they_need(monkeypatch):
     # every product goes through sum_of_products, so these are the routes'
-    # work at n = 8: a step asked for children that no cut subtracts, or a
-    # product by the empty suffix's ribbon 1 in either step, adds to them
+    # work at n = 8: a step asked for children that no cut subtracts adds to
+    # them.  Each determinant step's last product is h_k(X_0)·1, one pair;
+    # adding ±h_k(X_0) instead saves that pair but copies the whole sum into
+    # a new dict, which this count does not see
     sum_of_products = IndexPolynomial.sum_of_products
     work = Counter()
 
@@ -328,7 +330,7 @@ def test_the_routes_multiply_only_the_term_pairs_they_need(monkeypatch):
 
     monkeypatch.setattr(IndexPolynomial, 'sum_of_products', staticmethod(counted))
     for route, calls, pairs in ((ribbon_flagged, 1120, 133810),
-                                (ribbon_determinant, 448, 133810)):
+                                (ribbon_determinant, 576, 134386)):
         work.clear()
         for comp in compositions_of(8):
             route(comp)
@@ -336,7 +338,7 @@ def test_the_routes_multiply_only_the_term_pairs_they_need(monkeypatch):
     work.clear()
     for _ in ribbon_walk(8):
         pass
-    assert work == {'calls': 494, 'pairs': 194973}
+    assert work == {'calls': 502, 'pairs': 195228}
 
 
 def test_the_walk_refuses_a_negative_size():
