@@ -192,8 +192,10 @@ def format_monomial(mono: Monomial) -> str:
     return f'[{_index_word(mono)}]'
 
 
-def format_bracket(poly: IndexPolynomial) -> str:
-    """Bracket-notation rendering, terms in ascending monomial order.
+def format_bracket(poly: IndexPolynomial,
+                   bracket: Callable[[Monomial], str] = format_monomial) -> str:
+    """Bracket-notation rendering, terms in ascending monomial order, each
+    monomial rendered by ``bracket``.
 
     >>> format_bracket(IndexPolynomial({(0, 1, 2): 1}))
     '[012]'
@@ -202,11 +204,8 @@ def format_bracket(poly: IndexPolynomial) -> str:
     """
     if not poly:
         return '0'
-    parts = []
-    for mono, coeff in sorted(poly.terms.items()):
-        bracket = format_monomial(mono)
-        parts.append(bracket if coeff == 1 else f'{coeff} {bracket}')
-    return ' + '.join(parts)
+    return ' + '.join(bracket(mono) if coeff == 1 else f'{coeff} {bracket(mono)}'
+                      for mono, coeff in sorted(poly.terms.items()))
 
 
 def poly_to_json(poly: IndexPolynomial) -> list[dict[str, object]]:
@@ -227,8 +226,10 @@ def ribbon_table_lines(
     and r_I otherwise, e.g. ``r_21 = [001] + [011]`` for the default.
     """
     symbol = 'h' if route is h_product else 'r'
+    # each distinct monomial is rendered once per table
+    bracket = cache(format_monomial)
     lines = []
     for comp in compositions_of(n):
         name = ''.join(map(str, comp)) if n <= 9 else format_composition(comp)
-        lines.append(f'{symbol}_{name} = {format_bracket(route(comp))}')
+        lines.append(f'{symbol}_{name} = {format_bracket(route(comp), bracket)}')
     return lines

@@ -10,22 +10,24 @@ the Euler-Mahonian joint distributions.
 ``CHECKS`` gives each check a ``Check`` row; by default ``run_checks`` runs
 every check whose family is selected.  Per size n, one class pass walks each
 D_J of S_n once as a ``_Class`` record, which holds the inverses of D_J as
-``inverse_descent_class`` builds them, unsorted, and computes on first read,
-once, what a check reads of the class.  The pass meets the classes in the
-order of ``ribbon_walk(n)``, so theorem reads each class's two ribbons as
-the walk's next values, and a pass without theorem never advances it.
-inv σ is read off the merge tables that build the class: each merge adds a
-fixed count of inversions, so the walk carries each word's count and
-``verify`` calls no ``permutations.inv``.  maj σ^{-1} is still computed per
-word.  theorem and fs compare at each
-class; a failing theorem unit inverts the inverses whose sorted code is the
-witness monomial and names the least.  em sums over all classes; coarse and
-ncinv sum over the classes J with Set(J) ⊆ Set(I) by a subset-sum (zeta)
-transform over the n − 1 cut positions, and a failing ncinv unit counts its
-witness word in the same E′(J) lists.  scstep runs apart, one task per size
-n, and reports each (m, k) with m + k = n at every size from n on; one
-depth-first insertion walk over S_n encodes each σ once and counts its code
-prefixes into the ancestors β whose id_k ⧢ β holds it.
+``inverse_descent_class`` builds them, unsorted.  From the ``Check.reads`` of
+the selected rows the record works out which families to encode, and takes
+each family's values from one list that it drops before the next family is
+encoded: only invcode's list is kept, and only while ncinv is selected.  The
+pass meets the classes in the order of ``ribbon_walk(n)``, so theorem reads
+each class's two ribbons as the walk's next values, and a pass without
+theorem never advances it.  inv σ is read off the merge tables that build
+the class: each merge adds a fixed count of inversions, so the walk carries
+each word's count and ``verify`` calls no ``permutations.inv``.  maj σ^{-1}
+is still computed per word.  theorem and fs compare at each class; a failing
+theorem unit encodes its one class again and inverts the inverses whose
+sorted code is the witness monomial to name the least.  em sums over all
+classes; coarse and ncinv sum over the classes J with Set(J) ⊆ Set(I) by a
+subset-sum (zeta) transform over the n − 1 cut positions, and a failing
+ncinv unit counts its witness word in the same E′(J) lists.  scstep runs
+apart, one task per size n, and reports each (m, k) with m + k = n at every
+size from n on; one depth-first insertion walk over S_n encodes each σ once
+and counts its code prefixes into the ancestors β whose id_k ⧢ β holds it.
 Tasks are pure, so sweeps parallelize over them and reports merge
 deterministically: rendered output is byte-identical for any worker count.
 """
@@ -151,29 +153,37 @@ def _subject(comp: Composition) -> str:
 
 
 class _Class:
-    """One descent class D_I: the inverses of its members, in the generation
-    order of ``inverse_descent_class``, not sorted, with the inversion
-    number the walk carried for each; and, each computed on first read and
-    kept for the life of the record, the codes of the inverses, the ribbons
-    and what the checks sum from them."""
+    """One descent class D_I: the inverses of its members, unsorted, and
+    what the selected rows read of it; ``reads`` holds their ``Check.reads``.
+    Each family a row reads is encoded once into one list, which is dropped
+    once its sorted-code polynomial ('polys', into ``polys``) and its
+    code-sum counts ('sums', into ``q_stats``, followed by those of
+    maj σ^{-1} and inv σ) are taken; only a family that ``reads`` names
+    keeps its list, in ``codes``."""
 
-    def __init__(self, comp: Composition, names, walk) -> None:
+    def __init__(self, comp: Composition, names, walk, reads) -> None:
         self.comp = comp
         self.names = names
-        self.inverses, self.invs = _inverse_descent_walk(comp)
-        self._codes: dict[str, list] = {}
+        self.inverses, invs = _inverse_descent_walk(comp)
         self._walk = walk
-
-    def codes(self, name: str) -> list:
-        """The ``name`` codes of the inverses, in the order of ``inverses``."""
-        if name not in self._codes:
-            self._codes[name] = list(map(FAMILIES[name].encode, self.inverses))
-        return self._codes[name]
-
-    @cached_property
-    def polys(self) -> list[IndexPolynomial]:
-        """Per family, the sorted-code polynomial of the class."""
-        return [IndexPolynomial.from_words(self.codes(name)) for name in self.names]
+        self.polys: list[IndexPolynomial] = []
+        self.codes: dict[str, list] = {}
+        sums = []
+        for name in names:
+            if not reads & {'polys', 'sums', name}:
+                continue
+            codes = list(map(FAMILIES[name].encode, self.inverses))
+            if 'polys' in reads:
+                self.polys.append(IndexPolynomial.from_words(codes))
+            if 'sums' in reads:
+                sums.append(Counter(map(sum, codes)))
+            if name in reads:
+                self.codes[name] = codes
+            # dropped before the next family is encoded
+            del codes
+        if 'sums' in reads:
+            # inv σ counted as the walk's inv σ^{-1}, which is equal
+            self.q_stats = [*sums, Counter(map(maj, self.inverses)), Counter(invs)]
 
     @cached_property
     def ribbons(self) -> tuple[IndexPolynomial, IndexPolynomial]:
@@ -181,13 +191,6 @@ class _Class:
         the size's ``ribbon_walk``, which meets the classes in the class
         pass's order, so a pass that never reads this never advances it."""
         return next(self._walk)[1:]
-
-    @cached_property
-    def q_stats(self) -> list[Counter]:
-        """The counts of each family's code sums, then of maj σ^{-1} and of
-        inv σ, counted as the walk's inv σ^{-1}, which is equal."""
-        return [*(Counter(map(sum, self.codes(name))) for name in self.names),
-                Counter(map(maj, self.inverses)), Counter(self.invs)]
 
 
 def _subset_sums(by_comp: dict, add) -> dict:
@@ -250,8 +253,9 @@ def _theorem_item(n: int, cls: _Class) -> CheckItem:
         if witness or got == ribbon:
             continue
         mono, witness = _difference(_monomial, name, got.terms, 'ribbon', ribbon.terms)
-        contributing = [p for p, code in zip(cls.inverses, cls.codes(name))
-                        if sorted_code(code) == mono]
+        # the class holds no codes past its polynomials: encode it again
+        encode = FAMILIES[name].encode
+        contributing = [p for p in cls.inverses if sorted_code(encode(p)) == mono]
         if contributing:
             least = min(map(inverse, contributing))
             witness += f'; least contributing sigma: {format_permutation(least)}'
@@ -313,7 +317,7 @@ def _zeta_coarse_items(n: int, names, by_comp) -> list[CheckItem]:
 
 def _ncinv_difference(n: int, cls: _Class) -> Counter:
     """The invcode words of D_J's inverses minus E′(J); empty where they agree."""
-    words = sorted(cls.codes('invcode'))
+    words = sorted(cls.codes['invcode'])
     expected = _exact_descent_words(cls.comp)
     if words == expected:
         return Counter()
@@ -411,12 +415,15 @@ class Check(NamedTuple):
     """A row of ``CHECKS``: the code family the check reads, None for every
     selected one; for a check read off the class pass, its value at one
     ``_Class`` and its items from the values at every class of one size; for
-    a check run apart, its task per size."""
+    a check run apart, its task per size.  ``reads`` is what ``per_class``
+    reads of the codes: 'polys' or 'sums' of every family, or the name of
+    the one family whose code list the record keeps."""
 
     family: str | None = None
     per_class: Callable | None = None
     finish: Callable | None = None
     per_size: Callable | None = None
+    reads: str = ''
 
 
 def _listed(n: int, names, by_comp: dict) -> list[CheckItem]:
@@ -426,14 +433,16 @@ def _listed(n: int, names, by_comp: dict) -> list[CheckItem]:
 #: Row order fixes ``CHECK_NAMES`` and the run order; the report sorts items
 #: by check name.
 CHECKS = {
-    'theorem': Check(per_class=_theorem_item, finish=_listed),
+    'theorem': Check(per_class=_theorem_item, finish=_listed, reads='polys'),
     # later families keep their difference from the first: zero where theorem holds
     'coarse': Check(per_class=lambda n, cls: [cls.polys[0], *(
-        got - cls.polys[0] for got in cls.polys[1:])], finish=_zeta_coarse_items),
-    'ncinv': Check('invcode', _ncinv_difference, _zeta_ncinv_items),
+        got - cls.polys[0] for got in cls.polys[1:])], finish=_zeta_coarse_items,
+        reads='polys'),
+    'ncinv': Check('invcode', _ncinv_difference, _zeta_ncinv_items, reads='invcode'),
     'scstep': Check('scode', per_size=_scstep_items),
-    'em': Check(per_class=lambda n, cls: cls.q_stats, finish=_summed_em_items),
-    'fs': Check(per_class=_fs_item, finish=_listed),
+    'em': Check(per_class=lambda n, cls: cls.q_stats, finish=_summed_em_items,
+                reads='sums'),
+    'fs': Check(per_class=_fs_item, finish=_listed, reads='sums'),
 }
 CHECK_NAMES = tuple(CHECKS)
 
@@ -445,11 +454,14 @@ def _class_items(n: int, checks, names) -> list[CheckItem]:
     computes once what those checks read of it, and is dropped before the
     next class."""
     values = {check: {} for check in checks}
+    reads = {CHECKS[check].reads for check in checks}
     walk = ribbon_walk(n)
     for comp in [comp[::-1] for comp in compositions_of(n)]:
-        cls = _Class(comp, names, walk)
+        cls = _Class(comp, names, walk, reads)
         for check, by_comp in values.items():
             by_comp[comp] = CHECKS[check].per_class(n, cls)
+        # dropped before the next record encodes
+        del cls
     return [item for check, by_comp in values.items()
             for item in CHECKS[check].finish(n, names, by_comp)]
 

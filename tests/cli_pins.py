@@ -87,6 +87,18 @@ PINS = {
     # the theorem-n8 bench workload's report (bench/expected.json)
     ('verify', '--n', '8', '--checks', 'theorem'):
         '4135f0b74e2351c44682ae3b6ea06dc332f07c2c033126977e1faec263ccde64',
+    # each selection's class record encodes and keeps only what its rows
+    # read, and reports what the whole sweep reports for those checks
+    ('verify', '--n', '7', '--checks', 'coarse'):
+        '3ff697b2fc2789509e8f44bfcbd1f75f8bf9b7b0302916745d9ee9196719be6c',
+    ('verify', '--n', '7', '--checks', 'ncinv'):
+        '8ab5f6bc07ed9c555b011221b51b83a87481b1cae16fd54e14818fb101f366db',
+    ('verify', '--n', '7', '--checks', 'em'):
+        'db6b79645be392d06eb155e7c32e4d3e39290aa6f8a2c4ecde7d6b2cf89f4f2d',
+    ('verify', '--n', '7', '--checks', 'fs'):
+        '6cfb0bdf07d32ff06a05465bf4791a823bd567e0f849f308a2cc9acb8b26db8a',
+    ('verify', '--n', '7', '--checks', 'theorem,ncinv'):
+        'a04444de85b17dbc90222b719faec2ebae92ff3806029b152852664242631ad8',
     # --checks all runs every check whose family is selected: without
     # invcode, ncinv is left out
     ('verify', '--n', '4', '--families', 'sc'):
@@ -129,6 +141,10 @@ LARGE_PINS = {
         '8c436058fcf45a6ed2725d7d0b62e0e906bfa49d45589d0c05f1cec2636aa089',
     ('verify', '--n', '9', '--allow-large', '--workers', '2'):
         'a9cf7040e0450163b2606a940021af9108c298bb9589a028ddeff19aefb2e651',
+    ('verify', '--n', '9', '--allow-large', '--checks', 'theorem'):
+        '9ccc6b4e0682ad3dbaa0c4a67cd2f8543f587f696e0e099e15a5ac554f696069',
+    ('verify', '--n', '9', '--allow-large', '--checks', 'coarse'):
+        'cace58f9812dc9fac7f98303707b87f1e42bd919ab36fd91fb013bf490205e88',
     ('verify', '--n', '10', '--allow-large', '--workers', '2'):
         '64748abcbf430430f7d834bd71106df8fb2881ff8baf27dd46079114aaaaaef4',
 }

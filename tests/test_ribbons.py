@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from permcodes import ribbons
 from permcodes.permutations import (
     coarser_compositions,
     compositions_of,
@@ -254,6 +255,25 @@ def test_rendered_table_lines_match_reference_text():
 def test_table_lines_name_the_coarse_products_h_and_the_ribbons_r():
     assert ribbon_table_lines(2, h_product) == ['h_2 = [00]', 'h_11 = [00] + [01]']
     assert ribbon_table_lines(2, ribbon_determinant) == ['r_2 = [00]', 'r_11 = [01]']
+
+
+@pytest.mark.parametrize('route', [h_product, ribbon_determinant])
+def test_a_table_renders_each_distinct_monomial_once(monkeypatch, route):
+    rendered = Counter()
+    format_monomial = ribbons.format_monomial
+
+    def counted(mono):
+        rendered[mono] += 1
+        return format_monomial(mono)
+
+    monkeypatch.setattr(ribbons, 'format_monomial', counted)
+    lines = ribbon_table_lines(6, route)
+    polys = [route(comp) for comp in compositions_of(6)]
+    assert rendered == Counter(set().union(*(poly.terms for poly in polys)))
+    # h_product's coefficients reach 2 and more; the lines are those that
+    # format_bracket renders one polynomial at a time
+    assert [line.split(' = ')[1] for line in lines] == [
+        format_bracket(poly, format_monomial) for poly in polys]
 
 
 def signed_h_sum(comp):

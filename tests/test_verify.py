@@ -622,32 +622,61 @@ def test_each_family_encodes_each_inverse_once(monkeypatch):
             return encode(p)
 
         monkeypatch.setitem(FAMILIES, name, dataclasses.replace(family, encode=counted))
-    # ncinv sorts the invcode words of the class pass: Σ_{k ≤ 5} k! = 153
-    assert run_checks(5, checks=('ncinv',)).passed
-    assert calls == Counter(invcode=153)
-    calls.clear()
-    assert run_checks(5, checks=('theorem', 'coarse', 'ncinv', 'em', 'fs')).passed
-    assert calls == Counter(invcode=153, scode=153, majcode=153)
+    every = tuple(FAMILIES)
+    # Σ_{k ≤ 5} k! = 153 encodes for each family the selection reads, none
+    # for any other: ncinv sorts the invcode words of the class pass, and
+    # theorem and coarse read each family's polynomial and em its code sums,
+    # all taken from one list per family, which ncinv keeps for invcode
+    for checks, family_names, read in [
+        (('ncinv',), every, ('invcode',)),
+        (('theorem',), every, every),
+        (('theorem',), ('scode',), ('scode',)),
+        (('coarse',), every, every),
+        (('em',), every, every),
+        (('theorem', 'ncinv'), every, every),
+        (('theorem', 'coarse', 'ncinv', 'em', 'fs'), every, every),
+    ]:
+        calls.clear()
+        assert run_checks(5, checks=checks, family_names=family_names).passed
+        assert calls == Counter(dict.fromkeys(read, 153)), checks
     calls.clear()
     # scstep's walk encodes each σ with scode once more, apart from the pass
     assert run_checks(5).passed
     assert calls == Counter(invcode=153, scode=2 * 153, majcode=153)
 
 
-def test_a_failing_class_encodes_each_inverse_once_per_family(monkeypatch):
+def test_a_failing_class_is_encoded_again_for_its_witness(monkeypatch):
     calls = Counter()
 
     def counted(p):
         calls['invcode'] += 1
         return lehmer_code(p)
 
-    # the Lehmer code fails theorem at (2,1) and (1,2); the least σ is named
-    # from the codes the class pass already holds: 1! + 2! + 3!
+    # the Lehmer code fails theorem at (2,1) and (1,2): the class pass
+    # encodes 1! + 2! + 3! inverses once, and each failing class encodes
+    # its 2 inverses again to name the least σ
     monkeypatch.setitem(FAMILIES, 'invcode', CodeFamily('invcode', counted, tau_i,
                                                         lehmer_decode))
     report = run_checks(3, checks=('theorem',), family_names=('invcode',))
     assert len(report.failures) == 2
-    assert calls == Counter(invcode=9)
+    assert calls == Counter(invcode=9 + 2 + 2)
+
+
+def test_a_class_record_keeps_only_the_code_lists_a_selected_row_reads(monkeypatch):
+    kept = []
+
+    class Recorded(verify._Class):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append(set(self.codes))
+
+    monkeypatch.setattr(verify, '_Class', Recorded)
+    # Σ_{n ≤ 5} 2^(n−1) = 31 classes; only ncinv reads a code list
+    for checks, codes in [(('theorem', 'coarse', 'em', 'fs'), set()),
+                          (('ncinv',), {'invcode'}), (None, {'invcode'})]:
+        kept.clear()
+        assert run_checks(5, checks=checks).passed
+        assert kept == [codes] * 31, checks
 
 
 def test_a_sweep_leaves_no_reference_cycles():
@@ -871,3 +900,9 @@ def test_each_verdict_input_can_fail_the_checks_that_read_it(
     assert failing & {'em', 'fs'} != {'em'}
     assert not any(item.passed for item in changed)
     assert changed[0].render() == first
+    # a check selected alone reports what it reports beside every other:
+    # the class record computes and keeps only what the selection reads,
+    # and a failing theorem class is encoded again for its witness
+    for check in failing:
+        alone = run_checks(4, checks=(check,)).items
+        assert alone == tuple(item for item in report.items if item.check == check), check
